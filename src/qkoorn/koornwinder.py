@@ -13,15 +13,14 @@ from __future__ import annotations
 import json
 
 from .errors import NotEigenfunction, ZeroDenominator
-from .laurent import LaurentPoly
 from .operators import (IDENTITY, OperatorSpec, ParamMap, apply_operator,
                         operator_matrix)
 from .ratfield import (JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat,
-                       substitute_params)
-from .spectra import (eigenvalue_An_leading, eigenvalue_Ern, eigenvalue_jacobi)
-from .weights import (HYPEROCTAHEDRAL, PERMUTATIONS_ONLY, dominance_lt,
-                      linear_refinement, monomial_symmetric, weights_below,
-                      worbit)
+                       _common, _qq_text, substitute_params)
+from .spectra import (ch_of_monomial, eigenvalue_An_leading, eigenvalue_Ern,
+                      eigenvalue_jacobi)
+from .weights import (HYPEROCTAHEDRAL, PERMUTATIONS_ONLY, linear_refinement,
+                      monomial_symmetric)
 
 
 class OrthoPoly:
@@ -57,7 +56,7 @@ class OrthoPoly:
             if isinstance(v, (ParamRat, ParamPoly)):
                 text = v.render()
             else:
-                text = str(v)
+                text = _qq_text(v)
             coeffs.append({"weight": list(mu), "value": text})
         return {"n": self.n, "weight": list(self.weight), "basis": "monomial",
                 "half_lattice": self.scale == 2, "group": self.group,
@@ -70,36 +69,11 @@ class OrthoPoly:
         return "OrthoPoly(%s; %d terms)" % (self.weight, len(self.coeffs))
 
 
-def _solve_triangular(matrix, lam, evalue, field_one):
-    """Back-substitute the unitriangular eigenproblem for the given matrix
-    and target eigenvalue; entries of ``matrix`` are in the polynomial ring,
-    coefficients come out in its fraction field."""
-    order = linear_refinement(list(matrix), "lex")[::-1]
-    coeffs = {lam: field_one}
-    for mu in order:
-        if mu == lam:
-            continue
-        num = None
-        for nu, c in coeffs.items():
-            entry = matrix[nu].get(mu)
-            if entry is None:
-                continue
-            term = c * entry
-            num = term if num is None else num + term
-        if num is None:
-            continue
-        gap = evalue - matrix[mu].get(mu, 0)
-        if not gap:
-            raise ZeroDenominator(
-                "eigenvalue collision between %s and %s" % (lam, mu))
-        coeffs[mu] = num / gap
-    return coeffs
-
-
 def _solve_cleared(matrix, lam, evalue, one):
-    """Same back-substitution, holding every coefficient over one shared
-    denominator: returns (numerators, denominator), all in the polynomial
-    ring.  Avoids compounding unreduced fraction denominators."""
+    """Back-substitute the unitriangular eigenproblem for the given matrix
+    and target eigenvalue, holding every coefficient over one shared
+    denominator: returns (numerators, denominator), both in the ring of the
+    matrix entries.  Avoids compounding unreduced fraction denominators."""
     order = linear_refinement(list(matrix), "lex")[::-1]
     zero = evalue - evalue
     nums = {lam: one}
@@ -110,17 +84,22 @@ def _solve_cleared(matrix, lam, evalue, one):
         acc = None
         for nu, nval in nums.items():
             entry = matrix[nu].get(mu)
-            if entry is None or nval.is_zero():
+            if entry is None or not nval:
                 continue
             term = nval * entry
             acc = term if acc is None else acc + term
-        if acc is None or acc.is_zero():
+        if acc is None:
             nums[mu] = zero
             continue
+        # a coupled weight with the target eigenvalue leaves the expansion
+        # undetermined even when the coupling sums to zero
         gap = evalue - matrix[mu].get(mu, 0)
         if not gap:
             raise ZeroDenominator(
                 "eigenvalue collision between %s and %s" % (lam, mu))
+        if not acc:
+            nums[mu] = zero
+            continue
         for nu in nums:
             nums[nu] = nums[nu] * gap
         nums[mu] = acc
@@ -367,14 +346,9 @@ def relm_constant(n, S):
     total = ParamPoly.zero(KOORN_VARS)
     for j in range(1, n + 1):
         u = th ** (2 * (n - j)) * h
-        total = total + _ch(u * qh) * 2 + (-(_ch(u) * 2))
+        total = (total + ch_of_monomial(u * qh) * 2
+                 + (-(ch_of_monomial(u) * 2)))
     return total
-
-
-def _ch(u):
-    e, c, s = u.monomial_parts()
-    inv = ParamPoly.monomial(u.vars, tuple(-x for x in e), 1 / c, s)
-    return (u + inv) * QQ(1, 2)
 
 
 def dn_combine(lam, delta):
@@ -419,7 +393,7 @@ def proportionality_factor(img, f):
         raise ValueError("zero candidate")
     if img.is_zero():
         return ParamRat.zero(KOORN_VARS)
-    s, a, b = img._common(f)
+    _, a, b = _common(img, f)
     e = max(b)
     ca = a.get(e)
     if ca is None:

@@ -14,12 +14,11 @@ proceeds binomial by binomial, avoiding any multivariate gcd.
 from __future__ import annotations
 
 from math import gcd
-from operator import add as _add
 
 from .errors import NotDivisible
-from .ratfield import QQ, ParamPoly, ParamRat
-
-_QZERO = QQ(0)
+from .ratfield import (QQ, ParamPoly, ParamRat, _common, _lifted, _reduced,
+                       _sparse_add, _sparse_eq, _sparse_mul,
+                       _sparse_mul_monomial, _sparse_neg)
 
 
 def _times_qh(c, num, den):
@@ -46,21 +45,7 @@ class LaurentPoly:
 
     def __init__(self, n, terms, scale=1):
         self.n = n
-        clean = {e: c for e, c in terms.items() if c}
-        if scale > 1 and clean:
-            g = scale
-            for e in clean:
-                for x in e:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-                if g == 1:
-                    break
-            if g > 1:
-                clean = {tuple(x // g for x in e): c for e, c in clean.items()}
-                scale //= g
-        self.scale = scale if clean else 1
-        self.terms = clean
+        self.terms, self.scale = _reduced(terms, scale)
 
     @classmethod
     def zero(cls, n):
@@ -83,56 +68,17 @@ class LaurentPoly:
     def __len__(self):
         return len(self.terms)
 
-    def _lifted(self, scale):
-        if scale == self.scale:
-            return self.terms
-        f = scale // self.scale
-        return {tuple(x * f for x in e): c for e, c in self.terms.items()}
-
-    def _common(self, other):
-        s = self.scale * other.scale // gcd(self.scale, other.scale)
-        return s, self._lifted(s), other._lifted(s)
-
     def __add__(self, other):
-        s, a, b = self._common(other)
-        out = dict(a)
-        for e, c in b.items():
-            if e in out:
-                v = out[e] + c
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-            else:
-                out[e] = c
-        return LaurentPoly(self.n, out, s)
+        return LaurentPoly(self.n, *_sparse_add(self, other))
 
     def __neg__(self):
-        return LaurentPoly(self.n, {e: -c for e, c in self.terms.items()}, self.scale)
+        return LaurentPoly(self.n, _sparse_neg(self), self.scale)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        s, a, b = self._common(other)
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        get = out.get
-        bitems = list(b.items())
-        for e1, c1 in a.items():
-            for e2, c2 in bitems:
-                e = tuple(map(_add, e1, e2))
-                v = get(e)
-                if v is None:
-                    out[e] = c1 * c2
-                else:
-                    v = v + c1 * c2
-                    if v:
-                        out[e] = v
-                    else:
-                        del out[e]
-        return LaurentPoly(self.n, out, s)
+        return LaurentPoly(self.n, *_sparse_mul(self, other))
 
     def scalar_mul(self, c):
         if not c:
@@ -141,23 +87,15 @@ class LaurentPoly:
                            self.scale)
 
     def mul_monomial(self, exps, coeff, scale=1):
-        s = self.scale * scale // gcd(self.scale, scale)
-        f = s // scale
-        e0 = tuple(x * f for x in exps)
-        a = self._lifted(s)
         return LaurentPoly(self.n,
-                           {tuple(x + y for x, y in zip(e, e0)): c * coeff
-                            for e, c in a.items()}, s)
+                           *_sparse_mul_monomial(self, exps, coeff, scale))
 
     def __eq__(self, other):
         if isinstance(other, int) and other == 0:
             return not self.terms
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        s, a, b = self._common(other)
-        if set(a) != set(b):
-            return False
-        return all(a[e] == b[e] for e in a)
+        return _sparse_eq(self, other)
 
     def map_coeff(self, fn):
         out = {}
@@ -199,18 +137,6 @@ def shift_var(f, j, k):
     out = {}
     for e, c in f.terms.items():
         out[e] = _times_qh(c, k * e[j], f.scale)
-    return LaurentPoly(f.n, out, f.scale)
-
-
-def shift_steps(f, steps):
-    """Simultaneous shift; steps[j] counts half-steps on z_j."""
-    if not any(steps):
-        return f
-    out = {}
-    s = f.scale
-    for e, c in f.terms.items():
-        tot = sum(k * x for k, x in zip(steps, e))
-        out[e] = _times_qh(c, tot, s)
     return LaurentPoly(f.n, out, f.scale)
 
 
@@ -267,9 +193,7 @@ def divide_binomial(f, binom):
     """
     if f.is_zero():
         return f
-    s = f.scale * binom.scale // gcd(f.scale, binom.scale)
-    terms = f._lifted(s)
-    bt = binom._lifted(s)
+    s, terms, bt = _common(f, binom)
     (eL, eS) = sorted(bt, reverse=True)
     cS = bt[eS]
     d = tuple(a - b for a, b in zip(eL, eS))
@@ -336,6 +260,35 @@ def exact_divide(numer, denom_factors):
     return out
 
 
+# A factored denominator is a dict mapping canonical-binomial keys to
+# (binom, multiplicity); the three operations below are all that sums and
+# quotients over such denominators need.
+
+
+def merge_max(den, extra):
+    """Raise den in place to the least common multiple of den and extra."""
+    for k, (b, m) in extra.items():
+        if k in den:
+            den[k] = (b, max(den[k][1], m))
+        else:
+            den[k] = (b, m)
+
+
+def lift_to(num, own, union):
+    """Rewrite num/own over the larger denominator union: multiply num by
+    every factor own is missing."""
+    for k, (b, m) in union.items():
+        have = own[k][1] if k in own else 0
+        for _ in range(m - have):
+            num = num * b
+    return num
+
+
+def divide_factors(num, den):
+    """Exact division by a factored denominator, factors in key order."""
+    return exact_divide(num, (bm for _, bm in sorted(den.items())))
+
+
 class LaurentRat:
     """Rational function with a factored denominator.
 
@@ -390,25 +343,10 @@ class LaurentRat:
         return LaurentRat(num, den)
 
     def __add__(self, other):
-        den = {}
-        for k, (b, m) in self.den.items():
-            den[k] = (b, m)
-        for k, (b, m) in other.den.items():
-            if k in den:
-                den[k] = (b, max(den[k][1], m))
-            else:
-                den[k] = (b, m)
-        n1 = self.num
-        for k, (b, m) in den.items():
-            need = m - (self.den[k][1] if k in self.den else 0)
-            for _ in range(need):
-                n1 = n1 * b
-        n2 = other.num
-        for k, (b, m) in den.items():
-            need = m - (other.den[k][1] if k in other.den else 0)
-            for _ in range(need):
-                n2 = n2 * b
-        return LaurentRat(n1 + n2, den)
+        den = dict(self.den)
+        merge_max(den, other.den)
+        return LaurentRat(lift_to(self.num, self.den, den)
+                          + lift_to(other.num, other.den, den), den)
 
     def collapse(self):
         """Carry out the factored division; the result must be polynomial."""
@@ -440,7 +378,7 @@ def flatten(f, pvars):
     fz = scale // f.scale
     for e, c in f.terms.items():
         base = tuple(x * fz for x in e)
-        for pe, q in c._lifted(scale).items():
+        for pe, q in _lifted(c, scale).items():
             out[base + pe] = q
     return LaurentPoly(width, out, scale)
 

@@ -3,10 +3,11 @@ exact application to invariant Laurent polynomials.
 
 Coefficient building blocks: the one-pair ratio v_a, the four-factor external
 ratio v_b, the products V over index cells, and the translator-free sums W
-over ordered set partitions.  Two independent evaluation routes exist for the
-hyperoctahedral operators: the translator-grouped form (production path) and
-the nested-chain form (a cross-check oracle); agreement of the two is one of
-the acceptance checks.
+over ordered set partitions.  The hyperoctahedral operators are applied by
+the staged path (``_apply_staged``), which divides out poles cell by cell;
+the translator-grouped form (``apply_operator_grouped``) and the nested-chain
+form (``apply_operator_nested``) are independent cross-checks, and their
+agreement with the staged path is one of the acceptance checks.
 
 Internally everything runs on flat polynomials (torus and parameter exponents
 in one tuple, rational coefficients); pole cancellation is enforced by exact
@@ -19,9 +20,8 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .errors import NotDivisible, NotInvariant
-from .laurent import (LaurentPoly, LaurentRat, canonical_binomial,
-                      divide_binomial, exact_divide, flat_shift, flatten,
-                      unflatten)
+from .laurent import (LaurentPoly, LaurentRat, divide_factors, exact_divide,
+                      flat_shift, flatten, lift_to, merge_max, unflatten)
 from .ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
 from .weights import (EVEN_SIGNS, HYPEROCTAHEDRAL, PERMUTATIONS_ONLY,
                       expand_in_monomials, is_invariant, monomial_symmetric,
@@ -52,9 +52,6 @@ class ParamMap:
         """(exponent vector over parameter slots, rational coefficient)."""
         return self.images.get(name, (_var_exps(name), QQ(1)))
 
-    def is_identity(self):
-        return not self.images
-
     def as_subst(self):
         """The substitution as a dict name -> ParamPoly monomial."""
         return {name: ParamPoly(KOORN_VARS, {e: c})
@@ -72,7 +69,7 @@ def _var_exps(name):
 
 def _monomial_image(val):
     if isinstance(val, str):
-        val = _parse_monomial(val)
+        val = ParamRat.parse(KOORN_VARS, val)
     if isinstance(val, (int, type(QQ(0)))):
         if not val:
             raise ValueError("parameter images must be invertible")
@@ -89,24 +86,6 @@ def _monomial_image(val):
             raise ValueError("parameter images must be plain monomials")
         return e, c
     raise TypeError("bad parameter image %r" % (val,))
-
-
-def _parse_monomial(text):
-    text = text.strip()
-    out = ParamPoly.one(KOORN_VARS)
-    for piece in text.split("*"):
-        piece = piece.strip()
-        try:
-            out = out * ParamPoly.const(KOORN_VARS, QQ(piece))
-            continue
-        except (ValueError, ZeroDivisionError):
-            pass
-        if "^" in piece:
-            name, p = piece.split("^")
-            out = out * ParamPoly.variable(KOORN_VARS, name.strip(), int(p))
-        else:
-            out = out * ParamPoly.variable(KOORN_VARS, piece)
-    return out
 
 
 IDENTITY = ParamMap()
@@ -261,12 +240,12 @@ class _Engine:
                             w[k] += sk
                             coeff = coeff * self.va(w, 0)
             by_nucleus.setdefault(chain[0], []).append((sign, coeff))
-            _merge_max(den, coeff.den)
+            merge_max(den, coeff.den)
         groups = {}
         for nucleus, signed in by_nucleus.items():
             total = None
             for sign, t in signed:
-                num = _lift_to(t.num if sign > 0 else -t.num, t.den, den)
+                num = lift_to(t.num if sign > 0 else -t.num, t.den, den)
                 total = num if total is None else total + num
             groups[nucleus] = total
         got = self._nucleus[key] = (den, groups)
@@ -520,18 +499,10 @@ def _normal_form(spec):
 
     den = {}
     for _, _, t in terms:
-        for k, (b, m) in t.den.items():
-            if k in den:
-                den[k] = (b, max(den[k][1], m))
-            else:
-                den[k] = (b, m)
+        merge_max(den, t.den)
     groups = {}
     for steps, sign, t in terms:
-        num = t.num if sign > 0 else -t.num
-        for k, (b, m) in den.items():
-            have = t.den[k][1] if k in t.den else 0
-            for _ in range(m - have):
-                num = num * b
+        num = lift_to(t.num if sign > 0 else -t.num, t.den, den)
         if steps in groups:
             groups[steps] = groups[steps] + num
         else:
@@ -571,29 +542,6 @@ def _classify_factor(key, n):
     return ("qpair" if qh else "pair"), tuple(sorted(torus))
 
 
-def _divide_factors(num, factors):
-    for _, (b, m) in sorted(factors.items()):
-        for _ in range(m):
-            num = divide_binomial(num, b)
-    return num
-
-
-def _merge_max(target, extra):
-    for k, (b, m) in extra.items():
-        if k in target:
-            target[k] = (b, max(target[k][1], m))
-        else:
-            target[k] = (b, m)
-
-
-def _lift_to(num, own, union):
-    for k, (b, m) in union.items():
-        have = own[k][1] if k in own else 0
-        for _ in range(m - have):
-            num = num * b
-    return num
-
-
 def _staged_cell(eng, J, f_flat):
     """One cell's contribution: numerator over the surviving cross-cell
     pair factors."""
@@ -618,13 +566,13 @@ def _staged_cell(eng, J, f_flat):
         for k, bm in den.items():
             kind, _ = _classify_factor(k, n)
             (qpairs if kind == "qpair" else plain)[k] = bm
-        num = _divide_factors(num, qpairs)
+        num = divide_factors(num, qpairs)
         for j, e in zip(J, eps):
             _, _, qhunit = eng.vb_split(j, e)
-            num = _divide_factors(num, qhunit)
+            num = divide_factors(num, qhunit)
         reduced[eps] = (num, plain)
-        _merge_max(plain_union, plain)
-    state = {eps: _lift_to(num, plain, plain_union)
+        merge_max(plain_union, plain)
+    state = {eps: lift_to(num, plain, plain_union)
              for eps, (num, plain) in reduced.items()}
     pending_pairs = dict(plain_union)
     cross_den = {}
@@ -642,7 +590,7 @@ def _staged_cell(eng, J, f_flat):
             else:
                 if set(zunit) != set(zdiv) or set(crat.den) != set(couple):
                     raise NotDivisible("sign-branch denominators disagree")
-        _merge_max(cross_den, couple)
+        merge_max(cross_den, couple)
         # in-cell pair poles cancel by exchange symmetry once both of their
         # variables have had their signs summed out
         done = set(J[: pos + 1])
@@ -657,12 +605,12 @@ def _staged_cell(eng, J, f_flat):
                 vnum, cnum = branches[e]
                 piece = state[(e,) + rest] * vnum * cnum
                 total = piece if total is None else total + piece
-            total = _divide_factors(total, zdiv)
-            total = _divide_factors(total, ready)
+            total = divide_factors(total, zdiv)
+            total = divide_factors(total, ready)
             newstate[rest] = total
         state = newstate
     acc = state[()]
-    acc = _divide_factors(acc, pending_pairs)
+    acc = divide_factors(acc, pending_pairs)
     return acc, cross_den
 
 
@@ -674,12 +622,12 @@ def _apply_staged(spec, f_flat):
     for J in combinations(range(n), r):
         acc, cross = _staged_cell(eng, J, f_flat)
         pieces.append((acc, cross))
-        _merge_max(union, cross)
+        merge_max(union, cross)
     total = None
     for acc, cross in pieces:
-        acc = _lift_to(acc, cross, union)
+        acc = lift_to(acc, cross, union)
         total = acc if total is None else total + acc
-    total = _divide_factors(total, union)
+    total = divide_factors(total, union)
     return total
 
 

@@ -19,7 +19,10 @@ qh^(1/3) is representable exactly.  All arithmetic is exact rational.
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from math import gcd
+from operator import add as _add
 
 try:
     from gmpy2 import mpq as QQ
@@ -52,6 +55,113 @@ def _content(coeffs):
     return QQ(num, den)
 
 
+def _qq_text(c):
+    """Decimal text of a rational, however many digits it has (``str``
+    refuses integers past the interpreter's digit limit)."""
+    try:
+        return str(c)
+    except ValueError:
+        num, den = int(c.numerator), int(c.denominator)
+        text = str(Decimal(num))
+        return text if den == 1 else "%s/%s" % (text, Decimal(den))
+
+
+# ---------------------------------------------------------------------------
+# sparse-term kernels: the arithmetic of ParamPoly and LaurentPoly, written
+# once.  A polynomial is its ``terms`` dict (exponent tuples in units of
+# 1/scale -> nonzero coefficients) and its integer ``scale``; the kernels
+# read those two attributes and return plain term dicts, so they serve any
+# exact coefficient ring.
+
+
+def _reduced(terms, scale):
+    """Drop zero coefficients and move to the coarsest lattice holding every
+    exponent: returns (terms, scale)."""
+    clean = {e: c for e, c in terms.items() if c}
+    if scale > 1 and clean:
+        g = scale
+        for e in clean:
+            for x in e:
+                g = gcd(g, x)
+                if g == 1:
+                    break
+            if g == 1:
+                break
+        if g > 1:
+            clean = {tuple(x // g for x in e): c for e, c in clean.items()}
+            scale //= g
+    return clean, (scale if clean else 1)
+
+
+def _lifted(p, scale):
+    """The terms of p with exponents on the finer lattice ``scale``."""
+    if scale == p.scale:
+        return p.terms
+    f = scale // p.scale
+    return {tuple(x * f for x in e): c for e, c in p.terms.items()}
+
+
+def _common(p, q):
+    """(scale, terms of p, terms of q) on the lattice holding both."""
+    s = p.scale * q.scale // gcd(p.scale, q.scale)
+    return s, _lifted(p, s), _lifted(q, s)
+
+
+def _sparse_add(p, q):
+    s, a, b = _common(p, q)
+    out = dict(a)
+    for e, c in b.items():
+        if e in out:
+            v = out[e] + c
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+        else:
+            out[e] = c
+    return out, s
+
+
+def _sparse_neg(p):
+    return {e: -c for e, c in p.terms.items()}
+
+
+def _sparse_mul(p, q):
+    s, a, b = _common(p, q)
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    get = out.get
+    bitems = list(b.items())
+    for e1, c1 in a.items():
+        for e2, c2 in bitems:
+            e = tuple(map(_add, e1, e2))
+            v = get(e)
+            if v is None:
+                out[e] = c1 * c2
+            else:
+                v = v + c1 * c2
+                if v:
+                    out[e] = v
+                else:
+                    del out[e]
+    return out, s
+
+
+def _sparse_mul_monomial(p, exps, coeff, scale):
+    """p times coeff * x^exps (exps in units of 1/scale)."""
+    s = p.scale * scale // gcd(p.scale, scale)
+    f = s // scale
+    e0 = tuple(x * f for x in exps)
+    return {tuple(map(_add, e, e0)): c * coeff
+            for e, c in _lifted(p, s).items()}, s
+
+
+def _sparse_eq(p, q):
+    _, a, b = _common(p, q)
+    return a == b
+
+
 class ParamPoly:
     """Sparse Laurent polynomial over ``QQ`` in named indeterminates.
 
@@ -63,21 +173,7 @@ class ParamPoly:
 
     def __init__(self, vars_, terms, scale=1):
         self.vars = vars_
-        clean = {e: c for e, c in terms.items() if c}
-        if scale > 1 and clean:
-            g = scale
-            for e in clean:
-                for x in e:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-                if g == 1:
-                    break
-            if g > 1:
-                clean = {tuple(x // g for x in e): c for e, c in clean.items()}
-                scale //= g
-        self.scale = scale if clean else 1
-        self.terms = clean
+        self.terms, self.scale = _reduced(terms, scale)
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -110,16 +206,6 @@ class ParamPoly:
         return cls(vars_, {tuple(e): _ONE}, den)
 
     # -- helpers -----------------------------------------------------------
-
-    def _lifted(self, scale):
-        if scale == self.scale:
-            return self.terms
-        f = scale // self.scale
-        return {tuple(x * f for x in e): c for e, c in self.terms.items()}
-
-    def _common(self, other):
-        s = self.scale * other.scale // gcd(self.scale, other.scale)
-        return s, self._lifted(s), other._lifted(s)
 
     def is_zero(self):
         return not self.terms
@@ -154,20 +240,12 @@ class ParamPoly:
             other = ParamPoly.const(self.vars, other)
         elif isinstance(other, ParamRat):
             return ParamRat.from_poly(self) + other
-        s, a, b = self._common(other)
-        out = dict(a)
-        for e, c in b.items():
-            v = out.get(e, _ZERO) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return ParamPoly(self.vars, out, s)
+        return ParamPoly(self.vars, *_sparse_add(self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly(self.vars, {e: -c for e, c in self.terms.items()}, self.scale)
+        return ParamPoly(self.vars, _sparse_neg(self), self.scale)
 
     def __sub__(self, other):
         if isinstance(other, (int, type(_ZERO))):
@@ -188,19 +266,7 @@ class ParamPoly:
                              self.scale)
         if isinstance(other, ParamRat):
             return ParamRat.from_poly(self) * other
-        s, a, b = self._common(other)
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = out.get(e, _ZERO) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-        return ParamPoly(self.vars, out, s)
+        return ParamPoly(self.vars, *_sparse_mul(self, other))
 
     __rmul__ = __mul__
 
@@ -209,13 +275,7 @@ class ParamPoly:
         c = _qq(coeff)
         if not c:
             return ParamPoly.zero(self.vars)
-        s = self.scale * scale // gcd(self.scale, scale)
-        f = s // scale
-        e0 = tuple(x * f for x in exps)
-        a = self._lifted(s)
-        return ParamPoly(self.vars,
-                         {tuple(x + y for x, y in zip(e, e0)): v * c
-                          for e, v in a.items()}, s)
+        return ParamPoly(self.vars, *_sparse_mul_monomial(self, exps, c, scale))
 
     def __pow__(self, k):
         if k < 0:
@@ -236,8 +296,7 @@ class ParamPoly:
             return ParamRat.from_poly(self) == other
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        s, a, b = self._common(other)
-        return a == b
+        return _sparse_eq(self, other)
 
     def __hash__(self):
         if self._hash is None:
@@ -355,13 +414,13 @@ class ParamPoly:
                     factors.append("%s^(%d/%d)" % (name, k, self.scale))
             body = "*".join(factors)
             if not body:
-                parts.append(str(c))
+                parts.append(_qq_text(c))
             elif c == 1:
                 parts.append(body)
             elif c == -1:
                 parts.append("-" + body)
             else:
-                parts.append("%s*%s" % (c, body))
+                parts.append("%s*%s" % (_qq_text(c), body))
         s = parts[0]
         for p in parts[1:]:
             s += p if p.startswith("-") else "+" + p
@@ -471,9 +530,6 @@ class ParamRat:
     def is_one(self):
         return self.num == self.den
 
-    def is_polynomial(self):
-        return self.den.is_one()
-
     def __add__(self, other):
         other = _as_rat(self.vars, other)
         if self.den == other.den:
@@ -575,8 +631,74 @@ class ParamRat:
             d = "(%s)" % d
         return "%s/%s" % (n, d)
 
+    @classmethod
+    def parse(cls, vars_, text):
+        """Read the text ``render`` writes: a sum of monomials, or a quotient
+        of two such sums with either side in parentheses.  Raises
+        ValueError (or ZeroDivisionError) on text it cannot read."""
+        num, den = _split_quotient("".join(text.split()))
+        num = _parse_sum(vars_, num)
+        if den is None:
+            return cls.from_poly(num)
+        return cls(num, _parse_sum(vars_, den))
+
     def __repr__(self):
         return "ParamRat(%s)" % self.render()
+
+
+_NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?(?:/\d+)?"
+_POWER = r"[A-Za-z_]\w*(?:\^(?:-?\d+|\(-?\d+/[1-9]\d*\)))?"
+_TERM = re.compile(r"([+-]?)((?:%s|%s)(?:\*(?:%s|%s))*)"
+                   % ((_NUMBER, _POWER) * 2))
+
+
+def _split_quotient(text):
+    """(numerator, denominator or None): split at the top-level slash that
+    does not sit between the digits of a rational constant, and drop the
+    parentheses around either side."""
+    depth = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "/" and not depth and not (
+                text[i - 1:i].isdigit() and text[i + 1:i + 2].isdigit()):
+            return _unwrap(text[:i]), _unwrap(text[i + 1:])
+    return _unwrap(text), None
+
+
+def _unwrap(text):
+    return text[1:-1] if text[:1] == "(" and text[-1:] == ")" else text
+
+
+def _parse_sum(vars_, text):
+    """The ParamPoly whose ``render`` is text."""
+    if not text:
+        raise ValueError("empty coefficient text")
+    out = ParamPoly.zero(vars_)
+    pos = 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if m is None or (pos and not m.group(1)):
+            raise ValueError("cannot parse %r" % text)
+        term = ParamPoly.const(vars_, -1 if m.group(1) == "-" else 1)
+        for factor in m.group(2).split("*"):
+            if factor[0].isdigit():
+                term = term * QQ(factor)
+                continue
+            name, _, power = factor.partition("^")
+            if not power:
+                power = 1
+            elif power[0] == "(":
+                num, den = power[1:-1].split("/")
+                power = (int(num), int(den))
+            else:
+                power = int(power)
+            term = term * ParamPoly.variable(vars_, name, power)
+        out = out + term
+        pos = m.end()
+    return out
 
 
 def _is_rational(vars_, v):
@@ -602,11 +724,3 @@ def _rational_value(vars_, v):
 def substitute_params(f, sigma):
     """Module-level entry for applying a substitution to a ParamRat."""
     return f.substitute(sigma)
-
-
-def koorn_var(name, power=1):
-    return ParamPoly.variable(KOORN_VARS, name, power)
-
-
-def koorn_const(c):
-    return ParamPoly.const(KOORN_VARS, c)

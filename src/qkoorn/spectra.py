@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
+from .laurent import LaurentPoly
 from .ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
 
 HALF = QQ(1, 2)
@@ -189,41 +190,6 @@ def cp_check(p):
 # the eigenvalue generators
 
 
-def _dict_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        if k in out:
-            w = out[k] + v
-            if w.is_zero() if hasattr(w, "is_zero") else not w:
-                del out[k]
-            else:
-                out[k] = w
-        else:
-            out[k] = v
-    return out
-
-
-def _dict_scale(a, c):
-    return {k: v * c for k, v in a.items()}
-
-
-def _dict_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            v = c1 * c2
-            if e in out:
-                w = out[e] + v
-                if w.is_zero() if hasattr(w, "is_zero") else not w:
-                    del out[e]
-                else:
-                    out[e] = w
-            elif not (v.is_zero() if hasattr(v, "is_zero") else not v):
-                out[e] = v
-    return out
-
-
 def symmetric_to_elementary(S, n):
     """Rewrite a symmetric polynomial in c_1..c_n (dict exponent->coeff)
     in the elementary symmetric basis (dict e-exponent->coeff)."""
@@ -237,22 +203,22 @@ def symmetric_to_elementary(S, n):
             for j in J:
                 e[j] = 1
             terms[tuple(e)] = one
-        basis.append(terms)
-    rem = dict(S)
+        basis.append(LaurentPoly(n, terms))
+    rem = LaurentPoly(n, S)
     out = {}
     while rem:
-        alpha = max(rem)
+        alpha = max(rem.terms)
         if list(alpha) != sorted(alpha, reverse=True):
             raise ValueError("input is not symmetric")
-        coeff = rem[alpha]
+        coeff = rem.terms[alpha]
         mono = tuple(alpha[i] - (alpha[i + 1] if i + 1 < n else 0)
                      for i in range(n))
         out[mono] = coeff
-        prod = {(0,) * n: coeff}
+        prod = LaurentPoly.const(n, coeff)
         for i, m in enumerate(mono):
             for _ in range(m):
-                prod = _dict_mul(prod, basis[i])
-        rem = _dict_add(rem, _dict_scale(prod, QQ(-1)))
+                prod = prod * basis[i]
+        rem = rem - prod
     return out
 
 
@@ -265,23 +231,21 @@ def generator_relations(n, params=None):
     """
     one = ParamPoly.one(KOORN_VARS)
     ps = ch_rho(n, params)
-    rel = [None] * (n + 1)
-    unit = (0,) * n
-    rel[0] = {unit: ParamRat.one(KOORN_VARS)}
+    rel = [LaurentPoly.const(n, ParamRat.one(KOORN_VARS))]
     for r in range(1, n + 1):
         # X_r = 2^r sum_{s<=r} (-1)^{r+s} K_{r,s} e_s  with K_{r,r} = 1
         xvec = [0] * n
         xvec[r - 1] = 1
-        acc = {tuple(xvec): ParamRat.const(KOORN_VARS, QQ(1, 2 ** r))}
+        acc = LaurentPoly.monomial(n, xvec,
+                                   ParamRat.const(KOORN_VARS, QQ(1, 2 ** r)))
         for s in range(0, r):
             K = complete_homogeneous(r - s, ps[r - 1:], one)
             c = ParamRat.from_poly(K)
             if (r + s) % 2:
                 c = -c
-            acc = _dict_add(acc, _dict_scale(_dict_mul(rel[s], {unit: c}),
-                                             ParamRat.const(KOORN_VARS, -1)))
-        rel[r] = acc
-    return rel
+            acc = acc - rel[s].scalar_mul(c)
+        rel.append(acc)
+    return [p.terms for p in rel]
 
 
 def hc_lift(S, n, params=None):
@@ -290,16 +254,15 @@ def hc_lift(S, n, params=None):
     S = {k: (v if isinstance(v, ParamRat) else ParamRat.from_poly(v))
          for k, v in S.items() if v}
     ebasis = symmetric_to_elementary(S, n)
-    rel = generator_relations(n, params)
-    unit = (0,) * n
-    out = {}
+    rel = [LaurentPoly(n, r) for r in generator_relations(n, params)]
+    out = LaurentPoly.zero(n)
     for mono, coeff in ebasis.items():
-        prod = {unit: ParamRat.one(KOORN_VARS)}
+        prod = LaurentPoly.const(n, ParamRat.one(KOORN_VARS))
         for i, m in enumerate(mono):
             for _ in range(m):
-                prod = _dict_mul(prod, rel[i + 1])
-        out = _dict_add(out, _dict_mul(prod, {unit: coeff}))
-    return out
+                prod = prod * rel[i + 1]
+        out = out + prod.scalar_mul(coeff)
+    return out.terms
 
 
 def evaluate_generator_poly(Q, values):
@@ -335,16 +298,12 @@ def a_type_exponentials(lam, params=None):
     th = _subst_monomial(params, "th")
     q = ParamPoly.variable(KOORN_VARS, "qh", 2)
     out = []
+    e, c, s = th.monomial_parts()
     for j in range(1, n + 1):
         k = n + 1 - 2 * j
-        mono = th ** k if k >= 0 else _mono_inverse(th) ** (-k)
+        mono = ParamPoly.monomial(th.vars, tuple(x * k for x in e), c ** k, s)
         out.append(q ** lam[j - 1] * mono)
     return out
-
-
-def _mono_inverse(u):
-    e, c, s = u.monomial_parts()
-    return ParamPoly.monomial(u.vars, tuple(-x for x in e), 1 / c, s)
 
 
 def eigenvalue_An_leading(r, n, lam, params=None):

@@ -21,9 +21,9 @@ from math import isqrt
 
 from .errors import DegenerateNorm, ZeroDenominator
 from .laurent import LaurentPoly
-from .ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
-from .weights import HYPEROCTAHEDRAL, monomial_symmetric, weights_below, worbit
-from .koornwinder import OrthoPoly, _solve_triangular
+from .ratfield import JACOBI_VARS, QQ, ParamPoly, ParamRat, _qq_text
+from .weights import HYPEROCTAHEDRAL, monomial_symmetric, weights_below
+from .koornwinder import OrthoPoly, _solve_cleared
 from .operators import OperatorSpec, operator_matrix
 from .spectra import eigenvalue_Ern
 
@@ -107,13 +107,11 @@ class QuadExt:
         lo = self + self._coerce(bound)
         return hi.sign() >= 0 and lo.sign() >= 0
 
-    def to_float(self):
-        return float(self.x) + float(self.y) * float(self.H) ** 0.5
-
     def __repr__(self):
         if not self.y:
-            return str(self.x)
-        return "(%s + %s*sqrt(%s))" % (self.x, self.y, self.H)
+            return _qq_text(self.x)
+        return "(%s + %s*sqrt(%s))" % (_qq_text(self.x), _qq_text(self.y),
+                                       _qq_text(self.H))
 
 
 def _sqrt_rational(v):
@@ -224,38 +222,6 @@ class WeightFunctionSpec:
 
     def key(self):
         return (self.n, self.M, self.family, self.zbox, self.point.key())
-
-
-def _geometric_mul(terms, coeff, step, box):
-    """Multiply by the series 1/(1 - coeff z^step), truncated to the box."""
-    out = dict(terms)
-    for e, c in terms.items():
-        cur = c
-        pos = e
-        while True:
-            pos = tuple(x + y for x, y in zip(pos, step))
-            if any(abs(x) > box for x in pos):
-                break
-            cur = cur * coeff
-            if not cur:
-                break
-            out[pos] = out.get(pos, QQ(0)) + cur
-    return {e: c for e, c in out.items() if c}
-
-
-def _binomial_mul(terms, coeff, step, box):
-    """Multiply by (1 - coeff z^step), truncated to the box."""
-    out = dict(terms)
-    for e, c in terms.items():
-        pos = tuple(x + y for x, y in zip(e, step))
-        if any(abs(x) > box for x in pos):
-            continue
-        v = out.get(pos, QQ(0)) - coeff * c
-        if v:
-            out[pos] = v
-        else:
-            out.pop(pos, None)
-    return out
 
 
 def _weight_factors(spec):
@@ -524,9 +490,9 @@ def koornwinder_numeric(lam, point):
     spec_op = OperatorSpec("koornwinder", n, 1)
     matrix = numeric_matrix(spec_op, lam, point)
     ev = point.specialize(eigenvalue_Ern(1, n, lam))
-    one = QuadExt.rational(1, point.H)
-    coeffs = _solve_triangular(matrix, lam, ev, one)
-    return OrthoPoly(lam, coeffs)
+    nums, den = _solve_cleared(matrix, lam, ev, QuadExt.rational(1, point.H))
+    return OrthoPoly(lam, {mu: nval / den for mu, nval in nums.items()
+                           if nval or mu == lam})
 
 
 def numeric_apply_to_monomial(spec_op, lam, point):
@@ -538,54 +504,6 @@ def numeric_apply_to_monomial(spec_op, lam, point):
 
 # ---------------------------------------------------------------------------
 # exact oracles for the differential branch
-
-
-def jacobi_weight_exact(n, g, tg0, tg1):
-    """The q -> 1 torus weight at integer couplings as an exact Laurent
-    polynomial: products of sin^2/cos^2 powers in half angles."""
-    for v in (g, tg0, tg1):
-        if v < 0 or int(v) != v:
-            raise ValueError("exact weight needs nonnegative integers")
-    quarter = QQ(1, 4)
-
-    def sin2(step):
-        # sin^2 of the half angle along z^step: (2 - w - 1/w)/4
-        return {(0,) * n: 2 * quarter, step: -quarter,
-                tuple(-x for x in step): -quarter}
-
-    def cos2(step):
-        return {(0,) * n: 2 * quarter, step: quarter,
-                tuple(-x for x in step): quarter}
-
-    total = LaurentPoly.const(n, QQ(1))
-    for j in range(n):
-        for k in range(j + 1, n):
-            for sk in (1, -1):
-                e = [0] * n
-                e[j] = 1
-                e[k] = sk
-                for _ in range(g):
-                    total = total * LaurentPoly(n, sin2(tuple(e)))
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        for _ in range(tg0):
-            total = total * LaurentPoly(n, sin2(tuple(e)))
-        for _ in range(tg1):
-            total = total * LaurentPoly(n, cos2(tuple(e)))
-    return total
-
-
-def jacobi_inner_exact(f, g, weight):
-    """Constant-term pairing against an exact trig-power weight."""
-    total = QQ(0)
-    for ef, cf in f.terms.items():
-        for eg, cg in g.terms.items():
-            e = tuple(y - x for x, y in zip(ef, eg))
-            w = weight.terms.get(e)
-            if w is not None:
-                total = total + cf * cg * w
-    return total
 
 
 def jacobi_moments(kmax):
@@ -632,41 +550,3 @@ def jacobi_moment_orthogonality(p, moments):
         if not total.is_zero():
             return False
     return True
-
-
-def jacobi_gs_one_var(m, moments):
-    """Gram-Schmidt for the one-variable differential branch against the
-    symbolic moment oracle; returns the unitriangular coefficients."""
-    def ip(fa, fb):
-        total = ParamRat.zero(JACOBI_VARS)
-        for i, ci in fa.items():
-            for j, cj in fb.items():
-                k = abs(i - j)
-                total = total + ci * cj * moments[k]
-        return total
-
-    basis = {}
-    for d in range(0, m + 1):
-        f = {d: ParamRat.one(JACOBI_VARS)}
-        if d:
-            f[-d] = ParamRat.one(JACOBI_VARS)
-        if d == 0:
-            f = {0: ParamRat.one(JACOBI_VARS)}
-        for dp in range(0, d):
-            p = basis[dp]
-            denom = ip(p, p)
-            coeff = ip(f, p) / denom
-            if coeff.is_zero():
-                continue
-            for e, c in p.items():
-                v = f.get(e, ParamRat.zero(JACOBI_VARS)) - coeff * c
-                if v.is_zero():
-                    f.pop(e, None)
-                else:
-                    f[e] = v
-        basis[d] = f
-    out = {}
-    f = basis[m]
-    for e, c in f.items():
-        out[(abs(e),)] = c
-    return out

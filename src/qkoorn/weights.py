@@ -20,10 +20,6 @@ PERMUTATIONS_ONLY = "A"
 EVEN_SIGNS = "D"
 
 
-def is_dominant(lam):
-    return all(a >= b for a, b in zip(lam, lam[1:])) and (not lam or lam[-1] >= 0)
-
-
 def dominance_leq(lam_p, lam):
     """Partial order: every leading partial sum of lam_p is bounded."""
     if len(lam_p) != len(lam):

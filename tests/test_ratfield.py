@@ -123,3 +123,26 @@ def test_divide_linear_exact():
     assert poly.divide_linear("qh", 2) == qh * th + 1
     with pytest.raises(DenominatorVanishes):
         (qh * th + 1).divide_linear("qh", 2)
+
+
+def test_parse_reads_render():
+    rng = random.Random(29)
+    V6 = KOORN_VARS
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            e = tuple(rng.randint(-3, 3) for _ in V6)
+            terms[e] = QQ(rng.randint(-9, 9), rng.randint(1, 5))
+        num = ParamPoly(V6, terms, rng.choice([1, 1, 2, 3]))
+        den = ParamPoly(V6, {(0,) * 6: QQ(1), (1, 0, 2, 0, 0, 0): QQ(-3, 2)})
+        for value in (ParamRat.from_poly(num), ParamRat(num, den)):
+            assert ParamRat.parse(V6, value.render()) == value
+    assert ParamRat.parse(V6, "qh/th") == ParamRat(
+        ParamPoly.variable(V6, "qh"), ParamPoly.variable(V6, "th"))
+
+
+@pytest.mark.parametrize("text", ["", "2qh", "qh^", "qh+", "x", "qh^(1/0)",
+                                  "(qh)/(0)", "1/0", "qh**2"])
+def test_parse_rejects_malformed(text):
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        ParamRat.parse(KOORN_VARS, text)
