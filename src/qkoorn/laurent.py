@@ -16,9 +16,9 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import NotDivisible
-from .ratfield import (QQ, ParamPoly, ParamRat, _common, _lifted, _reduced,
-                       _sparse_add, _sparse_eq, _sparse_mul,
-                       _sparse_mul_monomial, _sparse_neg)
+from .ratfield import (QQ, ParamPoly, ParamRat, _QQ_TYPE, _cleared, _common,
+                       _lifted, _reduced, _sparse_add, _sparse_eq, _sparse_mul,
+                       _sparse_mul_monomial, _sparse_neg, _uncleared)
 
 
 def _times_qh(c, num, den):
@@ -190,12 +190,24 @@ def divide_binomial(f, binom):
     each line the relation f = q * (z^eL + cS z^eS) is a two-term linear
     recurrence solved top-down, with one leftover consistency equation per
     line deciding exact divisibility.
+
+    When cS is an integer and every coefficient of f a plain rational, f's
+    denominators are cleared once and the recurrence and the consistency
+    check run on integer numerators; the quotient is put back over the
+    common denominator at the end.  Other coefficients (``ParamPoly``,
+    ``QuadExt``, a non-integer cS) run the same loop on the ring elements.
     """
     if f.is_zero():
         return f
     s, terms, bt = _common(f, binom)
     (eL, eS) = sorted(bt, reverse=True)
     cS = bt[eS]
+    den = None
+    if type(cS) is _QQ_TYPE and cS.denominator == 1:
+        cleared = _cleared(terms)
+        if cleared is not None:
+            terms, den = cleared
+            cS = cS.numerator
     d = tuple(a - b for a, b in zip(eL, eS))
     i0 = next(i for i, x in enumerate(d) if x)
     di = d[i0]
@@ -243,6 +255,8 @@ def divide_binomial(f, binom):
         for m, c in q.items():
             k = (m + ai - base_t) // di
             quo[tuple(x + k * y - a for x, y, a in zip(base_e, d, eL))] = c
+    if den is not None:
+        quo = _uncleared(quo, den)
     return LaurentPoly(f.n, quo, s)
 
 

@@ -15,13 +15,20 @@ branch) by passing a different variable tuple.
 Exponents may be negative (Laurent) and may sit on a refined lattice: a poly
 carries an integer ``scale`` and stores exponents multiplied by it, so e.g.
 qh^(1/3) is representable exactly.  All arithmetic is exact rational.
+
+The hot exact loops run on machine integers where they can: ``_cleared``
+writes a term dict whose coefficients are all plain rationals as integer
+numerators over one common denominator, and both the sparse multiply below
+and ``laurent.divide_binomial`` run their loops on those numerators, building
+one rational per output term.  Any other coefficient (``ParamPoly``,
+``ParamRat``, ``QuadExt``, a bare int) keeps the loop on the ring elements.
 """
 
 from __future__ import annotations
 
 import re
 from decimal import Decimal
-from math import gcd
+from math import gcd, lcm
 from operator import add as _add
 
 try:
@@ -36,6 +43,7 @@ JACOBI_VARS = ("g", "tg0", "tg1")
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
+_QQ_TYPE = type(_ZERO)
 
 
 def _qq(x):
@@ -71,7 +79,11 @@ def _qq_text(c):
 # once.  A polynomial is its ``terms`` dict (exponent tuples in units of
 # 1/scale -> nonzero coefficients) and its integer ``scale``; the kernels
 # read those two attributes and return plain term dicts, so they serve any
-# exact coefficient ring.
+# exact coefficient ring.  The multiply clears the denominators of two
+# rational term dicts once and runs its loop on integer numerators; it falls
+# back to the coefficients' own arithmetic when either dict holds anything
+# but plain rationals.  Add, negate, monomial multiply and equality always
+# work on the coefficients themselves.
 
 
 def _reduced(terms, scale):
@@ -107,6 +119,29 @@ def _common(p, q):
     return s, _lifted(p, s), _lifted(q, s)
 
 
+def _cleared(terms):
+    """(integer numerators, least common denominator) of a term dict, or
+    None as soon as a coefficient is not a plain rational."""
+    den = 1
+    for c in terms.values():
+        if type(c) is not _QQ_TYPE:
+            return None
+        d = c.denominator
+        if d != 1:
+            den = lcm(den, d)
+    if den == 1:
+        return {e: c.numerator for e, c in terms.items()}, 1
+    return {e: c.numerator * (den // c.denominator)
+            for e, c in terms.items()}, den
+
+
+def _uncleared(terms, den):
+    """The rational term dict with integer numerators ``terms`` over den."""
+    if den == 1:
+        return {e: QQ(v) for e, v in terms.items()}
+    return {e: QQ(v, den) for e, v in terms.items()}
+
+
 def _sparse_add(p, q):
     s, a, b = _common(p, q)
     out = dict(a)
@@ -130,6 +165,13 @@ def _sparse_mul(p, q):
     s, a, b = _common(p, q)
     if len(a) > len(b):
         a, b = b, a
+    den = None
+    ca = _cleared(a)
+    if ca is not None:
+        cb = _cleared(b)
+        if cb is not None:
+            (a, da), (b, db) = ca, cb
+            den = da * db
     out = {}
     get = out.get
     bitems = list(b.items())
@@ -145,6 +187,8 @@ def _sparse_mul(p, q):
                     out[e] = v
                 else:
                     del out[e]
+    if den is not None:
+        out = _uncleared(out, den)
     return out, s
 
 

@@ -21,7 +21,8 @@ from math import isqrt
 
 from .errors import DegenerateNorm, ZeroDenominator
 from .laurent import LaurentPoly
-from .ratfield import JACOBI_VARS, QQ, ParamPoly, ParamRat, _qq_text
+from .ratfield import (JACOBI_VARS, QQ, ParamPoly, ParamRat, _cleared,
+                       _qq_text)
 from .weights import HYPEROCTAHEDRAL, monomial_symmetric, weights_below
 from .koornwinder import OrthoPoly, _solve_cleared
 from .operators import OperatorSpec, operator_matrix
@@ -358,12 +359,7 @@ def delta_truncate(spec):
     terms = {(0,) * spec.n: 1}
     total_den = QQ(1)
     for prim in sorted(lines):
-        series = _line_series(lines[prim], box)
-        den = QQ(1)
-        for v in series.values():
-            d = QQ(v.denominator)
-            den = den * d / _qq_gcd(den, d)
-        iser = {k: int(v * den) for k, v in series.items()}
+        iser, den = _cleared(_line_series(lines[prim], box))
         total_den = total_den * den
         out = {}
         for e, c in terms.items():
@@ -381,13 +377,6 @@ def delta_truncate(spec):
     got = LaurentPoly(spec.n, {e: c * inv for e, c in terms.items() if c})
     _DELTA_CACHE[key] = got
     return got
-
-
-def _qq_gcd(a, b):
-    from math import gcd
-    return QQ(gcd(int(a.numerator) * int(b.denominator),
-                  int(b.numerator) * int(a.denominator)),
-              int(a.denominator) * int(b.denominator))
 
 
 def inner_product(f, g, spec):

@@ -64,3 +64,10 @@ def test_limits_suite_honours_maxdeg(tmp_path):
     totals = [run(tmp_path, ["verify", "--suite", "limits", "--n", "1",
                              "--maxdeg", d])["total"] for d in ("1", "2")]
     assert totals == [8, 12]
+
+
+def test_symmetry_suite_pairs_the_zero_weight(tmp_path):
+    # D_r m_0 = 0, so the pairings with the zero weight are plain rationals
+    data = run(tmp_path, ["verify", "--suite", "symmetry", "--n", "1",
+                          "--maxdeg", "2", "--trunc", "4"])
+    assert (data["passed"], data["total"]) == (9, 9)

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from qkoorn.errors import DenominatorVanishes
-from qkoorn.ratfield import (KOORN_VARS, QQ, ParamPoly, ParamRat,
+from qkoorn.ratfield import (KOORN_VARS, QQ, ParamPoly, ParamRat, _cleared,
                              substitute_params)
 
 VARS = ("th", "w")
@@ -146,3 +147,73 @@ def test_parse_reads_render():
 def test_parse_rejects_malformed(text):
     with pytest.raises((ValueError, ZeroDivisionError)):
         ParamRat.parse(KOORN_VARS, text)
+
+
+def rand_coeff(rng, kind):
+    """A nonzero rational: an integer (up to 40 digits), a non-integer (small
+    or 21-digit denominator), or either for kind 'mixed'."""
+    if kind == "mixed":
+        kind = rng.choice(["int", "frac"])
+    sign = rng.choice([-1, 1])
+    if kind == "int":
+        return QQ(sign * rng.randint(1, 9) * 10 ** rng.randint(0, 40))
+    while True:
+        c = QQ(sign * rng.randint(1, 60),
+               rng.choice([2, 3, 4, 6, 9, 10 ** 20 + 1]))
+        if c.denominator != 1:
+            return c
+
+
+def rand_terms(rng, kind, n=2, terms=5, span=2):
+    return {tuple(rng.randint(-span, span) for _ in range(n)):
+            rand_coeff(rng, kind) for _ in range(terms)}
+
+
+def fraction_mul(a, b):
+    """Reference product of two term dicts, one Fraction at a time."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("seed,kinds", [
+    (1, ("int", "int")), (2, ("frac", "frac")), (3, ("mixed", "mixed")),
+    (4, ("int", "frac")), (5, ("frac", "mixed"))])
+def test_mul_matches_fraction_reference(seed, kinds):
+    rng = random.Random(seed)
+    for _ in range(40):
+        a, b = (rand_terms(rng, k) for k in kinds)
+        got = ParamPoly(VARS, a) * ParamPoly(VARS, b)
+        assert got.terms == fraction_mul(a, b)
+        assert all(type(c) is QQ for c in got.terms.values())
+
+
+def test_mul_drops_cancelled_terms():
+    c = QQ(7, 3)
+    w = ParamPoly.variable(VARS, "w")
+    got = (w + c) * (w - c)
+    assert got.terms == {(0, 2): QQ(1), (0, 0): -c * c}
+
+
+def test_mul_across_lattices_matches_reference():
+    rng = random.Random(6)
+    for _ in range(20):
+        a, b = rand_terms(rng, "mixed"), rand_terms(rng, "mixed")
+        got = ParamPoly(VARS, a, 2) * ParamPoly(VARS, b, 3)
+        want = fraction_mul({tuple(3 * x for x in e): c for e, c in a.items()},
+                            {tuple(2 * x for x in e): c for e, c in b.items()})
+        assert got == ParamPoly(VARS, want, 6)
+
+
+def test_cleared_numerators_over_least_common_denominator():
+    terms = {(2,): QQ(1, 2), (1,): QQ(-5, 6), (0,): QQ(3)}
+    assert _cleared(terms) == ({(2,): 3, (1,): -5, (0,): 18}, 6)
+    assert _cleared({(0,): QQ(4)}) == ({(0,): 4}, 1)
+
+
+@pytest.mark.parametrize("other", [3, 0.5, ParamPoly.const(VARS, 2)])
+def test_cleared_refuses_other_coefficients(other):
+    assert _cleared({(1,): QQ(1, 2), (0,): other}) is None
