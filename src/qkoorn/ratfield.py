@@ -19,22 +19,19 @@ qh^(1/3) is representable exactly.  All arithmetic is exact rational.
 The hot exact loops run on machine integers where they can: ``_cleared``
 writes a term dict whose coefficients are all plain rationals as integer
 numerators over one common denominator, and both the sparse multiply below
-and ``laurent.divide_binomial`` run their loops on those numerators, building
-one rational per output term.  Any other coefficient (``ParamPoly``,
-``ParamRat``, ``QuadExt``, a bare int) keeps the loop on the ring elements.
+and ``laurent.exact_divide`` (once per chain of binomials) run their loops on
+those numerators, building one rational per output term.  Any other
+coefficient (``ParamPoly``, ``ParamRat``, ``QuadExt``, a bare int) keeps the
+loop on the ring elements.
 """
 
 from __future__ import annotations
 
 import re
 from decimal import Decimal
+from fractions import Fraction as QQ
 from math import gcd, lcm
 from operator import add as _add
-
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as QQ
 
 from .errors import DenominatorVanishes
 
@@ -43,11 +40,10 @@ JACOBI_VARS = ("g", "tg0", "tg1")
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
-_QQ_TYPE = type(_ZERO)
 
 
 def _qq(x):
-    return x if isinstance(x, type(_ZERO)) else QQ(x)
+    return x if isinstance(x, QQ) else QQ(x)
 
 
 def _content(coeffs):
@@ -55,7 +51,7 @@ def _content(coeffs):
     num = 0
     den = 1
     for c in coeffs:
-        cn, cd = int(c.numerator), int(c.denominator)
+        cn, cd = c.numerator, c.denominator
         num = gcd(num, abs(cn))
         den = den * cd // gcd(den, cd)
     if num == 0:
@@ -69,7 +65,7 @@ def _qq_text(c):
     try:
         return str(c)
     except ValueError:
-        num, den = int(c.numerator), int(c.denominator)
+        num, den = c.numerator, c.denominator
         text = str(Decimal(num))
         return text if den == 1 else "%s/%s" % (text, Decimal(den))
 
@@ -83,13 +79,22 @@ def _qq_text(c):
 # rational term dicts once and runs its loop on integer numerators; it falls
 # back to the coefficients' own arithmetic when either dict holds anything
 # but plain rationals.  Add, negate, monomial multiply and equality always
-# work on the coefficients themselves.
+# work on the coefficients themselves.  Add, negate and multiply never leave
+# a zero coefficient (nor does a rational monomial multiply), so the classes
+# build their results through a private constructor that only coarsens the
+# lattice (``_coarsened``); the public constructors still drop zeros
+# (``_reduced``).
 
 
 def _reduced(terms, scale):
     """Drop zero coefficients and move to the coarsest lattice holding every
     exponent: returns (terms, scale)."""
-    clean = {e: c for e, c in terms.items() if c}
+    return _coarsened({e: c for e, c in terms.items() if c}, scale)
+
+
+def _coarsened(clean, scale):
+    """Move a term dict that holds no zero coefficient (every kernel result)
+    to the coarsest lattice holding every exponent: returns (terms, scale)."""
     if scale > 1 and clean:
         g = scale
         for e in clean:
@@ -124,7 +129,7 @@ def _cleared(terms):
     None as soon as a coefficient is not a plain rational."""
     den = 1
     for c in terms.values():
-        if type(c) is not _QQ_TYPE:
+        if type(c) is not QQ:
             return None
         d = c.denominator
         if d != 1:
@@ -189,6 +194,10 @@ def _sparse_mul(p, q):
                     del out[e]
     if den is not None:
         out = _uncleared(out, den)
+    else:
+        # a ring with zero divisors (QuadExt at a square H) can make a
+        # first product vanish
+        out = {e: v for e, v in out.items() if v}
     return out, s
 
 
@@ -219,6 +228,15 @@ class ParamPoly:
         self.vars = vars_
         self.terms, self.scale = _reduced(terms, scale)
         self._hash = None
+
+    @classmethod
+    def _of(cls, vars_, terms, scale):
+        """A poly on a kernel's term dict, which holds no zero coefficient."""
+        self = object.__new__(cls)
+        self.vars = vars_
+        self.terms, self.scale = _coarsened(terms, scale)
+        self._hash = None
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -280,19 +298,19 @@ class ParamPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, type(_ZERO))):
+        if isinstance(other, (int, QQ)):
             other = ParamPoly.const(self.vars, other)
         elif isinstance(other, ParamRat):
             return ParamRat.from_poly(self) + other
-        return ParamPoly(self.vars, *_sparse_add(self, other))
+        return ParamPoly._of(self.vars, *_sparse_add(self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly(self.vars, _sparse_neg(self), self.scale)
+        return ParamPoly._of(self.vars, _sparse_neg(self), self.scale)
 
     def __sub__(self, other):
-        if isinstance(other, (int, type(_ZERO))):
+        if isinstance(other, (int, QQ)):
             other = ParamPoly.const(self.vars, other)
         elif isinstance(other, ParamRat):
             return ParamRat.from_poly(self) - other
@@ -302,15 +320,16 @@ class ParamPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, type(_ZERO))):
+        if isinstance(other, (int, QQ)):
             c = _qq(other)
             if not c:
                 return ParamPoly.zero(self.vars)
-            return ParamPoly(self.vars, {e: v * c for e, v in self.terms.items()},
-                             self.scale)
+            return ParamPoly._of(self.vars,
+                                 {e: v * c for e, v in self.terms.items()},
+                                 self.scale)
         if isinstance(other, ParamRat):
             return ParamRat.from_poly(self) * other
-        return ParamPoly(self.vars, *_sparse_mul(self, other))
+        return ParamPoly._of(self.vars, *_sparse_mul(self, other))
 
     __rmul__ = __mul__
 
@@ -319,7 +338,8 @@ class ParamPoly:
         c = _qq(coeff)
         if not c:
             return ParamPoly.zero(self.vars)
-        return ParamPoly(self.vars, *_sparse_mul_monomial(self, exps, c, scale))
+        return ParamPoly._of(self.vars,
+                             *_sparse_mul_monomial(self, exps, c, scale))
 
     def __pow__(self, k):
         if k < 0:
@@ -334,7 +354,7 @@ class ParamPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, type(_ZERO))):
+        if isinstance(other, (int, QQ)):
             other = ParamPoly.const(self.vars, other)
         if isinstance(other, ParamRat):
             return ParamRat.from_poly(self) == other
@@ -619,7 +639,7 @@ class ParamRat:
     def __eq__(self, other):
         if isinstance(other, ParamPoly):
             other = ParamRat.from_poly(other)
-        elif isinstance(other, (int, type(_ZERO))):
+        elif isinstance(other, (int, QQ)):
             other = ParamRat.const(self.vars, other)
         elif not isinstance(other, ParamRat):
             return NotImplemented
@@ -746,7 +766,7 @@ def _parse_sum(vars_, text):
 
 
 def _is_rational(vars_, v):
-    if isinstance(v, (int, type(_ZERO))):
+    if isinstance(v, (int, QQ)):
         return True
     if isinstance(v, ParamPoly):
         return not v.terms or (v.is_monomial() and not any(v.lex_leading()[0]))
@@ -756,7 +776,7 @@ def _is_rational(vars_, v):
 
 
 def _rational_value(vars_, v):
-    if isinstance(v, (int, type(_ZERO))):
+    if isinstance(v, (int, QQ)):
         return _qq(v)
     if isinstance(v, ParamPoly):
         if not v.terms:

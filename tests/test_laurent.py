@@ -6,9 +6,9 @@ import pytest
 
 from qkoorn import laurent, ratfield
 from qkoorn.errors import NotDivisible
-from qkoorn.laurent import (LaurentPoly, canonical_binomial, divide_binomial,
-                            exact_divide, flat_shift, flatten, shift_var,
-                            unflatten)
+from qkoorn.laurent import (LaurentPoly, _packing, canonical_binomial,
+                            divide_binomial, exact_divide, flat_shift, flatten,
+                            shift_var, unflatten)
 from qkoorn.ratfield import KOORN_VARS, QQ, ParamPoly, ParamRat
 from qkoorn.weightfn import QuadExt
 
@@ -285,3 +285,209 @@ def test_integer_kernels_return_rationals():
     for c in list(prod.terms.values()) + list(q.terms.values()):
         assert type(c) is QQ
         assert type(1 / c) is QQ
+
+
+def test_public_constructors_drop_zero_coefficients():
+    f = LaurentPoly(2, {(1, 0): QQ(0), (0, -1): QQ(2)}, 2)
+    assert f.terms == {(0, -1): QQ(2)} and f.scale == 2
+    assert LaurentPoly.monomial(2, (3, 1), QQ(0)).terms == {}
+    assert LaurentPoly.const(2, QQ(0)).terms == {}
+    assert LaurentPoly(1, {(0,): P(0), (1,): P(1)}).terms == {(1,): P(1)}
+
+
+def test_zero_divisor_products_leave_no_zero_coefficient():
+    # at a square H, QuadExt has zero divisors: (1 + 1*1)(1 - 1*1) = 0
+    a = LaurentPoly(1, {(0,): QuadExt(1, 1, QQ(1)), (1,): QuadExt(1, 0, QQ(1))})
+    b = LaurentPoly(1, {(0,): QuadExt(1, -1, QQ(1))})
+    prod = a * b
+    assert prod.terms == {(1,): QuadExt(1, -1, QQ(1))}
+
+
+# -- chains of binomials through exact_divide --------------------------------
+
+
+def chain_binomial(rng, n, trail, step=None, scale=1):
+    """A canonical binomial z^eL + trail z^eS, exponents in units of
+    1/scale (it lands on a coarser lattice when they share a factor with
+    scale); ``step`` fixes the first nonzero entry of eL - eS."""
+    e2 = tuple(rng.randint(-2, 2) for _ in range(n))
+    i0 = rng.randrange(n)
+    d = [0] * i0 + [step or rng.randint(1, 3)] + [
+        rng.randint(-2, 2) for _ in range(n - i0 - 1)]
+    e1 = tuple(x + y for x, y in zip(e2, d))
+    return canonical_binomial(n, (e1, QQ(1)), (e2, trail), scale)[1]
+
+
+@pytest.mark.parametrize("kind", ["int", "frac", "mixed"])
+def test_chain_divide_roundtrip(kind, cleared):
+    rng = random.Random(53)
+    lattices = set()
+    for _ in range(25):
+        n = rng.choice([1, 2, 3, 4])
+        p = rand_rational_laurent(rng, n, kind, span=6)
+        p = LaurentPoly(n, dict(p.terms), rng.choice([1, 2]))
+        chain = [chain_binomial(rng, n, QQ(rng.choice([-1, 1, 2, -3])),
+                                step=rng.choice([None, 2]),
+                                scale=rng.choice([1, 2, 3]))
+                 for _ in range(3)]
+        chain[0] = chain_binomial(rng, n, QQ(-1), step=2,
+                                  scale=rng.choice([1, 2, 3]))
+        prod = p * chain[0] * chain[1] * chain[2]
+        del cleared[:]
+        q = exact_divide(prod, [(b, 1) for b in chain])
+        assert q == p
+        assert cleared == [True]
+        for c in q.terms.values():
+            assert type(c) is QQ
+            assert type(1 / c) is QQ
+        lattices.add(tuple(b.scale for b in chain))
+    # chains on one lattice and chains mixing two or three
+    assert {len(set(t)) for t in lattices} == {1, 2, 3}
+
+
+def test_chain_divide_multiplicities_match_one_at_a_time():
+    rng = random.Random(59)
+    for _ in range(20):
+        n = rng.choice([2, 3])
+        p = rand_rational_laurent(rng, n, "mixed")
+        b1 = chain_binomial(rng, n, QQ(-1))
+        b2 = chain_binomial(rng, n, QQ(2), scale=2)
+        prod = p * b1 * b1 * b2 * b1
+        q = exact_divide(prod, [(b1, 3), (b2, 1)])
+        assert q == p
+        step = divide_binomial(divide_binomial(prod, b2), b1)
+        assert divide_binomial(divide_binomial(step, b1), b1) == q
+
+
+@pytest.mark.parametrize("big", [10 ** 4, 3 * 10 ** 5, 10 ** 20])
+def test_chain_divide_large_exponents(big):
+    # the field width comes from the chain's exponent bound: 10^4 needs two
+    # bytes a field, 3*10^5 four and 10^20 more than struct holds; the terms
+    # sit close together so that lines stay short
+    rng = random.Random(big % 1000)
+    for _ in range(10):
+        n = rng.choice([1, 2, 3])
+        far = [rng.choice([-big, big]) for _ in range(n)]
+        p = LaurentPoly(n, {tuple(x + rng.randint(-5, 5) for x in far):
+                            rand_rational(rng, "mixed") for _ in range(4)})
+        chain = [chain_binomial(rng, n, QQ(rng.choice([-1, 3])), step=2),
+                 chain_binomial(rng, n, QQ(1))]
+        prod = p * chain[0] * chain[1]
+        assert exact_divide(prod, [(b, 1) for b in chain]) == p
+        assert exact_divide(prod * chain[1], [(chain[1], 2),
+                                              (chain[0], 1)]) == p
+
+
+@pytest.mark.parametrize("n,bound,width", [(1, 0, 8), (3, 127, 8),
+                                           (3, 128, 16), (9, 10 ** 4, 16),
+                                           (2, 2 ** 31, 64), (2, 2 ** 63, 128)])
+def test_packing_orders_adds_and_round_trips(n, bound, width):
+    # fields of up to 8 bytes go through struct, wider ones through shifts;
+    # both must give the balanced-digit int
+    got, zero, pack, unpack = _packing(n, bound)
+    assert got == width
+    half = 1 << (width - 1)
+    rng = random.Random(bound % 97)
+    edge = (-bound, bound, 0)
+    vecs = [tuple(rng.choice(edge) if rng.random() < 0.3
+                  else rng.randint(-bound, bound) for _ in range(n))
+            for _ in range(60)]
+    assert pack((0,) * n) == zero
+    for a in vecs:
+        assert pack(a) == sum((x + half) << (width * (n - 1 - i))
+                              for i, x in enumerate(a))
+        assert unpack(pack(a)) == a
+        b = vecs[rng.randrange(len(vecs))]
+        assert (pack(a) < pack(b)) == (a < b)
+        s = tuple(x + y for x, y in zip(a, b))
+        if all(abs(x) <= bound for x in s):
+            assert pack(a) + pack(b) - zero == pack(s)
+
+
+def test_line_keys_fit_the_packing_width():
+    # every exponent fits one byte, but the line key (65,-123) - 32*(2,4)
+    # = (1,-251) does not: packed into bytes it would equal the key (0,5) of
+    # the line through (-62,-119), and the walk down the merged line would
+    # cancel the lone top term against the bottom one
+    binom = canonical_binomial(2, ((2, 4), QQ(1)), ((0, 0), QQ(-1)))[1]
+    f = LaurentPoly(2, {(65, -123): QQ(1), (-62, -119): QQ(-1)})
+    with pytest.raises(NotDivisible):
+        exact_divide(f, [(binom, 1)])
+    with pytest.raises(NotDivisible):
+        exact_divide(LaurentPoly(2, {e: P(c) for e, c in f.terms.items()}),
+                     [(canonical_binomial(2, ((2, 4), P(1)),
+                                          ((0, 0), P(-1)))[1], 1)])
+
+
+def test_not_divisible_at_second_binomial_names_exponent_tuple(cleared):
+    rng = random.Random(61)
+    for trail in (QQ(-1), QQ(1, 3)):
+        for _ in range(10):
+            n = rng.choice([2, 3])
+            b1 = chain_binomial(rng, n, trail, step=2)
+            b2 = chain_binomial(rng, n, QQ(-1))
+            e = tuple(rng.randint(-40, 40) for _ in range(n))
+            prod = LaurentPoly.monomial(n, e, QQ(5, 7)) * b1
+            assert divide_binomial(prod, b1).terms == {e: QQ(5, 7)}
+            del cleared[:]
+            with pytest.raises(NotDivisible) as err:
+                exact_divide(prod, [(b1, 1), (b2, 1)])
+            # the lone term left after b1 is its own line through z^e
+            assert str(err.value) == "line through z^%s" % (e,)
+            assert cleared == ([True] if trail == -1 else [])
+
+
+def test_not_divisible_names_exponents_whatever_the_lattice(cleared):
+    # z^(5/2, -2) times z_1^(1/2) - 1 leaves a lone term after the first
+    # binomial; the second fails on it, on the chain's lattice of 2 or 6,
+    # and the message gives the exponents as exact values either way
+    b1 = canonical_binomial(2, ((1, 0), QQ(1)), ((0, 0), QQ(-1)), 2)[1]
+    prod = LaurentPoly.monomial(2, (5, -4), QQ(3), 2) * b1
+    for scale in (1, 3):
+        b2 = canonical_binomial(2, ((0, 1), QQ(1)), ((0, 0), QQ(-1)),
+                                scale)[1]
+        del cleared[:]
+        with pytest.raises(NotDivisible) as err:
+            exact_divide(prod, [(b1, 1), (b2, 1)])
+        assert str(err.value) == "line through z^(5/2, -2)"
+        assert cleared == [True]
+    # one variable: the text is still a tuple
+    b1 = canonical_binomial(1, ((1,), QQ(1)), ((0,), QQ(-1)), 2)[1]
+    b2 = canonical_binomial(1, ((1,), QQ(1)), ((0,), QQ(-1)), 3)[1]
+    with pytest.raises(NotDivisible, match=r"^line through z\^\(5/2,\)$"):
+        exact_divide(LaurentPoly.monomial(1, (5,), QQ(3), 2) * b1,
+                     [(b1, 1), (b2, 1)])
+
+
+def test_chain_generic_paths(cleared):
+    rng = random.Random(67)
+    H = QQ(7, 2)
+    for _ in range(10):
+        n = rng.choice([1, 2, 3])
+        p = rand_rational_laurent(rng, n, "mixed")
+        chain = [chain_binomial(rng, n, QQ(-1), step=2),
+                 chain_binomial(rng, n, QQ(rng.choice([2, -1])), scale=2)]
+        # a non-integer trailing coefficient sends the whole chain down the
+        # generic path
+        frac = chain + [chain_binomial(rng, n, QQ(-2, 3))]
+        prod = p * frac[0] * frac[1] * frac[2]
+        del cleared[:]
+        q = exact_divide(prod, [(b, 1) for b in frac])
+        assert q == p and cleared == []
+        assert all(type(c) is QQ for c in q.terms.values())
+        # ParamPoly coefficients and binomials
+        pchain = [canonical_binomial(
+            n, *((e, P(c)) for e, c in b.terms.items()), b.scale)[1]
+            for b in chain]
+        pprod = param_lift(p * chain[0] * chain[1])
+        assert exact_divide(pprod, [(b, 1) for b in pchain]) == param_lift(p)
+        # QuadExt coefficients over rational binomials
+        f = LaurentPoly(n, {e: QuadExt(c, -c / 3, H)
+                            for e, c in p.terms.items()})
+        prod = f * chain[0] * chain[1]
+        q = exact_divide(prod, [(b, 1) for b in chain])
+        assert {e: (c.x, c.y) for e, c in q.terms.items()} \
+            == {e: (c, -c / 3) for e, c in p.terms.items()}
+        with pytest.raises(NotDivisible, match=r"line through z\^\(-?\d"):
+            exact_divide(prod + LaurentPoly.monomial(
+                n, (9,) * n, QuadExt(1, 1, H)), [(b, 1) for b in chain])

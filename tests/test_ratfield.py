@@ -217,3 +217,23 @@ def test_cleared_numerators_over_least_common_denominator():
 @pytest.mark.parametrize("other", [3, 0.5, ParamPoly.const(VARS, 2)])
 def test_cleared_refuses_other_coefficients(other):
     assert _cleared({(1,): QQ(1, 2), (0,): other}) is None
+
+
+def test_public_constructors_drop_zero_coefficients():
+    # kernel results skip the zero filter; the public constructors keep it
+    terms = {(1, 0): QQ(0), (0, 2): QQ(3), (2, 2): QQ(0)}
+    assert ParamPoly(VARS, terms).terms == {(0, 2): QQ(3)}
+    assert ParamPoly(VARS, {(2, 4): QQ(0)}, 2).terms == {}
+    assert ParamPoly.monomial(VARS, (1, 1), 0).terms == {}
+    assert ParamPoly.const(VARS, 0).terms == {}
+    assert ParamPoly.variable(VARS, "w") * 0 == ParamPoly.zero(VARS)
+
+
+def test_kernel_results_hold_no_zero_coefficients():
+    rng = random.Random(12)
+    for _ in range(30):
+        a, b = rand_poly(rng), rand_poly(rng)
+        for got in (a + b, a - b, -a, a * b, a - a, a * b - b * a,
+                    a.mul_monomial((1, -2), QQ(-2, 3))):
+            assert all(got.terms.values())
+            assert got == ParamPoly(VARS, dict(got.terms), got.scale)
