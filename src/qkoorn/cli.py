@@ -2,7 +2,10 @@
 verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 degenerate parameters, 4 internal contract violation.
+3 degenerate parameters, 4 internal contract violation.  Every input is
+checked where it is parsed, and a bad one exits 2 through ``_usage``; every
+other failure a request raises is mapped to its exit code in one place,
+``main``.  Each failure prints one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ import json
 import os
 import sys
 
-from .errors import (DegenerateNorm, DenominatorVanishes, NotDivisible,
-                     NotEigenfunction, NotInvariant, ZeroDenominator)
+from .errors import (DegenerateNorm, DenominatorVanishes, DivergentSeries,
+                     NotDivisible, NotEigenfunction, NotInvariant,
+                     ZeroDenominator)
 from .koornwinder import (OrthoPoly, evaluate_jacobi_coeffs, family_specialize,
                           jacobi_triangular, koornwinder_triangular,
                           macdonald_An_extract, qh1_limit)
@@ -31,42 +35,53 @@ DEGENERATE = 3
 CONTRACT = 4
 
 
+def _usage(message):
+    """Refuse a bad input: one error line and the usage exit code."""
+    print("error: %s" % message, file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
+
+
 def _parse_weight(text, n):
+    if n < 1:
+        _usage("--n must be at least 1")
     try:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise SystemExit(USAGE_ERROR)
+        parts = ()
     if len(parts) != n or any(x < 0 for x in parts) or \
             list(parts) != sorted(parts, reverse=True):
-        print("error: weight must be a dominant length-%d vector" % n,
-              file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        _usage("weight must be a dominant length-%d vector" % n)
     return parts
 
 
 def _parse_numeric(text):
     vals = {}
-    for piece in text.split(","):
-        key, _, val = piece.partition("=")
-        vals[key.strip()] = QQ(val.strip())
     try:
-        return weightfn.NumericPoint(vals["q"], vals["t"], vals["a"],
-                                     vals["b"], vals["c"], vals["d"])
+        for piece in text.split(","):
+            key, _, val = piece.partition("=")
+            vals[key.strip()] = QQ(val.strip())
+        return weightfn.NumericPoint(*(vals[k] for k in "qtabcd"))
     except KeyError:
-        print("error: numeric point needs q,t,a,b,c,d", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        _usage("numeric point needs q,t,a,b,c,d")
+    except (ValueError, ZeroDivisionError) as exc:
+        _usage("bad numeric point %r: %s" % (text, exc))
 
 
 def _load_params(args):
-    if not getattr(args, "params", None):
+    if not args.params:
         return None
     text = args.params
-    if os.path.exists(text):
-        with open(text) as fh:
-            data = json.load(fh)
-    else:
-        data = json.loads(text)
-    return ParamMap(data)
+    try:
+        if os.path.exists(text):
+            with open(text) as fh:
+                data = json.load(fh)
+        else:
+            data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+        return ParamMap(data)
+    except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
+        _usage("bad --params: %s" % exc)
 
 
 def _emit(payload, args):
@@ -97,45 +112,38 @@ def cmd_poly(args):
     n = args.n
     lam = _parse_weight(args.weight, n)
     params = _load_params(args)
-    try:
-        if args.method == "eigen":
-            if args.numeric:
-                point = _parse_numeric(args.numeric)
-                p = weightfn.koornwinder_numeric(lam, point)
-                payload = _numeric_json(p)
-            else:
-                p = koornwinder_triangular(lam, params)
-                payload = p.to_json()
-        elif args.method == "gs":
-            point = _parse_numeric(args.numeric) if args.numeric \
-                else weightfn.DEFAULT_POINT
-            spec = weightfn.WeightFunctionSpec(n, M=args.trunc, point=point)
-            p = weightfn.gram_schmidt_oracle(lam, spec)
-            payload = p.to_json()
-            payload["coeffs"] = [{"weight": c["weight"], "value": c["value"]}
-                                 for c in payload["coeffs"]]
-        elif args.method == "jacobi":
-            p = jacobi_triangular(lam)
-            payload = p.to_json()
-        elif args.method == "an":
-            p = koornwinder_triangular(lam, params)
-            payload = macdonald_An_extract(p).to_json()
-        elif args.method == "family":
-            if not args.family:
-                print("error: --family required", file=sys.stderr)
-                raise SystemExit(USAGE_ERROR)
-            fam = family_specialize(args.family)
-            p = koornwinder_triangular(lam, fam)
-            payload = p.to_json()
-            payload["family"] = args.family
+    if args.method == "eigen":
+        if args.numeric:
+            point = _parse_numeric(args.numeric)
+            p = weightfn.koornwinder_numeric(lam, point)
+            payload = _numeric_json(p)
         else:
-            raise SystemExit(USAGE_ERROR)
-    except (ZeroDenominator, DegenerateNorm, DenominatorVanishes) as exc:
-        print("error: degenerate parameters: %s" % exc, file=sys.stderr)
-        raise SystemExit(DEGENERATE)
-    except (NotDivisible, NotInvariant, NotEigenfunction) as exc:
-        print("error: internal contract violation: %s" % exc, file=sys.stderr)
-        raise SystemExit(CONTRACT)
+            p = koornwinder_triangular(lam, params)
+            payload = p.to_json()
+    elif args.method == "gs":
+        point = _parse_numeric(args.numeric) if args.numeric \
+            else weightfn.DEFAULT_POINT
+        spec = weightfn.WeightFunctionSpec(n, M=args.trunc, point=point)
+        p = weightfn.gram_schmidt_oracle(lam, spec)
+        payload = p.to_json()
+        payload["coeffs"] = [{"weight": c["weight"], "value": c["value"]}
+                             for c in payload["coeffs"]]
+    elif args.method == "jacobi":
+        p = jacobi_triangular(lam)
+        payload = p.to_json()
+    elif args.method == "an":
+        p = koornwinder_triangular(lam, params)
+        payload = macdonald_An_extract(p).to_json()
+    else:  # "family", the last of the parser's choices
+        if not args.family:
+            _usage("--family required")
+        try:
+            fam = family_specialize(args.family)
+        except ValueError as exc:
+            _usage(str(exc))
+        p = koornwinder_triangular(lam, fam)
+        payload = p.to_json()
+        payload["family"] = args.family
     _emit(payload, args)
     return 0
 
@@ -165,8 +173,7 @@ def _parse_value(text):
         # str(): a hand-written file may give a rational as a JSON number
         return ParamRat.parse(KOORN_VARS, str(text))
     except (ValueError, ZeroDivisionError):
-        print("error: cannot parse coefficient %r" % text, file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        _usage("cannot parse coefficient %r" % text)
 
 
 def cmd_apply(args):
@@ -177,23 +184,16 @@ def cmd_apply(args):
         else:
             op_data = json.loads(args.op)
         spec = OperatorSpec.from_json(op_data)
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        print("error: bad operator spec: %s" % exc, file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+    except (KeyError, ValueError) as exc:
+        _usage("bad operator spec: %s" % exc)
     try:
         with open(args.infile) as fh:
             data = json.load(fh)
         p = _poly_from_json(data)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        print("error: bad input polynomial: %s" % exc, file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-    try:
-        f = p.to_laurent()
-        img = apply_operator(spec, f)
-        coeffs = expand_in_monomials(img, spec.group)
-    except (NotInvariant, NotDivisible) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        raise SystemExit(CONTRACT)
+    except (OSError, KeyError, ValueError) as exc:
+        _usage("bad input polynomial: %s" % exc)
+    img = apply_operator(spec, p.to_laurent())
+    coeffs = expand_in_monomials(img, spec.group)
     out = OrthoPoly(p.weight, coeffs, spec.group, p.scale)
     _emit(out.to_json(), args)
     return 0
@@ -206,6 +206,8 @@ def cmd_apply(args):
 def _suite_checks(args):
     suite = args.suite
     n = args.n or 2
+    if n < 1:
+        _usage("--n must be at least 1")
     maxdeg = args.maxdeg or 3
     checks = []
 
@@ -241,9 +243,7 @@ def _suite_checks(args):
         for p in range(0, 9):
             add("sign-sum c_%d" % p, cp_check(p) == (-1) ** p)
     elif suite == "commute":
-        lams = [w for w in weights_below((maxdeg,) + (0,) * (n - 1))]
-        extra = [w for w in _all_weights(n, maxdeg)]
-        lams = sorted(set(lams) | set(extra))
+        lams = _all_weights(n, maxdeg)
         for ra in range(1, n + 1):
             for rb in range(ra + 1, n + 1):
                 for lam in lams:
@@ -364,25 +364,14 @@ def _suite_checks(args):
                 add("form-equivalence r=%d lam=%s" % (r, lam), a == b,
                     "staged and translator-grouped evaluations agree")
     else:
-        print("error: unknown suite %r" % suite, file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        _usage("unknown suite %r" % suite)
     return checks
 
 
 def _all_weights(n, maxdeg):
-    out = set()
-
-    def rec(prefix, remaining):
-        if len(prefix) == n:
-            out.add(tuple(prefix))
-            return
-        hi = min(prefix[-1] if prefix else remaining, remaining)
-        for v in range(hi + 1):
-            rec(prefix + [v], remaining - v)
-
-    for total in range(maxdeg + 1):
-        rec([], total)
-    return sorted(w for w in out if sum(w) <= maxdeg)
+    """Every dominant weight of length n and size at most maxdeg, ascending:
+    those below (maxdeg, 0, ..., 0)."""
+    return weights_below((maxdeg,) + (0,) * (n - 1))
 
 
 def cmd_verify(args):
@@ -442,9 +431,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except (ZeroDenominator, DegenerateNorm, DenominatorVanishes) as exc:
+    except (ZeroDenominator, DegenerateNorm, DenominatorVanishes,
+            DivergentSeries) as exc:
         print("error: degenerate parameters: %s" % exc, file=sys.stderr)
         return DEGENERATE
     except (NotDivisible, NotInvariant, NotEigenfunction) as exc:

@@ -25,5 +25,10 @@ class DegenerateNorm(QKoornError, ArithmeticError):
     """A truncation-induced zero norm in Gram-Schmidt; raise the order."""
 
 
+class DivergentSeries(QKoornError, ValueError):
+    """The truncated weight needs a geometric series that diverges at the
+    parameter point."""
+
+
 class NotEigenfunction(QKoornError, AssertionError):
     """A claimed eigenfunction is not proportional to its image."""

@@ -16,7 +16,7 @@ from .errors import NotEigenfunction, ZeroDenominator
 from .operators import (IDENTITY, OperatorSpec, ParamMap, apply_operator,
                         operator_matrix)
 from .ratfield import (JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat,
-                       _common, _qq_text, substitute_params)
+                       _common, _over_common_den, _qq_text, substitute_params)
 from .spectra import (ch_of_monomial, eigenvalue_An_leading, eigenvalue_Ern,
                       eigenvalue_jacobi)
 from .weights import (HYPEROCTAHEDRAL, PERMUTATIONS_ONLY, linear_refinement,
@@ -107,6 +107,17 @@ def _solve_cleared(matrix, lam, evalue, one):
     return nums, den
 
 
+def _triangular(spec, lam, evalue, vars_):
+    """The unitriangular expansion of lam against the matrix of ``spec`` and
+    its target eigenvalue, solved over one shared denominator in the
+    ParamPoly ring over ``vars_``."""
+    matrix = operator_matrix(spec, lam)
+    nums, den = _solve_cleared(matrix, lam, evalue, ParamPoly.one(vars_))
+    coeffs = {mu: ParamRat(nval, den) for mu, nval in nums.items()
+              if nval or mu == lam}
+    return OrthoPoly(lam, coeffs)
+
+
 def koornwinder_triangular(lam, params=None, verify=False):
     """The Koornwinder polynomial attached to a dominant weight, by the
     triangular eigenproblem of the rank-one operator.
@@ -117,17 +128,12 @@ def koornwinder_triangular(lam, params=None, verify=False):
     """
     params = params or IDENTITY
     n = len(lam)
-    spec = OperatorSpec("koornwinder", n, 1, params)
-    matrix = operator_matrix(spec, lam)
-    evalue = eigenvalue_Ern(1, n, lam, params.as_subst() or None)
-    nums, den = _solve_cleared(matrix, lam, evalue,
-                               ParamPoly.one(KOORN_VARS))
-    coeffs = {mu: ParamRat(nval, den) for mu, nval in nums.items()
-              if nval or mu == lam}
-    p = OrthoPoly(lam, coeffs)
+    p = _triangular(OperatorSpec("koornwinder", n, 1, params), lam,
+                    eigenvalue_Ern(1, n, lam, params.as_subst() or None),
+                    KOORN_VARS)
     if verify:
         for r in range(1, n + 1):
-            verify_joint_eigen_cleared(nums, r, lam, params)
+            verify_joint_eigen(p, r, params)
     return p
 
 
@@ -135,46 +141,18 @@ def verify_joint_eigen(p, r, params=None):
     """Assert D_r p = E_r(lam) p through the operator matrix; returns the
     eigenvalue."""
     params = params or IDENTITY
-    nums, den = _cleared_from_coeffs(p.coeffs)
-    return verify_joint_eigen_cleared(nums, r, p.weight, params)
-
-
-def _cleared_from_coeffs(coeffs):
-    """Recover shared-denominator numerators from solved coefficients (the
-    solver hands every coefficient out over one common denominator)."""
-    dens = []
-    for c in coeffs.values():
-        if isinstance(c, ParamRat) and not c.den.is_one():
-            if not any(c.den == d for d in dens):
-                dens.append(c.den)
-    if len(dens) > 1:
-        raise ValueError("coefficients do not share a denominator")
-    den = dens[0] if dens else None
-    nums = {}
-    for mu, c in coeffs.items():
-        if isinstance(c, ParamPoly):
-            num, own = c, None
-        else:
-            num, own = c.num, (None if c.den.is_one() else c.den)
-        if den is not None and own is None:
-            num = num * den
-        nums[mu] = num
-    return nums, den
-
-
-def verify_joint_eigen_cleared(nums, r, lam, params=None):
-    params = params or IDENTITY
-    n = len(lam)
-    spec = OperatorSpec("koornwinder", n, r, params)
-    matrix = operator_matrix(spec, lam)
-    ev = eigenvalue_Ern(r, n, lam, params.as_subst() or None)
-    _matrix_eigen_check(matrix, nums, ev)
+    ev = eigenvalue_Ern(r, p.n, p.weight, params.as_subst() or None)
+    _eigen_check(OperatorSpec("koornwinder", p.n, r, params), p, ev)
     return ev
 
 
-def _matrix_eigen_check(matrix, nums, ev):
-    """Check sum_nu N_nu M[nu][mu] = ev N_mu for every mu over the shared
-    denominator, entirely in the polynomial ring."""
+def _eigen_check(spec, p, ev):
+    """Check sum_nu N_nu M[nu][mu] = ev N_mu for every mu, M the matrix of
+    ``spec`` and N the coefficients of p cleared over one denominator (any
+    common multiple keeps the check exact), entirely in the polynomial
+    ring."""
+    matrix = operator_matrix(spec, p.weight)
+    nums, _ = _over_common_den(p.coeffs)
     zero = ParamPoly.zero(ev.vars)
     for mu in matrix:
         lhs = zero
@@ -192,15 +170,10 @@ def jacobi_triangular(lam, verify=False):
     (g, tg0, tg1) coefficient ring."""
     n = len(lam)
     spec = OperatorSpec("jacobi", n)
-    matrix = operator_matrix(spec, lam)
     evalue = eigenvalue_jacobi(1, n, lam)
-    nums, den = _solve_cleared(matrix, lam, evalue,
-                               ParamPoly.one(JACOBI_VARS))
-    coeffs = {mu: ParamRat(nval, den) for mu, nval in nums.items()
-              if nval or mu == lam}
-    p = OrthoPoly(lam, coeffs)
+    p = _triangular(spec, lam, evalue, JACOBI_VARS)
     if verify:
-        _matrix_eigen_check(matrix, nums, evalue)
+        _eigen_check(spec, p, evalue)
     return p
 
 

@@ -391,6 +391,20 @@ def lift_to(num, own, union):
     return num
 
 
+def _grouped_sum(signed):
+    """Sum a list of (key, sign, LaurentRat) terms by key over the union of
+    their denominators: returns (union, {key: numerator}).  The union is
+    merged and each key's numerators are summed in list order."""
+    den = {}
+    for _, _, t in signed:
+        merge_max(den, t.den)
+    groups = {}
+    for key, sign, t in signed:
+        num = lift_to(t.num if sign > 0 else -t.num, t.den, den)
+        groups[key] = groups[key] + num if key in groups else num
+    return den, groups
+
+
 def divide_factors(num, den):
     """Exact division by a factored denominator, factors in key order."""
     return exact_divide(num, (bm for _, bm in sorted(den.items())))
@@ -410,10 +424,6 @@ class LaurentRat:
         self.num = num
         self.den = den or {}
 
-    @classmethod
-    def one(cls, n, coeff_one):
-        return cls(LaurentPoly.const(n, coeff_one))
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -429,19 +439,12 @@ class LaurentRat:
     def mul_poly(self, p):
         return LaurentRat(self.num * p, dict(self.den))
 
-    def scalar_mul(self, c):
-        return LaurentRat(self.num.scalar_mul(c), dict(self.den))
-
     def with_binomial_factor(self, n, t1, t2, scale=1):
-        """Multiply by 1/(c1 z^e1 + c2 z^e2), keeping the den factored."""
+        """Multiply by 1/(c1 z^e1 + c2 z^e2), keeping the den factored; the
+        numerator and both binomial coefficients are rational."""
         key, binom, m, cu, su = canonical_binomial(n, t1, t2, scale)
-        if isinstance(cu, ParamPoly):
-            eu, c0, s0 = cu.monomial_parts()
-            num = self.num.map_coeff(
-                lambda c: c.mul_monomial(tuple(-x for x in eu), 1 / c0, s0))
-        else:
-            num = self.num.scalar_mul(QQ(1) / cu)
-        num = num.mul_monomial(tuple(-x for x in m), _coeff_one_like(num), su)
+        num = self.num.scalar_mul(QQ(1) / cu)
+        num = num.mul_monomial(tuple(-x for x in m), QQ(1), su)
         den = dict(self.den)
         if key in den:
             den[key] = (binom, den[key][1] + 1)
@@ -518,13 +521,3 @@ def flat_shift(f, steps, n, qh_slot):
             e = e[:qh_slot] + (e[qh_slot] + d,) + e[qh_slot + 1:]
         out[e] = c
     return LaurentPoly._of(f.n, out, f.scale)
-
-
-def _coeff_one_like(poly):
-    for c in poly.terms.values():
-        if isinstance(c, ParamPoly):
-            return ParamPoly.one(c.vars)
-        if isinstance(c, ParamRat):
-            return ParamRat.one(c.vars)
-        return QQ(1)
-    return QQ(1)

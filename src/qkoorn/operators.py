@@ -4,10 +4,13 @@ exact application to invariant Laurent polynomials.
 Coefficient building blocks: the one-pair ratio v_a, the four-factor external
 ratio v_b, the products V over index cells, and the translator-free sums W
 over ordered set partitions.  The hyperoctahedral operators are applied by
-the staged path (``_apply_staged``), which divides out poles cell by cell;
-the translator-grouped form (``apply_operator_grouped``) and the nested-chain
-form (``apply_operator_nested``) are independent cross-checks, and their
-agreement with the staged path is one of the acceptance checks.
+the staged path (``_apply_staged``), which divides out poles cell by cell.
+The A-type and spin operators go through their normal form
+(``_apply_normal_form``: the translates of the input against numerators over
+one shared denominator), and so does the translator-grouped form of the
+hyperoctahedral operators (``apply_operator_grouped``).  That form and the
+nested-chain form (``apply_operator_nested``) are independent cross-checks,
+and their agreement with the staged path is one of the acceptance checks.
 
 Internally everything runs on flat polynomials (torus and parameter exponents
 in one tuple, rational coefficients); pole cancellation is enforced by exact
@@ -20,9 +23,11 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .errors import NotDivisible, NotInvariant
-from .laurent import (LaurentPoly, LaurentRat, divide_factors, exact_divide,
-                      flat_shift, flatten, lift_to, merge_max, unflatten)
-from .ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
+from .laurent import (LaurentPoly, LaurentRat, _grouped_sum, divide_factors,
+                      exact_divide, flat_shift, flatten, lift_to, merge_max,
+                      unflatten)
+from .ratfield import (JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat,
+                       _over_common_den)
 from .weights import (EVEN_SIGNS, HYPEROCTAHEDRAL, PERMUTATIONS_ONLY,
                       expand_in_monomials, is_invariant, monomial_symmetric,
                       weights_below)
@@ -62,6 +67,8 @@ class ParamMap:
 
 
 def _var_exps(name):
+    if name not in KOORN_VARS:
+        raise ValueError("unknown parameter %r" % (name,))
     e = [0] * _NP
     e[KOORN_VARS.index(name)] = 1
     return tuple(e)
@@ -154,12 +161,6 @@ def vb_factor(width, n, j, eps, params, shapes=_VB_SHAPES):
     return out
 
 
-def vb_spin_factor(width, n, j, eps, params):
-    """The external factor of the spin operator: v_b without the
-    half-period-shifted pair (the first two ratios only)."""
-    return vb_factor(width, n, j, eps, params, shapes=_VB_SHAPES[:2])
-
-
 class _Engine:
     """Cached flat-coefficient machinery at a fixed (n, params)."""
 
@@ -217,8 +218,7 @@ class _Engine:
             return got
         n = self.n
         emap = dict(zip(J, eps))
-        by_nucleus = {}
-        den = {}
+        signed = []
         for chain in ordered_set_partitions(J):
             sign = -1 if len(chain) % 2 == 0 else 1
             coeff = _flat_rat_one(self.width)
@@ -239,16 +239,8 @@ class _Engine:
                             w[b] += emap[b]
                             w[k] += sk
                             coeff = coeff * self.va(w, 0)
-            by_nucleus.setdefault(chain[0], []).append((sign, coeff))
-            merge_max(den, coeff.den)
-        groups = {}
-        for nucleus, signed in by_nucleus.items():
-            total = None
-            for sign, t in signed:
-                num = lift_to(t.num if sign > 0 else -t.num, t.den, den)
-                total = num if total is None else total + num
-            groups[nucleus] = total
-        got = self._nucleus[key] = (den, groups)
+            signed.append((chain[0], sign, coeff))
+        got = self._nucleus[key] = _grouped_sum(signed)
         return got
 
     def V(self, J, eps, K):
@@ -266,15 +258,9 @@ class _Engine:
             w = [0] * n
             w[j1] += e1
             w[j2] += e2
-            out = out * va_factor(width, n, w, 0, self.params)
-            out = out * va_factor(width, n, w, 1, self.params)
+            out = out * self.va(w, 0) * self.va(w, 1)
         for j, e in zip(J, eps):
-            for k in K:
-                for sk in (1, -1):
-                    w = [0] * n
-                    w[j] += e
-                    w[k] += sk
-                    out = out * va_factor(width, n, w, 0, self.params)
+            out = out * self.couplings(j, e, K)
         self._v[key] = out
         return out
 
@@ -438,9 +424,9 @@ _NORMAL_FORMS = {}
 
 
 def _normal_form(spec):
-    """The operator cleared to a common factored denominator: a map from
-    translator steps (half-step counts per variable) to flat numerators,
-    plus the shared denominator."""
+    """The operator cleared to a common factored denominator: the shared
+    denominator, and a map from translator steps (half-step counts per
+    variable) to flat numerators."""
     got = _NORMAL_FORMS.get(spec.key)
     if got is not None:
         return got
@@ -485,9 +471,10 @@ def _normal_form(spec):
                 continue
             coeff = _flat_rat_one(width)
             if spec.kind == "c_spin":
+                # v_b without the half-period-shifted pair
                 for j in range(n):
-                    coeff = coeff * vb_spin_factor(width, n, j, eps[j],
-                                                   spec.params)
+                    coeff = coeff * vb_factor(width, n, j, eps[j], spec.params,
+                                              shapes=_VB_SHAPES[:2])
             for j1, j2 in combinations(range(n), 2):
                 w = [0] * n
                 w[j1] += eps[j1]
@@ -496,20 +483,23 @@ def _normal_form(spec):
             terms.append((eps, 1, coeff))
     else:
         raise ValueError("no difference normal form for %r" % spec.kind)
-
-    den = {}
-    for _, _, t in terms:
-        merge_max(den, t.den)
-    groups = {}
-    for steps, sign, t in terms:
-        num = lift_to(t.num if sign > 0 else -t.num, t.den, den)
-        if steps in groups:
-            groups[steps] = groups[steps] + num
-        else:
-            groups[steps] = num
-    out = (groups, den)
-    _NORMAL_FORMS[spec.key] = out
+    out = _NORMAL_FORMS[spec.key] = _grouped_sum(terms)
     return out
+
+
+def _apply_normal_form(spec, flat):
+    """Apply an operator through its normal form to a flat polynomial: sum
+    the translates of ``flat`` against the numerators and divide by the
+    shared denominator."""
+    den, groups = _normal_form(spec)
+    n = spec.n
+    total = None
+    for steps, num in groups.items():
+        piece = num * flat_shift(flat, steps, n, n + _QH)
+        total = piece if total is None else total + piece
+    if spec.kind == "a_type_centered":
+        total = _center_prefactor(total, spec, flat)
+    return exact_divide(total, den.values())
 
 
 # ---------------------------------------------------------------------------
@@ -635,36 +625,6 @@ def _apply_staged(spec, f_flat):
 # application
 
 
-def _split_rat_coeffs(f):
-    """Clear ParamRat coefficients: returns (poly-coeff LaurentPoly, list of
-    denominator ParamPolys whose product was cleared).
-
-    Each coefficient is multiplied by every collected denominator except the
-    single copy of its own (no gcd reduction exists in the field, so the
-    cancellation is done by bookkeeping, not by division)."""
-    dens = []
-    for c in f.terms.values():
-        if isinstance(c, ParamRat) and not c.den.is_one():
-            if not any(c.den == d for d in dens):
-                dens.append(c.den)
-    if not dens and all(isinstance(c, ParamPoly) for c in f.terms.values()):
-        return f, []
-    out = {}
-    for e, c in f.terms.items():
-        if isinstance(c, ParamPoly):
-            num, skip = c, None
-        else:
-            num = c.num
-            skip = None if c.den.is_one() else c.den
-        for d in dens:
-            if skip is not None and d == skip:
-                skip = None
-                continue
-            num = num * d
-        out[e] = num
-    return LaurentPoly(f.n, out, f.scale), dens
-
-
 def apply_operator(spec, f, check_invariance=True):
     """Apply an operator to an invariant Laurent polynomial.
 
@@ -678,22 +638,13 @@ def apply_operator(spec, f, check_invariance=True):
         return _apply_jacobi(spec, f, check_invariance)
     if check_invariance and not is_invariant(f, spec.group):
         raise NotInvariant("input not invariant under %s" % spec.group)
-    f0, dens = _split_rat_coeffs(f)
-    flat = flatten(f0, KOORN_VARS)
-    n = spec.n
+    nums, dens = _over_common_den(f.terms)
+    flat = flatten(LaurentPoly(f.n, nums, f.scale), KOORN_VARS)
     if spec.kind == "koornwinder":
         quot = _apply_staged(spec, flat)
     else:
-        groups, den = _normal_form(spec)
-        total = None
-        for steps, num in groups.items():
-            moved = flat_shift(flat, steps, n, n + _QH)
-            piece = num * moved
-            total = piece if total is None else total + piece
-        if spec.kind == "a_type_centered":
-            total = _center_prefactor(total, spec, flat)
-        quot = exact_divide(total, den.values())
-    out = unflatten(quot, n, KOORN_VARS)
+        quot = _apply_normal_form(spec, flat)
+    out = unflatten(quot, spec.n, KOORN_VARS)
     if dens:
         inv = ParamRat.one(KOORN_VARS)
         for d in dens:
@@ -711,16 +662,8 @@ def apply_operator_grouped(spec, f, check_invariance=True):
         raise ValueError("grouped form exists for the hyperoctahedral family")
     if check_invariance and not is_invariant(f, spec.group):
         raise NotInvariant("input not invariant under %s" % spec.group)
-    flat = flatten(f, KOORN_VARS)
-    n = spec.n
-    groups, den = _normal_form(spec)
-    total = None
-    for steps, num in groups.items():
-        moved = flat_shift(flat, steps, n, n + _QH)
-        piece = num * moved
-        total = piece if total is None else total + piece
-    quot = exact_divide(total, den.values())
-    return unflatten(quot, n, KOORN_VARS)
+    quot = _apply_normal_form(spec, flatten(f, KOORN_VARS))
+    return unflatten(quot, spec.n, KOORN_VARS)
 
 
 def _center_prefactor(total, spec, flat_input):

@@ -710,6 +710,35 @@ class ParamRat:
         return "ParamRat(%s)" % self.render()
 
 
+def _over_common_den(coeffs):
+    """Clear a dict of ParamPoly / ParamRat values over one denominator:
+    returns ({key: ParamPoly numerator}, [distinct non-unit denominators]),
+    each value being its numerator over the product of that list.
+
+    Each numerator is multiplied by every collected denominator except the
+    single copy of its own (no gcd reduction exists in the field, so the
+    cancellation is done by bookkeeping, not by division)."""
+    dens = []
+    for c in coeffs.values():
+        if isinstance(c, ParamRat) and not c.den.is_one():
+            if not any(c.den == d for d in dens):
+                dens.append(c.den)
+    nums = {}
+    for key, c in coeffs.items():
+        if isinstance(c, ParamPoly):
+            num, skip = c, None
+        else:
+            num = c.num
+            skip = None if c.den.is_one() else c.den
+        for d in dens:
+            if skip is not None and d == skip:
+                skip = None
+                continue
+            num = num * d
+        nums[key] = num
+    return nums, dens
+
+
 _NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?(?:/\d+)?"
 _POWER = r"[A-Za-z_]\w*(?:\^(?:-?\d+|\(-?\d+/[1-9]\d*\)))?"
 _TERM = re.compile(r"([+-]?)((?:%s|%s)(?:\*(?:%s|%s))*)"

@@ -266,22 +266,13 @@ def hc_lift(S, n, params=None):
 
 
 def evaluate_generator_poly(Q, values):
-    """Evaluate a dict X-exponent -> coeff at given generator values."""
+    """Evaluate a dict exponent -> ParamPoly / ParamRat coefficient (the
+    generators' ``hc_lift`` form, or a symmetric polynomial of the ch
+    variables) at the given values."""
     total = ParamRat.zero(KOORN_VARS)
     for e, c in Q.items():
-        term = c
-        for x, k in zip(values, e):
-            for _ in range(k):
-                term = term * x
-        total = total + term
-    return total
-
-
-def evaluate_symmetric(S, cvals):
-    total = ParamRat.zero(KOORN_VARS)
-    for e, c in S.items():
         term = c if isinstance(c, ParamRat) else ParamRat.from_poly(c)
-        for x, k in zip(cvals, e):
+        for x, k in zip(values, e):
             for _ in range(k):
                 term = term * x
         total = total + term

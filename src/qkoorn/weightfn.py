@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import DegenerateNorm, ZeroDenominator
+from .errors import DegenerateNorm, DivergentSeries, ZeroDenominator
 from .laurent import LaurentPoly
 from .ratfield import JACOBI_VARS, QQ, ParamPoly, ParamRat, _qq_text
-from .weights import HYPEROCTAHEDRAL, monomial_symmetric, weights_below
+from .weights import (HYPEROCTAHEDRAL, linear_refinement, monomial_symmetric,
+                      weights_below)
 from .koornwinder import OrthoPoly, _solve_cleared
 from .operators import OperatorSpec, operator_matrix
 from .spectra import eigenvalue_Ern
@@ -48,9 +49,6 @@ class QuadExt:
 
     def __bool__(self):
         return bool(self.x) or bool(self.y)
-
-    def is_rational(self):
-        return not self.y
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -314,9 +312,9 @@ def _weight_lines(spec):
     for source, invert in ((num, False), (den, True)):
         for (coeff, step), mult in sorted(source.items()):
             if invert and abs(coeff) >= 1:
-                raise ValueError("divergent series: the denominator factor "
-                                 "(1 - %s z^%s) has |coeff| >= 1"
-                                 % (_qq_text(coeff), list(step)))
+                raise DivergentSeries(
+                    "divergent series: the denominator factor (1 - %s z^%s) "
+                    "has |coeff| >= 1" % (_qq_text(coeff), list(step)))
             prim, s = step, 1
             if next(x for x in step if x) < 0:
                 prim, s = tuple(-x for x in step), -1
@@ -442,11 +440,12 @@ def monomial_numeric(lam, group=HYPEROCTAHEDRAL):
     return monomial_symmetric(lam, group, one=QQ(1))
 
 
-def gram_schmidt_oracle(lam, spec, _cache=None):
+def gram_schmidt_oracle(lam, spec, _cache=None, style="graded"):
     """Orthogonalize the monomial basis below lam against the truncated
-    weight; classical projection recursion, exact rational coefficients."""
-    cache = _cache if _cache is not None else {}
-    order = sorted(weights_below(lam), key=lambda w: (sum(w), w))
+    weight, in the order ``linear_refinement`` gives for ``style``;
+    classical projection recursion, exact rational coefficients.  A cache
+    serves one spec and one style."""
+    order = linear_refinement(weights_below(lam), style)
     polys = {}
     for mu in order:
         if _cache is not None and mu in _cache:
@@ -466,31 +465,6 @@ def gram_schmidt_oracle(lam, spec, _cache=None):
         polys[mu] = (f, norm)
         if _cache is not None:
             _cache[mu] = polys[mu]
-    f, _ = polys[lam]
-    coeffs = {}
-    for e, c in f.terms.items():
-        mu = tuple(sorted((abs(x) for x in e), reverse=True))
-        if mu not in coeffs:
-            coeffs[mu] = c
-    return OrthoPoly(lam, coeffs)
-
-
-def gram_schmidt_order_variant(lam, spec):
-    """Same orthogonalization along the plain lexicographic refinement."""
-    order = sorted(weights_below(lam))
-    polys = {}
-    for mu in order:
-        f = monomial_numeric(mu)
-        for nu in order:
-            if nu == mu:
-                break
-            p_nu, norm = polys[nu]
-            if not norm:
-                raise DegenerateNorm("vanishing truncated norm at %s" % (nu,))
-            c = inner_product(monomial_numeric(mu), p_nu, spec) / norm
-            if c:
-                f = f + p_nu.scalar_mul(-c)
-        polys[mu] = (f, inner_product(f, f, spec))
     f, _ = polys[lam]
     coeffs = {}
     for e, c in f.terms.items():

@@ -33,10 +33,6 @@ def dominance_leq(lam_p, lam):
     return True
 
 
-def dominance_lt(lam_p, lam):
-    return lam_p != lam and dominance_leq(lam_p, lam)
-
-
 def weights_below(lam):
     """All dominant weights below lam, ascending lexicographic order.
 

@@ -34,3 +34,57 @@ def test_no_unused_imports():
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
     assert {name: got for name, got in found.items() if got} == {}
+
+
+def defined_names(source):
+    """(qualified name, name) of every module-level function and of every
+    method of a module-level class."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            out.append((node.name, node.name))
+        elif isinstance(node, ast.ClassDef):
+            out += [("%s.%s" % (node.name, item.name), item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)]
+    return out
+
+
+def referenced_names(source):
+    """Every name a module reads or imports and every attribute it reads."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+    return found
+
+
+def dead_names(defining, sources):
+    """Qualified names defined in the ``defining`` sources that no source
+    refers to by name; dunder methods are called by the language."""
+    used = set().union(*map(referenced_names, sources))
+    return sorted(qual for source in defining
+                  for qual, name in defined_names(source)
+                  if name not in used
+                  and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_dead_names_are_found():
+    source = ("def used():\n    pass\n\ndef unused():\n    pass\n\n"
+              "class K:\n    def m(self):\n        pass\n\n"
+              "    def __repr__(self):\n        return ''\n\nused()\n")
+    assert dead_names([source], [source]) == ["K.m", "unused"]
+
+
+def test_every_definition_is_referenced():
+    # a function or method that nothing in the package, its tests or the
+    # benchmark names is dead code
+    root = PACKAGE.parents[1]
+    package = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    others = [path.read_text() for folder in ("tests", "qkbench")
+              for path in sorted((root / folder).glob("*.py"))]
+    assert dead_names(package, package + others) == []

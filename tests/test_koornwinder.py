@@ -37,6 +37,37 @@ def test_unitriangular_and_joint_eigen():
             assert mu in weights_below(lam)
 
 
+def test_eigen_check_catches_a_perturbed_coefficient():
+    # D_2 vanishes on the span of m_(0,0) and m_(1,0), so only r = 1 can
+    # see a change below (1, 0); below (1, 1) both orders see it
+    for lam, orders in (((1, 0), (1,)), ((1, 1), (1, 2))):
+        p = koornwinder_triangular(lam)
+        assert set(p.coeffs) == set(weights_below(lam))
+        for r in (1, 2):
+            verify_joint_eigen(p, r)
+        for mu in p.coeffs:
+            if mu == lam:
+                continue
+            coeffs = dict(p.coeffs)
+            coeffs[mu] = coeffs[mu] + 1
+            for r in orders:
+                with pytest.raises(NotEigenfunction):
+                    verify_joint_eigen(OrthoPoly(lam, coeffs), r)
+
+
+def test_eigen_check_over_distinct_denominators():
+    # one coefficient written over an unreduced, different denominator:
+    # the check clears over the product and stays exact
+    p = koornwinder_triangular((1, 1))
+    k = ParamPoly.variable(KOORN_VARS, "qh") + 2
+    coeffs = dict(p.coeffs)
+    c = coeffs[(1, 0)]
+    coeffs[(1, 0)] = ParamRat(c.num * k, c.den * k)
+    assert not (coeffs[(1, 0)].den == coeffs[(0, 0)].den)
+    for r in (1, 2):
+        verify_joint_eigen(OrthoPoly((1, 1), coeffs), r)
+
+
 def test_rank_one_solve_matches_direct_ratio():
     # single back-substitution step: c_0 = [D]_{(1),(0)} / E(1)
     from qkoorn.operators import operator_matrix

@@ -7,10 +7,9 @@ from qkoorn.spectra import (a_type_exponentials, ch_lambda_rho, ch_rho,
                             cp_check, eigenvalue_An, eigenvalue_core,
                             eigenvalue_core_recursive, eigenvalue_Ern,
                             eigenvalue_jacobi, elementary,
-                            evaluate_generator_poly, evaluate_symmetric,
-                            F_solve, hc_lift, jacobi_rho,
-                            linear_system_residual, monotonicity_check,
-                            rho_monomials)
+                            evaluate_generator_poly, F_solve, hc_lift,
+                            jacobi_rho, linear_system_residual,
+                            monotonicity_check, rho_monomials)
 
 
 def tvars(n, extra=()):
@@ -135,7 +134,7 @@ def test_hc_round_trip_random():
                    for r in range(1, n + 1)]
             chv = [ParamRat.from_poly(c) for c in ch_lambda_rho(lam)]
             assert evaluate_generator_poly(Q, evs) == \
-                evaluate_symmetric(S, chv)
+                evaluate_generator_poly(S, chv)
 
 
 def test_a_type_eigenvalues():
