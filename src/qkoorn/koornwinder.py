@@ -15,8 +15,8 @@ import json
 from .errors import NotEigenfunction, ZeroDenominator
 from .operators import (IDENTITY, OperatorSpec, ParamMap, apply_operator,
                         operator_matrix)
-from .ratfield import (JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat,
-                       _common, _over_common_den, _qq_text, substitute_params)
+from .ratfield import (JACOBI_VARS, KOORN_VARS, ParamPoly, ParamRat, _common,
+                       _over_common_den, _qq, _qq_text, substitute_params)
 from .spectra import (ch_of_monomial, eigenvalue_An_leading, eigenvalue_Ern,
                       eigenvalue_jacobi)
 from .weights import (HYPEROCTAHEDRAL, PERMUTATIONS_ONLY, linear_refinement,
@@ -69,7 +69,7 @@ class OrthoPoly:
         return "OrthoPoly(%s; %d terms)" % (self.weight, len(self.coeffs))
 
 
-def _solve_cleared(matrix, lam, evalue, one):
+def _back_substitute(matrix, lam, evalue, one):
     """Back-substitute the unitriangular eigenproblem for the given matrix
     and target eigenvalue, holding every coefficient over one shared
     denominator: returns (numerators, denominator), both in the ring of the
@@ -112,7 +112,7 @@ def _triangular(spec, lam, evalue, vars_):
     its target eigenvalue, solved over one shared denominator in the
     ParamPoly ring over ``vars_``."""
     matrix = operator_matrix(spec, lam)
-    nums, den = _solve_cleared(matrix, lam, evalue, ParamPoly.one(vars_))
+    nums, den = _back_substitute(matrix, lam, evalue, ParamPoly.one(vars_))
     coeffs = {mu: ParamRat(nval, den) for mu, nval in nums.items()
               if nval or mu == lam}
     return OrthoPoly(lam, coeffs)
@@ -201,9 +201,9 @@ def qh1_limit(p, g, g0, g1, g0p, g1p):
 
 def _constant_value(rat):
     num, den = rat.num, rat.den
-    nv = QQ(0) if num.is_zero() else num.terms[(0,) * len(num.vars)]
+    nv = 0 if num.is_zero() else num.terms[(0,) * len(num.vars)]
     dv = den.terms[(0,) * len(den.vars)]
-    return nv / dv
+    return _qq(nv, dv)
 
 
 def evaluate_jacobi_coeffs(p, g, tg0, tg1):

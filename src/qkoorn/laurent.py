@@ -9,12 +9,11 @@ Rational functions of the torus variables are kept with their denominators in
 factored form (``LaurentRat``): the only denominators produced by the
 difference operators are products of known binomials, so exact division needs
 no multivariate gcd.  ``exact_divide`` takes a whole factored denominator in
-one pass: the numerator is lifted to the chain's lattice, its exponent tuples
-are packed into single ints and, when every coefficient is a plain rational
-and every binomial's trailing coefficient an integer, its denominators are
-cleared once; each binomial is then divided out on those packed, integer
-terms, and the quotient is unpacked and put back over the denominator at the
-end.  Other coefficient rings run the same loop on their own elements.
+one pass: the numerator is lifted to the chain's lattice and its exponent
+tuples are packed into single ints; each binomial is then divided out on
+those packed terms, with the coefficients as they are (integral rationals are
+ints, so rational data mostly divide in integer arithmetic), and the quotient
+is unpacked once at the end.
 """
 
 from __future__ import annotations
@@ -24,9 +23,9 @@ from operator import lshift
 from struct import Struct
 
 from .errors import NotDivisible
-from .ratfield import (QQ, ParamPoly, ParamRat, _cleared, _coarsened,
-                       _lifted, _reduced, _sparse_add, _sparse_eq, _sparse_mul,
-                       _sparse_mul_monomial, _sparse_neg, _uncleared)
+from .ratfield import (QQ, ParamPoly, ParamRat, _coarsened, _lifted, _qq,
+                       _reduced, _sparse_add, _sparse_eq, _sparse_mul,
+                       _sparse_mul_monomial, _sparse_neg)
 
 
 def _times_qh(c, num, den):
@@ -182,12 +181,11 @@ def canonical_binomial(n, t1, t2, scale=1):
         eu, cu, su = c1.monomial_parts()
         inv_exp = tuple(-x for x in eu)
         one = ParamPoly.one(c1.vars)
-        trail = c2.mul_monomial(inv_exp, 1 / cu, su)
-        unit_coeff = c1
+        trail = c2.mul_monomial(inv_exp, _qq(1, cu), su)
     else:
-        one = QQ(1)
-        trail = c2 / c1
-        unit_coeff = c1
+        one = 1
+        trail = _qq(c2, c1)
+    unit_coeff = c1
     binom = LaurentPoly(n, {e1: one, e2: trail}, scale)
     key = (n, binom.scale, e1, e2, _freeze_coeff(trail))
     return key, binom, m, unit_coeff, scale
@@ -200,9 +198,8 @@ def _freeze_coeff(c):
 
 
 def divide_binomial(f, binom):
-    """Exact division of f by a canonical binomial, a chain of one for
-    ``exact_divide`` (packed exponents, cleared denominators where the
-    coefficients allow); raises NotDivisible."""
+    """Exact division of f by a canonical binomial: ``exact_divide`` on a
+    chain of one.  Raises NotDivisible."""
     return exact_divide(f, ((binom, 1),))
 
 
@@ -215,13 +212,10 @@ def exact_divide(numer, denom_factors):
     claim (an implementation bug, never expected input).
 
     The numerator is converted once for the whole chain: lifted to the
-    lattice of every factor, each exponent tuple packed into one int
-    (``_packing``) and, when every trailing coefficient is an integer and
-    every coefficient a plain rational, its denominators cleared so that the
-    division runs on integer numerators.  Other coefficients (``ParamPoly``,
-    ``QuadExt``, a non-integer trailing coefficient) run the same loop on
-    the ring elements.  The quotient is unpacked, and put back over the
-    common denominator, once at the end.
+    lattice of every factor and each exponent tuple packed into one int
+    (``_packing``).  Every binomial is divided out in turn on the packed
+    terms, whatever their coefficient ring, and the quotient is unpacked
+    once at the end.
     """
     chain = [b for b, mult in denom_factors for _ in range(mult)]
     if not chain or numer.is_zero():
@@ -236,13 +230,6 @@ def exact_divide(numer, denom_factors):
         eL, eS = sorted(bt, reverse=True)
         d = tuple(x - y for x, y in zip(eL, eS))
         steps.append((eL, d, next(i for i, x in enumerate(d) if x), bt[eS]))
-    den = None
-    if all(type(cS) is QQ and cS.denominator == 1
-           for *_, cS in steps):
-        cleared = _cleared(terms)
-        if cleared is not None:
-            terms, den = cleared
-            steps = [(eL, d, i0, cS.numerator) for eL, d, i0, cS in steps]
     # every exponent the chain meets lies in the numerator's box, and the
     # line key e - (e[i0] // d[i0]) * d of a point e within ``bound``
     top = max(max(map(max, terms)), -min(map(min, terms)))
@@ -258,10 +245,7 @@ def exact_divide(numer, denom_factors):
     for eL, d, i0, cS in steps:
         quo = _divide_packed(quo, cS, pack(d) - zero, pack(eL) - zero, d[i0],
                              width * (numer.n - 1 - i0), width, where)
-    quo = {unpack(u): c for u, c in quo.items()}
-    if den is not None:
-        quo = _uncleared(quo, den)
-    return LaurentPoly._of(numer.n, quo, s)
+    return LaurentPoly._of(numer.n, {unpack(u): c for u, c in quo.items()}, s)
 
 
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -329,8 +313,9 @@ def _divide_packed(terms, cS, D, EL, di, shift, width, where):
     coefficient at key + k*D, the relation f = q * binom is the two-term
     recurrence q_k = f_k - cS*q_(k+1), solved top-down, with one leftover
     equation f_kmin = cS*q_(kmin+1) per line deciding exact divisibility.
-    q_k sits at key + k*D - EL.  A failing line is named by ``where`` of
-    its lowest point.
+    q_k sits at key + k*D - EL.  Where q_k vanishes, the walk jumps to the
+    line's next term, so an exact quotient costs the terms of f and of q.
+    A failing line is named by ``where`` of its lowest point.
     """
     mask = (1 << width) - 1
     half = 1 << (width - 1)
@@ -346,10 +331,13 @@ def _divide_packed(terms, cS, D, EL, di, shift, width, where):
             line[k] = c
     quo = {}
     for key, line in lines.items():
-        lo = min(line)
-        k = max(line)
+        ks = sorted(line)
+        lo = ks[0]
+        i = len(ks) - 1
+        k = ks[i]
         at = line.get
-        e = key - EL + k * D
+        base = key - EL
+        e = base + k * D
         carry = None
         while k > lo:
             val = at(k)
@@ -357,10 +345,14 @@ def _divide_packed(terms, cS, D, EL, di, shift, width, where):
                 val = -cS * carry if val is None else val - cS * carry
             if val:
                 quo[e] = carry = val
+                k -= 1
+                e -= D
             else:
                 carry = None
-            k -= 1
-            e -= D
+                while ks[i] >= k:
+                    i -= 1
+                k = ks[i]
+                e = base + k * D
         lhs = line[lo]
         if lhs if carry is None else lhs - cS * carry:
             raise NotDivisible("line through z^%s" % where(key + lo * D))
@@ -443,8 +435,8 @@ class LaurentRat:
         """Multiply by 1/(c1 z^e1 + c2 z^e2), keeping the den factored; the
         numerator and both binomial coefficients are rational."""
         key, binom, m, cu, su = canonical_binomial(n, t1, t2, scale)
-        num = self.num.scalar_mul(QQ(1) / cu)
-        num = num.mul_monomial(tuple(-x for x in m), QQ(1), su)
+        num = self.num.scalar_mul(_qq(1, cu))
+        num = num.mul_monomial(tuple(-x for x in m), 1, su)
         den = dict(self.den)
         if key in den:
             den[key] = (binom, den[key][1] + 1)

@@ -27,7 +27,7 @@ from .laurent import (LaurentPoly, LaurentRat, _grouped_sum, divide_factors,
                       exact_divide, flat_shift, flatten, lift_to, merge_max,
                       unflatten)
 from .ratfield import (JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat,
-                       _over_common_den)
+                       _over_common_den, _qq)
 from .weights import (EVEN_SIGNS, HYPEROCTAHEDRAL, PERMUTATIONS_ONLY,
                       expand_in_monomials, is_invariant, monomial_symmetric,
                       weights_below)
@@ -48,14 +48,14 @@ class ParamMap:
             if name == "qh":
                 raise ValueError("qh is the scale parameter; not substitutable")
             e, c = _monomial_image(val)
-            if (e, c) != (_var_exps(name), QQ(1)):
+            if (e, c) != (_var_exps(name), 1):
                 images[name] = (e, c)
         self.images = images
         self.key = tuple(sorted(images.items()))
 
     def image(self, name):
         """(exponent vector over parameter slots, rational coefficient)."""
-        return self.images.get(name, (_var_exps(name), QQ(1)))
+        return self.images.get(name, (_var_exps(name), 1))
 
     def as_subst(self):
         """The substitution as a dict name -> ParamPoly monomial."""
@@ -77,16 +77,16 @@ def _var_exps(name):
 def _monomial_image(val):
     if isinstance(val, str):
         val = ParamRat.parse(KOORN_VARS, val)
-    if isinstance(val, (int, type(QQ(0)))):
+    if isinstance(val, (int, QQ)):
         if not val:
             raise ValueError("parameter images must be invertible")
-        return (0,) * _NP, QQ(val)
+        return (0,) * _NP, _qq(val)
     if isinstance(val, ParamRat):
         num_e, nc, ns = val.num.monomial_parts()
         den_e, dc, ds = val.den.monomial_parts()
         if ns != 1 or ds != 1:
             raise ValueError("parameter images must be plain monomials")
-        return tuple(a - b for a, b in zip(num_e, den_e)), nc / dc
+        return tuple(a - b for a, b in zip(num_e, den_e)), _qq(nc, dc)
     if isinstance(val, ParamPoly):
         e, c, s = val.monomial_parts()
         if s != 1:
@@ -103,7 +103,7 @@ IDENTITY = ParamMap()
 
 
 def _flat_rat_one(width):
-    return LaurentRat(LaurentPoly.const(width, QQ(1)))
+    return LaurentRat(LaurentPoly.const(width, 1))
 
 
 def _neg_exps(e):
@@ -126,9 +126,10 @@ def va_factor(width, n, w_exps, qpow, params):
     if not any(te) and tc == 1:
         return _flat_rat_one(width)
     tpad = zero[: n] + te
-    num = LaurentPoly(width, {_tadd(w, tpad): tc, _neg_exps(tpad): -1 / tc})
+    num = LaurentPoly(width, {_tadd(w, tpad): tc,
+                              _neg_exps(tpad): _qq(-1, tc)})
     return LaurentRat(num).with_binomial_factor(
-        width, (w, QQ(1)), (zero, QQ(-1)))
+        width, (w, 1), (zero, -1))
 
 
 def _tadd(a, b):
@@ -155,9 +156,9 @@ def vb_factor(width, n, j, eps, params, shapes=_VB_SHAPES):
         w[n + _QH] += qh_pow
         w = tuple(w)
         num = LaurentPoly(width, {_tadd(w, gpad): gc_,
-                                  _neg_exps(gpad): sigma / gc_})
+                                  _neg_exps(gpad): _qq(sigma, gc_)})
         out = out * LaurentRat(num).with_binomial_factor(
-            width, (w, QQ(1)), (zero, QQ(sigma)))
+            width, (w, 1), (zero, sigma))
     return out
 
 
@@ -679,7 +680,7 @@ def _center_prefactor(total, spec, flat_input):
         d = d * total.scale // flat_input.scale
     e = [0] * (spec.n + _NP)
     e[spec.n + _QH] = -2 * spec.r * d
-    return total.mul_monomial(tuple(e), QQ(1), spec.n * total.scale)
+    return total.mul_monomial(tuple(e), 1, spec.n * total.scale)
 
 
 def apply_operator_nested(spec, f, check_invariance=True):
@@ -787,29 +788,29 @@ def _apply_jacobi(spec, f, check_invariance=True):
         tp = euler(flat, j) + euler(flat, k)
         tm = euler(flat, j) + (-euler(flat, k))
         if tp:
-            num = (LaurentPoly(width, {ejk: QQ(1), zero: QQ(1)})
-                   .mul_monomial(g_e, QQ(1)) * tp)
+            num = (LaurentPoly(width, {ejk: 1, zero: 1})
+                   .mul_monomial(g_e, 1) * tp)
             signed.append((1, LaurentRat(num).with_binomial_factor(
-                width, (ejk, QQ(1)), (zero, QQ(-1)))))
+                width, (ejk, 1), (zero, -1))))
         if tm:
-            num = (LaurentPoly(width, {ej: QQ(1), ek: QQ(1)})
-                   .mul_monomial(g_e, QQ(1)) * tm)
+            num = (LaurentPoly(width, {ej: 1, ek: 1})
+                   .mul_monomial(g_e, 1) * tm)
             signed.append((1, LaurentRat(num).with_binomial_factor(
-                width, (ej, QQ(1)), (ek, QQ(-1)))))
+                width, (ej, 1), (ek, -1))))
     # one-body terms: [tg0 (z+1)/(z-1) + tg1 (z-1)/(z+1)] theta_j
     for j in range(n):
         ej = tuple((1 if i == j else 0) for i in range(width))
         tj = euler(flat, j)
         if not tj:
             continue
-        num0 = (LaurentPoly(width, {ej: QQ(1), zero: QQ(1)})
-                .mul_monomial(t0_e, QQ(1)) * tj)
+        num0 = (LaurentPoly(width, {ej: 1, zero: 1})
+                .mul_monomial(t0_e, 1) * tj)
         signed.append((1, LaurentRat(num0).with_binomial_factor(
-            width, (ej, QQ(1)), (zero, QQ(-1)))))
-        num1 = (LaurentPoly(width, {ej: QQ(1), zero: QQ(-1)})
-                .mul_monomial(t1_e, QQ(1)) * tj)
+            width, (ej, 1), (zero, -1))))
+        num1 = (LaurentPoly(width, {ej: 1, zero: -1})
+                .mul_monomial(t1_e, 1) * tj)
         signed.append((1, LaurentRat(num1).with_binomial_factor(
-            width, (ej, QQ(1)), (zero, QQ(1)))))
+            width, (ej, 1), (zero, 1))))
     total = _sum_rats(width, signed)
     return unflatten(total.collapse(), n, JACOBI_VARS)
 

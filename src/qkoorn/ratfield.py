@@ -16,13 +16,13 @@ Exponents may be negative (Laurent) and may sit on a refined lattice: a poly
 carries an integer ``scale`` and stores exponents multiplied by it, so e.g.
 qh^(1/3) is representable exactly.  All arithmetic is exact rational.
 
-The hot exact loops run on machine integers where they can: ``_cleared``
-writes a term dict whose coefficients are all plain rationals as integer
-numerators over one common denominator, and both the sparse multiply below
-and ``laurent.exact_divide`` (once per chain of binomials) run their loops on
-those numerators, building one rational per output term.  Any other
-coefficient (``ParamPoly``, ``ParamRat``, ``QuadExt``, a bare int) keeps the
-loop on the ring elements.
+An exact rational coefficient has one representation: a Python ``int`` when
+it is integral and a ``Fraction`` (``QQ``) otherwise, never a float.  The
+public constructors write an integral ``Fraction`` as its ``int``; kernel
+results are not rescanned, so ``int * int`` stays an ``int`` while a true
+``Fraction`` operand may leave an integral ``Fraction`` behind, which is just
+as exact.  Since ``int / int`` is a float, every exact division goes through
+``_qq(a, b)``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction as QQ
-from math import gcd, lcm
+from math import gcd
 from operator import add as _add
 
 from .errors import DenominatorVanishes
@@ -38,12 +38,15 @@ from .errors import DenominatorVanishes
 KOORN_VARS = ("qh", "th", "ga", "gb", "gc", "gd")
 JACOBI_VARS = ("g", "tg0", "tg1")
 
-_ZERO = QQ(0)
-_ONE = QQ(1)
 
-
-def _qq(x):
-    return x if isinstance(x, QQ) else QQ(x)
+def _qq(x, d=1):
+    """The exact rational x / d: an int when integral, else a QQ (x may
+    also be a float or decimal string when d is 1)."""
+    if d != 1:
+        x = QQ(x, d)
+    elif type(x) is not int and type(x) is not QQ:
+        x = QQ(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _content(coeffs):
@@ -55,8 +58,8 @@ def _content(coeffs):
         num = gcd(num, abs(cn))
         den = den * cd // gcd(den, cd)
     if num == 0:
-        return _ONE
-    return QQ(num, den)
+        return 1
+    return _qq(num, den)
 
 
 def _qq_text(c):
@@ -75,21 +78,20 @@ def _qq_text(c):
 # once.  A polynomial is its ``terms`` dict (exponent tuples in units of
 # 1/scale -> nonzero coefficients) and its integer ``scale``; the kernels
 # read those two attributes and return plain term dicts, so they serve any
-# exact coefficient ring.  The multiply clears the denominators of two
-# rational term dicts once and runs its loop on integer numerators; it falls
-# back to the coefficients' own arithmetic when either dict holds anything
-# but plain rationals.  Add, negate, monomial multiply and equality always
-# work on the coefficients themselves.  Add, negate and multiply never leave
-# a zero coefficient (nor does a rational monomial multiply), so the classes
-# build their results through a private constructor that only coarsens the
-# lattice (``_coarsened``); the public constructors still drop zeros
-# (``_reduced``).
+# exact coefficient ring and run one loop on the coefficients as they are
+# (integral rationals are ints, so that loop is integer arithmetic wherever
+# the data allow).  Add, negate and multiply never leave a zero coefficient
+# (nor does a rational monomial multiply), so the classes build their
+# results through a private constructor that only coarsens the lattice
+# (``_coarsened``); the public constructors drop zeros and write integral
+# rationals as ints (``_reduced``).
 
 
 def _reduced(terms, scale):
-    """Drop zero coefficients and move to the coarsest lattice holding every
-    exponent: returns (terms, scale)."""
-    return _coarsened({e: c for e, c in terms.items() if c}, scale)
+    """Drop zero coefficients, write an integral QQ as its int and move to
+    the coarsest lattice holding every exponent: returns (terms, scale)."""
+    return _coarsened({e: c.numerator if type(c) is QQ and c.denominator == 1
+                       else c for e, c in terms.items() if c}, scale)
 
 
 def _coarsened(clean, scale):
@@ -124,29 +126,6 @@ def _common(p, q):
     return s, _lifted(p, s), _lifted(q, s)
 
 
-def _cleared(terms):
-    """(integer numerators, least common denominator) of a term dict, or
-    None as soon as a coefficient is not a plain rational."""
-    den = 1
-    for c in terms.values():
-        if type(c) is not QQ:
-            return None
-        d = c.denominator
-        if d != 1:
-            den = lcm(den, d)
-    if den == 1:
-        return {e: c.numerator for e, c in terms.items()}, 1
-    return {e: c.numerator * (den // c.denominator)
-            for e, c in terms.items()}, den
-
-
-def _uncleared(terms, den):
-    """The rational term dict with integer numerators ``terms`` over den."""
-    if den == 1:
-        return {e: QQ(v) for e, v in terms.items()}
-    return {e: QQ(v, den) for e, v in terms.items()}
-
-
 def _sparse_add(p, q):
     s, a, b = _common(p, q)
     out = dict(a)
@@ -170,13 +149,6 @@ def _sparse_mul(p, q):
     s, a, b = _common(p, q)
     if len(a) > len(b):
         a, b = b, a
-    den = None
-    ca = _cleared(a)
-    if ca is not None:
-        cb = _cleared(b)
-        if cb is not None:
-            (a, da), (b, db) = ca, cb
-            den = da * db
     out = {}
     get = out.get
     bitems = list(b.items())
@@ -192,13 +164,9 @@ def _sparse_mul(p, q):
                     out[e] = v
                 else:
                     del out[e]
-    if den is not None:
-        out = _uncleared(out, den)
-    else:
-        # a ring with zero divisors (QuadExt at a square H) can make a
-        # first product vanish
-        out = {e: v for e, v in out.items() if v}
-    return out, s
+    # a ring with zero divisors (QuadExt at a square H) can make a first
+    # product vanish
+    return {e: v for e, v in out.items() if v}, s
 
 
 def _sparse_mul_monomial(p, exps, coeff, scale):
@@ -265,7 +233,7 @@ class ParamPoly:
         else:
             num, den = power, 1
         e[vars_.index(name)] = num
-        return cls(vars_, {tuple(e): _ONE}, den)
+        return cls(vars_, {tuple(e): 1}, den)
 
     # -- helpers -----------------------------------------------------------
 
@@ -324,9 +292,10 @@ class ParamPoly:
             c = _qq(other)
             if not c:
                 return ParamPoly.zero(self.vars)
-            return ParamPoly._of(self.vars,
-                                 {e: v * c for e, v in self.terms.items()},
-                                 self.scale)
+            # a rational factor can make a Fraction integral (2 * 1/2)
+            return ParamPoly(self.vars,
+                             {e: v * c for e, v in self.terms.items()},
+                             self.scale)
         if isinstance(other, ParamRat):
             return ParamRat.from_poly(self) * other
         return ParamPoly._of(self.vars, *_sparse_mul(self, other))
@@ -372,7 +341,7 @@ class ParamPoly:
     def eval_var(self, name, value):
         """Substitute one variable by a rational value; stays a ParamPoly."""
         i = self.vars.index(name)
-        value = _qq(value)
+        value = QQ(value)
         out = {}
         for e, c in self.terms.items():
             k = e[i]
@@ -380,7 +349,7 @@ class ParamPoly:
                 raise ValueError("fractional exponent in eval_var")
             v = c * value ** (k // self.scale)
             e2 = e[:i] + (0,) + e[i + 1:]
-            w = out.get(e2, _ZERO) + v
+            w = out.get(e2, 0) + v
             if w:
                 out[e2] = w
             else:
@@ -406,7 +375,7 @@ class ParamPoly:
         for k in range(deg, 0, -1):
             cur = dict(carry)
             for rest, c in cols.get(k, {}).items():
-                v = cur.get(rest, _ZERO) + c
+                v = cur.get(rest, 0) + c
                 if v:
                     cur[rest] = v
                 else:
@@ -415,7 +384,7 @@ class ParamPoly:
             carry = {r: c * root for r, c in cur.items()}
         rem = dict(carry)
         for rest, c in cols.get(0, {}).items():
-            v = rem.get(rest, _ZERO) + c
+            v = rem.get(rest, 0) + c
             if v:
                 rem[rest] = v
             else:
@@ -506,7 +475,7 @@ def _rat_power(v, k, scale):
     if cn != 1 or cd != 1 or sn != 1 or sd != 1:
         raise ValueError("fractional power needs a unit-coefficient monomial")
     e = tuple((a - b) * k for a, b in zip(en, ed))
-    return ParamRat.from_poly(ParamPoly(v.num.vars, {e: _ONE}, scale))
+    return ParamRat.from_poly(ParamPoly(v.num.vars, {e: 1}, scale))
 
 
 def _as_rat(vars_, v):
@@ -543,7 +512,7 @@ class ParamRat:
             return
         if den.is_monomial():
             e, c, s = den.monomial_parts()
-            num = num.mul_monomial(tuple(-x for x in e), 1 / c, s)
+            num = num.mul_monomial(tuple(-x for x in e), _qq(1, c), s)
             den = ParamPoly.one(num.vars)
         else:
             # pull the monomial unit out of the denominator
@@ -555,9 +524,9 @@ class ParamRat:
             if den.terms[lead] < 0:
                 c = -c
             if any(mins) or c != 1:
-                inv = tuple(-x for x in mins)
-                den = den.mul_monomial(inv, 1 / c, den.scale)
-                num = num.mul_monomial(inv, 1 / c, den.scale)
+                inv, c = tuple(-x for x in mins), _qq(1, c)
+                den = den.mul_monomial(inv, c, den.scale)
+                num = num.mul_monomial(inv, c, den.scale)
             if num == den:
                 num = ParamPoly.one(num.vars)
                 den = ParamPoly.one(num.vars)
@@ -809,9 +778,9 @@ def _rational_value(vars_, v):
         return _qq(v)
     if isinstance(v, ParamPoly):
         if not v.terms:
-            return _ZERO
+            return 0
         return v.lex_leading()[1]
-    return _rational_value(vars_, v.num) / _rational_value(vars_, v.den)
+    return _qq(_rational_value(vars_, v.num), _rational_value(vars_, v.den))
 
 
 def substitute_params(f, sigma):

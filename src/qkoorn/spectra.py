@@ -12,7 +12,8 @@ import math
 from itertools import combinations
 
 from .laurent import LaurentPoly
-from .ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
+from .ratfield import (JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat,
+                       _qq)
 
 HALF = QQ(1, 2)
 
@@ -81,7 +82,7 @@ def rho_monomials(n, params=None):
 def ch_of_monomial(u):
     """(u + 1/u)/2 for a unit monomial u."""
     e, c, s = u.monomial_parts()
-    inv = ParamPoly.monomial(u.vars, tuple(-x for x in e), 1 / c, s)
+    inv = ParamPoly.monomial(u.vars, tuple(-x for x in e), _qq(1, c), s)
     return (u + inv) * HALF
 
 
@@ -292,7 +293,8 @@ def a_type_exponentials(lam, params=None):
     e, c, s = th.monomial_parts()
     for j in range(1, n + 1):
         k = n + 1 - 2 * j
-        mono = ParamPoly.monomial(th.vars, tuple(x * k for x in e), c ** k, s)
+        mono = ParamPoly.monomial(th.vars, tuple(x * k for x in e),
+                                  QQ(c) ** k, s)
         out.append(q ** lam[j - 1] * mono)
     return out
 

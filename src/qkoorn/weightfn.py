@@ -28,7 +28,7 @@ from .laurent import LaurentPoly
 from .ratfield import JACOBI_VARS, QQ, ParamPoly, ParamRat, _qq_text
 from .weights import (HYPEROCTAHEDRAL, linear_refinement, monomial_symmetric,
                       weights_below)
-from .koornwinder import OrthoPoly, _solve_cleared
+from .koornwinder import OrthoPoly, _back_substitute
 from .operators import OperatorSpec, operator_matrix
 from .spectra import eigenvalue_Ern
 
@@ -458,7 +458,7 @@ def gram_schmidt_oracle(lam, spec, _cache=None, style="graded"):
             p_nu, norm = polys[nu]
             if not norm:
                 raise DegenerateNorm("vanishing truncated norm at %s" % (nu,))
-            c = inner_product(monomial_numeric(mu), p_nu, spec) / norm
+            c = QQ(inner_product(monomial_numeric(mu), p_nu, spec), norm)
             if c:
                 f = f + p_nu.scalar_mul(-c)
         norm = inner_product(f, f, spec)
@@ -494,7 +494,7 @@ def koornwinder_numeric(lam, point):
     spec_op = OperatorSpec("koornwinder", n, 1)
     matrix = numeric_matrix(spec_op, lam, point)
     ev = point.specialize(eigenvalue_Ern(1, n, lam))
-    nums, den = _solve_cleared(matrix, lam, ev, QuadExt.rational(1, point.H))
+    nums, den = _back_substitute(matrix, lam, ev, QuadExt.rational(1, point.H))
     return OrthoPoly(lam, {mu: nval / den for mu, nval in nums.items()
                            if nval or mu == lam})
 

@@ -1,0 +1,185 @@
+"""Algebraic laws of the sparse-term kernels on random inputs.
+
+Products and sums of ``ParamPoly`` and ``LaurentPoly`` against a Fraction
+reference, exact division by chains of canonical binomials, the coefficient
+parser against the renderer, and the one representation of a rational
+coefficient: an int when integral, a Fraction otherwise.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qkoorn.errors import NotDivisible
+from qkoorn.laurent import LaurentPoly, canonical_binomial, exact_divide
+from qkoorn.ratfield import KOORN_VARS, QQ, ParamPoly, ParamRat
+
+LAWS = settings(derandomize=True, database=None, deadline=None,
+                max_examples=40)
+KINDS = ("int", "frac", "mixed")
+VARS = ("x", "y", "w")
+
+_ints = st.integers(-10 ** 25, 10 ** 25).filter(bool)
+_fracs = st.builds(QQ, st.integers(-60, 60).filter(bool),
+                   st.sampled_from([2, 3, 12, 2 ** 67])).filter(
+    lambda c: c.denominator != 1)
+
+
+def coeffs(kind):
+    """Nonzero rationals; integral ones come as an int or as a QQ."""
+    ints = st.one_of(_ints, _ints.map(QQ))
+    return {"int": ints, "frac": _fracs,
+            "mixed": st.one_of(ints, _fracs)}[kind]
+
+
+def term_dicts(n, kind, span=3, size=5):
+    exps = st.tuples(*[st.integers(-span, span)] * n)
+    return st.dictionaries(exps, coeffs(kind), max_size=size)
+
+
+@st.composite
+def operands(draw, nops=2):
+    """(n, all integral, [(terms, scale)] * nops) on lattices 1, 2, 3."""
+    n = draw(st.integers(1, 3))
+    kinds = [draw(st.sampled_from(KINDS)) for _ in range(nops)]
+    ops = [(draw(term_dicts(n, k)), draw(st.sampled_from([1, 2, 3])))
+           for k in kinds]
+    return n, all(k == "int" for k in kinds), ops
+
+
+def exact(terms, scale):
+    """A term dict with exponents as exact values and Fraction
+    coefficients."""
+    out = {}
+    for e, c in terms.items():
+        key = tuple(QQ(x, scale) for x in e)
+        out[key] = out.get(key, Fraction(0)) + Fraction(c)
+    return {e: c for e, c in out.items() if c}
+
+
+def reference(op, a, b):
+    a, b = exact(*a), exact(*b)
+    if op == "add":
+        out = dict(a)
+        for e, c in b.items():
+            out[e] = out.get(e, Fraction(0)) + c
+    else:
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def integral(poly):
+    return all(Fraction(c).denominator == 1 for c in poly.terms.values())
+
+
+def check_representation(poly, ints_in):
+    """Every coefficient is an int or a Fraction, and an int when every
+    input coefficient was an integer."""
+    types = {type(c) for c in poly.terms.values()}
+    assert types <= ({int} if ints_in else {int, QQ})
+
+
+def check_canonical(poly):
+    """A public constructor writes every integral coefficient as an int."""
+    for c in poly.terms.values():
+        assert type(c) is int or (type(c) is QQ and c.denominator != 1)
+
+
+def build(cls, n, terms, scale):
+    if cls is ParamPoly:
+        return ParamPoly(VARS[:n], terms, scale)
+    return LaurentPoly(n, terms, scale)
+
+
+@pytest.mark.parametrize("cls", [ParamPoly, LaurentPoly])
+@pytest.mark.parametrize("op", ["add", "mul"])
+@LAWS
+@given(data=operands())
+def test_add_and_mul_match_fraction_reference(cls, op, data):
+    n, ints_in, (a, b) = data
+    pa, pb = build(cls, n, *a), build(cls, n, *b)
+    check_canonical(pa)
+    check_canonical(pb)
+    got = pa + pb if op == "add" else pa * pb
+    assert exact(got.terms, got.scale) == reference(op, a, b)
+    check_representation(got, ints_in)
+
+
+@LAWS
+@given(data=operands(1), k=st.integers(2, 12))
+def test_rational_scalar_multiple_is_canonical(data, k):
+    # 1/k then k: every coefficient of the result is integral again
+    n, _, [a] = data
+    p = build(ParamPoly, n, *a)
+    back = p * QQ(1, k) * k
+    assert back == p
+    check_canonical(back)
+
+
+@st.composite
+def chains(draw):
+    """(p, chain): a numerator and one to three canonical binomials
+    z^eL + c z^eS on lattices 1, 2, 3."""
+    n, _, [(terms, scale)] = draw(operands(1))
+    chain = []
+    for _ in range(draw(st.integers(1, 3))):
+        e2 = draw(st.tuples(*[st.integers(-2, 2)] * n))
+        d = draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
+        trail = draw(coeffs(draw(st.sampled_from(KINDS))))
+        e1 = tuple(x + y for x, y in zip(e2, d))
+        chain.append(canonical_binomial(n, (e1, 1), (e2, trail),
+                                        draw(st.sampled_from([1, 2, 3])))[1])
+    return LaurentPoly(n, terms, scale), chain
+
+
+@LAWS
+@given(data=chains())
+def test_exact_divide_undoes_the_product(data):
+    p, chain = data
+    prod = p
+    for b in chain:
+        prod = prod * b
+    q = exact_divide(prod, [(b, 1) for b in chain])
+    assert q == p
+    check_representation(q, all(map(integral, [p] + chain)))
+
+
+@LAWS
+@given(data=chains(), e=st.tuples(*[st.integers(-3, 3)] * 3),
+       c=coeffs("mixed"))
+def test_added_monomial_is_not_divisible(data, e, c):
+    # a multiple of a binomial is zero or has two terms or more; every term
+    # lies in a small box, so no line of the walk is long
+    p, chain = data
+    prod = p
+    for b in chain:
+        prod = prod * b
+    bad = prod + LaurentPoly.monomial(p.n, e[:p.n], c)
+    with pytest.raises(NotDivisible):
+        exact_divide(bad, [(b, 1) for b in chain])
+
+
+def koorn_polys(nonzero=False):
+    exps = st.tuples(*[st.integers(-2, 2)] * len(KOORN_VARS))
+    terms = st.dictionaries(exps, coeffs("mixed"), min_size=int(nonzero),
+                            max_size=4)
+    return st.builds(lambda t, s: ParamPoly(KOORN_VARS, t, s), terms,
+                     st.sampled_from([1, 2, 3]))
+
+
+@LAWS
+@given(num=koorn_polys(), den=koorn_polys(nonzero=True))
+def test_parse_reads_render(num, den):
+    x = ParamRat(num, den)
+    got = ParamRat.parse(KOORN_VARS, x.render())
+    assert got == x
+    assert got.render() == x.render()
+    ints_in = integral(x.num) and integral(x.den)
+    check_representation(got.num, ints_in)
+    check_representation(got.den, ints_in)

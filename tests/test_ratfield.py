@@ -4,8 +4,14 @@ from fractions import Fraction
 import pytest
 
 from qkoorn.errors import DenominatorVanishes
-from qkoorn.ratfield import (KOORN_VARS, QQ, ParamPoly, ParamRat, _cleared,
-                             substitute_params)
+from qkoorn.koornwinder import _constant_value
+from qkoorn.laurent import LaurentPoly, LaurentRat, canonical_binomial
+from qkoorn.operators import ParamMap, va_factor, vb_factor
+from qkoorn.ratfield import (KOORN_VARS, QQ, ParamPoly, ParamRat,
+                             _rational_value, substitute_params)
+from qkoorn.spectra import ch_of_monomial, eigenvalue_An_leading
+from qkoorn.weightfn import (NumericPoint, WeightFunctionSpec, delta_truncate,
+                             gram_schmidt_oracle)
 
 VARS = ("th", "w")
 
@@ -188,7 +194,8 @@ def test_mul_matches_fraction_reference(seed, kinds):
         a, b = (rand_terms(rng, k) for k in kinds)
         got = ParamPoly(VARS, a) * ParamPoly(VARS, b)
         assert got.terms == fraction_mul(a, b)
-        assert all(type(c) is QQ for c in got.terms.values())
+        types = (int,) if kinds == ("int", "int") else (int, QQ)
+        assert all(type(c) in types for c in got.terms.values())
 
 
 def test_mul_drops_cancelled_terms():
@@ -206,17 +213,6 @@ def test_mul_across_lattices_matches_reference():
         want = fraction_mul({tuple(3 * x for x in e): c for e, c in a.items()},
                             {tuple(2 * x for x in e): c for e, c in b.items()})
         assert got == ParamPoly(VARS, want, 6)
-
-
-def test_cleared_numerators_over_least_common_denominator():
-    terms = {(2,): QQ(1, 2), (1,): QQ(-5, 6), (0,): QQ(3)}
-    assert _cleared(terms) == ({(2,): 3, (1,): -5, (0,): 18}, 6)
-    assert _cleared({(0,): QQ(4)}) == ({(0,): 4}, 1)
-
-
-@pytest.mark.parametrize("other", [3, 0.5, ParamPoly.const(VARS, 2)])
-def test_cleared_refuses_other_coefficients(other):
-    assert _cleared({(1,): QQ(1, 2), (0,): other}) is None
 
 
 def test_public_constructors_drop_zero_coefficients():
@@ -237,3 +233,68 @@ def test_kernel_results_hold_no_zero_coefficients():
                     a.mul_monomial((1, -2), QQ(-2, 3))):
             assert all(got.terms.values())
             assert got == ParamPoly(VARS, dict(got.terms), got.scale)
+
+
+def coeff_types(x):
+    """The types of every rational coefficient inside x."""
+    if isinstance(x, (int, float, Fraction)):
+        return {type(x)}
+    if isinstance(x, ParamRat):
+        return coeff_types(x.num) | coeff_types(x.den)
+    if isinstance(x, (ParamPoly, LaurentPoly)):
+        return set().union(*map(coeff_types, x.terms.values()))
+    if isinstance(x, LaurentRat):
+        return coeff_types(x.num)
+    return set().union(*map(coeff_types, x))
+
+
+def test_exact_division_sites_take_ints():
+    # each site divides two coefficients that may both be ints; int / int
+    # would be a float.  The quotients have odd denominators: a float of a
+    # dyadic rational would convert back exactly and hide the slip
+    K = KOORN_VARS
+    qh = ParamPoly.variable(K, "qh")
+    th = ParamPoly.variable(K, "th")
+    zero = (0,) * len(K)
+    got = [ParamRat(ParamPoly.one(K), 3 * qh),
+           ParamRat(ParamPoly.one(K), 3 * qh + 6)]
+    assert got[0].num.terms == {(-1, 0, 0, 0, 0, 0): QQ(1, 3)}
+    assert got[1].num.terms == {zero: QQ(1, 3)}
+    assert got[1].den == qh + 2
+    _, b, _, cu, _ = canonical_binomial(1, ((1,), 3), ((0,), 2))
+    assert b.terms == {(1,): 1, (0,): QQ(2, 3)} and cu == 3
+    pb = canonical_binomial(1, ((1,), 3 * qh),
+                            ((0,), ParamPoly.const(K, 2)))[1]
+    assert pb.terms[(0,)].terms == {(-1, 0, 0, 0, 0, 0): QQ(2, 3)}
+    r = LaurentRat(LaurentPoly.const(1, 1)).with_binomial_factor(
+        1, ((1,), 3), ((0,), 2))
+    assert r.num.terms == {(0,): QQ(1, 3)}
+    got += [b, pb, r]
+    pm = ParamMap({"th": "3*th", "gb": "5/3", "gc": "5"})
+    assert pm.image("gc") == (zero, 5) and pm.image("th")[1] == 3
+    assert pm.image("gb") == (zero, QQ(5, 3))
+    assert type(ParamMap({"gd": QQ(7)}).image("gd")[1]) is int
+    va = va_factor(1 + len(K), 1, (1,), 0, pm)
+    vb = vb_factor(1 + len(K), 1, 0, 1, pm, shapes=(("gc", 1, -1),))
+    assert set(va.num.terms.values()) == {3, QQ(-1, 3)}
+    assert set(vb.num.terms.values()) == {5, QQ(-1, 5)}
+    ev = eigenvalue_An_leading(1, 3, (1, 0, 0), {"th": 3 * th})
+    assert ev.render() == "9*qh^2*th^2+1+1/9*th^-2"
+    ev_q = (th.mul_monomial((-2, 0, 0, 0, 0, 0)) + 3).eval_var("qh", 3)
+    assert ev_q.render() == "1/9*th+3"
+    ch = ch_of_monomial(3 * qh)
+    assert ch.render() == "3/2*qh+1/6*qh^-1"
+    third = ParamRat(ParamPoly.const(K, 2), ParamPoly.const(K, 3), True)
+    assert _constant_value(third) == _rational_value(K, third) == QQ(2, 3)
+    got += [va, vb, ev, ev_q, ch, _constant_value(third),
+            _rational_value(K, third)]
+    # at trivial couplings the truncated weight is exactly 1, so every
+    # inner product of the Gram-Schmidt projection is an int (and every
+    # projection coefficient 0)
+    spec = WeightFunctionSpec(1, M=2, point=NumericPoint(
+        QQ(1, 4), 1, 1, -1, QQ(1, 2), QQ(-1, 2)))
+    assert delta_truncate(spec).terms == {(0,): 1}
+    gs = gram_schmidt_oracle((2,), spec)
+    assert gs.coeffs == {(2,): 1}
+    got.append(list(gs.coeffs.values()))
+    assert float not in coeff_types(got)
