@@ -4,7 +4,9 @@ exact application to invariant Laurent polynomials.
 Coefficient building blocks: the one-pair ratio v_a, the four-factor external
 ratio v_b, the products V over index cells, and the translator-free sums W
 over ordered set partitions.  The hyperoctahedral operators are applied by
-the staged path (``_apply_staged``), which divides out poles cell by cell.
+the staged path (``_apply_staged``), which divides out poles cell by cell;
+it computes one cell per permutation orbit and maps the others by permuting
+the torus variables, so its input must be permutation-invariant.
 The A-type and spin operators go through their normal form
 (``_apply_normal_form``: the translates of the input against numerators over
 one shared denominator), and so does the translator-grouped form of the
@@ -23,9 +25,9 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .errors import NotDivisible, NotInvariant
-from .laurent import (LaurentPoly, LaurentRat, _grouped_sum, divide_factors,
-                      exact_divide, flat_shift, flatten, lift_to, merge_max,
-                      unflatten)
+from .laurent import (LaurentPoly, LaurentRat, _grouped_sum, canonical_binomial,
+                      divide_factors, exact_divide, flat_shift, flatten,
+                      lift_to, merge_max, unflatten)
 from .ratfield import (JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat,
                        _over_common_den, _qq)
 from .weights import (EVEN_SIGNS, HYPEROCTAHEDRAL, PERMUTATIONS_ONLY,
@@ -77,9 +79,9 @@ def _var_exps(name):
 def _monomial_image(val):
     if isinstance(val, str):
         val = ParamRat.parse(KOORN_VARS, val)
+    if isinstance(val, (int, QQ, ParamRat, ParamPoly)) and not val:
+        raise ValueError("parameter images must be invertible")
     if isinstance(val, (int, QQ)):
-        if not val:
-            raise ValueError("parameter images must be invertible")
         return (0,) * _NP, _qq(val)
     if isinstance(val, ParamRat):
         num_e, nc, ns = val.num.monomial_parts()
@@ -514,7 +516,9 @@ def _apply_normal_form(spec, flat):
 # then cancel the unit-circle poles one variable at a time, exchange
 # symmetry cancels the in-cell pair poles, and only the small cross-cell
 # pair factors survive to the final division.  Every division is exact and
-# raises NotDivisible if any of these cancellation claims ever failed.
+# raises NotDivisible if any of these cancellation claims ever failed.  On a
+# permutation-invariant input the cells form one orbit under permutations of
+# the torus variables: one cell is computed, the rest are its images.
 
 
 def _classify_factor(key, n):
@@ -605,13 +609,50 @@ def _staged_cell(eng, J, f_flat):
     return acc, cross_den
 
 
+def _permuted_cell(acc, cross, perm):
+    """A cell's numerator and cross-cell factors with the torus variables
+    permuted (``LaurentPoly.permuted`` of ``perm``, the full flat width).
+    Each permuted factor is re-canonicalised; the unit that splits off moves
+    into the numerator, once per multiplicity."""
+    num = acc.permuted(perm)
+    den = {}
+    for b, m in cross.values():
+        pb = b.permuted(perm)
+        key, binom, mm, cu, su = canonical_binomial(
+            pb.n, *pb.terms.items(), pb.scale)
+        if cu != 1 or any(mm):
+            num = num.mul_monomial(tuple(-m * x for x in mm), _qq(1, cu ** m),
+                                   su)
+        den[key] = (binom, m)
+    return num, den
+
+
 def _apply_staged(spec, f_flat):
+    """D_r applied to a flat polynomial: the sum of the cells J (index sets
+    of size r) over the union of their cross-cell factors, divided exactly.
+
+    The input must be invariant under permutations of the torus variables
+    (NotInvariant otherwise).  Then the cell J is the cell J0 = (0..r-1)
+    with z_J0 renamed z_J and z_J0c renamed z_Jc, so only J0 is computed and
+    every other cell is its permuted image."""
     n, r = spec.n, spec.r
     eng = _engine(n, spec.params)
+    width = eng.width
+    for i in range(n - 1):
+        swap = list(range(width))
+        swap[i], swap[i + 1] = i + 1, i
+        if f_flat.permuted(swap) != f_flat:
+            raise NotInvariant("the staged path needs an input invariant "
+                               "under permutations of the torus variables")
+    acc0, cross0 = _staged_cell(eng, tuple(range(r)), f_flat)
     pieces = []
     union = {}
     for J in combinations(range(n), r):
-        acc, cross = _staged_cell(eng, J, f_flat)
+        tau = J + tuple(x for x in range(n) if x not in J)
+        perm = list(range(width))
+        for i, j in enumerate(tau):
+            perm[j] = i
+        acc, cross = _permuted_cell(acc0, cross0, perm)
         pieces.append((acc, cross))
         merge_max(union, cross)
     total = None

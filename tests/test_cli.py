@@ -90,6 +90,8 @@ BAD_INPUTS = {
     "unknown-family": (["poly", "--n", "1", "--weight", "2", "--method",
                         "family", "--family", "Xn"], 2),
     "weight-not-integers": (["poly", "--n", "2", "--weight", "a,b"], 2),
+    "zero-parameter-image": (["poly", "--n", "1", "--weight", "2",
+                              "--params", '{"th":"ga-ga"}'], 2),
     # a property of the parameter point, not of the command line
     "divergent-series": (["poly", "--n", "1", "--weight", "1", "--method",
                           "gs", "--trunc", "3", "--numeric",

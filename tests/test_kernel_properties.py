@@ -1,9 +1,10 @@
 """Algebraic laws of the sparse-term kernels on random inputs.
 
 Products and sums of ``ParamPoly`` and ``LaurentPoly`` against a Fraction
-reference, exact division by chains of canonical binomials, the coefficient
-parser against the renderer, and the one representation of a rational
-coefficient: an int when integral, a Fraction otherwise.
+reference, exact division by chains of canonical binomials, canonical
+binomials under a permutation of the torus variables, the coefficient parser
+against the renderer, and the one representation of a rational coefficient:
+an int when integral, a Fraction otherwise.
 """
 
 from fractions import Fraction
@@ -13,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkoorn.errors import NotDivisible
-from qkoorn.laurent import LaurentPoly, canonical_binomial, exact_divide
+from qkoorn.laurent import (LaurentPoly, canonical_binomial, divide_factors,
+                            exact_divide)
+from qkoorn.operators import _permuted_cell
 from qkoorn.ratfield import KOORN_VARS, QQ, ParamPoly, ParamRat
 
 LAWS = settings(derandomize=True, database=None, deadline=None,
@@ -163,6 +166,56 @@ def test_added_monomial_is_not_divisible(data, e, c):
     bad = prod + LaurentPoly.monomial(p.n, e[:p.n], c)
     with pytest.raises(NotDivisible):
         exact_divide(bad, [(b, 1) for b in chain])
+
+
+@st.composite
+def permuted_binomials(draw):
+    """(b, m, perm): a canonical flat binomial z^eL + c z^eS on width n + 6
+    with an int trailing coefficient c, a multiplicity m, and a permutation
+    of the n torus slots (parameter slots fixed) that may swap eL and eS in
+    lex order."""
+    n = draw(st.integers(2, 3))
+    width = n + len(KOORN_VARS)
+    torus = st.tuples(*[st.integers(-2, 2)] * n)
+    params = st.tuples(*[st.integers(-2, 2)] * len(KOORN_VARS))
+    t1 = draw(torus)
+    p1 = draw(params)
+    # distinct torus parts put the lex order in the permuted slots
+    e1 = t1 + p1
+    e2 = draw(torus.filter(lambda t: t != t1)) + draw(
+        st.one_of(st.just(p1), params))
+    trail = draw(st.integers(-6, 6).filter(bool))
+    b = canonical_binomial(width, (max(e1, e2), 1), (min(e1, e2), trail),
+                           draw(st.sampled_from([1, 2])))[1]
+    perm = tuple(draw(st.permutations(range(n)))) + tuple(range(n, width))
+    return b, draw(st.integers(1, 2)), perm
+
+
+@LAWS
+@given(data=permuted_binomials())
+def test_permuted_binomial_recanonicalises(data):
+    b, m, perm = data
+    pb = b.permuted(perm)
+    key, binom, mm, cu, su = canonical_binomial(pb.n, *pb.terms.items(),
+                                                pb.scale)
+    assert binom.mul_monomial(mm, cu, su) == pb
+    _, den = _permuted_cell(b, {None: (b, m)}, perm)
+    assert den == {key: (binom, m)}
+
+
+@LAWS
+@given(data=permuted_binomials(), draw=st.data())
+def test_permuted_cell_divides_to_permuted_quotient(data, draw):
+    # sigma(p * b^m) over the re-canonicalised sigma(b)^m, with the unit
+    # folded into the numerator, is sigma(p)
+    b, m, perm = data
+    p = LaurentPoly(b.n, draw.draw(term_dicts(b.n, "mixed", span=2, size=4)),
+                    draw.draw(st.sampled_from([1, 2, 3])))
+    num = p
+    for _ in range(m):
+        num = num * b
+    num, den = _permuted_cell(num, {None: (b, m)}, perm)
+    assert divide_factors(num, den) == p.permuted(perm)
 
 
 def koorn_polys(nonzero=False):

@@ -1,19 +1,21 @@
 import cmath
 import math
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from qkoorn.errors import NotInvariant
-from qkoorn.laurent import LaurentPoly, LaurentRat
+from qkoorn.laurent import (LaurentPoly, LaurentRat, divide_factors, flatten,
+                            lift_to, merge_max)
 from qkoorn.operators import (IDENTITY, OperatorSpec, ParamMap,
                               apply_operator, apply_operator_grouped,
                               apply_operator_nested, apply_one_var,
                               apply_to_monomial, commutator_on_basis,
                               elementary_symmetric_apply, monomial_leading,
                               operator_matrix, ordered_set_partitions,
-                              va_factor, vb_factor, _engine)
+                              va_factor, vb_factor, _apply_staged, _engine,
+                              _staged_cell)
 from qkoorn.ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
 from qkoorn.spectra import eigenvalue_Ern, eigenvalue_jacobi
 from qkoorn.weights import (HYPEROCTAHEDRAL, PERMUTATIONS_ONLY, dominance_leq,
@@ -247,6 +249,49 @@ def test_form_equivalence_small():
                 assert a == apply_operator_grouped(spec, m)
                 if sum(lam) <= 2:
                     assert a == apply_operator_nested(spec, m)
+
+
+def _staged_every_cell(spec, f_flat):
+    """The staged sum with every cell computed from scratch."""
+    eng = _engine(spec.n, spec.params)
+    pieces, union = [], {}
+    for J in combinations(range(spec.n), spec.r):
+        acc, cross = _staged_cell(eng, J, f_flat)
+        pieces.append((acc, cross))
+        merge_max(union, cross)
+    total = None
+    for acc, cross in pieces:
+        acc = lift_to(acc, cross, union)
+        total = acc if total is None else total + acc
+    return divide_factors(total, union)
+
+
+@pytest.mark.parametrize("params", [IDENTITY,
+                                    ParamMap({"gc": "ga", "gd": "gb"})],
+                         ids=["identity", "BCn:Cn"])
+def test_staged_orbit_matches_every_cell(params):
+    # the cells of one permutation orbit, mapped from the first, sum to the
+    # same image as the cells computed one by one
+    for lam in ((1, 1, 0), (2, 0, 0)):
+        flat = flatten(monomial_symmetric(lam), KOORN_VARS)
+        for r in (1, 2):
+            spec = OperatorSpec("koornwinder", 3, r, params)
+            assert _apply_staged(spec, flat) == _staged_every_cell(spec, flat)
+
+
+@pytest.mark.parametrize("value", ["0", "0*ga", "ga-ga"])
+def test_zero_parameter_image_is_refused(value):
+    with pytest.raises(ValueError, match="invertible"):
+        ParamMap({"th": value})
+
+
+def test_staged_path_refuses_non_permutation_invariant_input():
+    # z_1 + 1/z_1 is invariant under z_1 -> 1/z_1, not under z_1 <-> z_2
+    one = ParamPoly.one(KOORN_VARS)
+    f = LaurentPoly(3, {(1, 0, 0): one, (-1, 0, 0): one})
+    with pytest.raises(NotInvariant):
+        apply_operator(OperatorSpec("koornwinder", 3, 1), f,
+                       check_invariance=False)
 
 
 def test_output_invariance_and_polynomiality():
