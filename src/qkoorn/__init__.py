@@ -14,8 +14,7 @@ from .laurent import LaurentPoly, LaurentRat, exact_divide, shift_var
 from .operators import (IDENTITY, OperatorSpec, ParamMap, apply_operator,
                         apply_operator_nested, commutator_on_basis,
                         operator_matrix)
-from .ratfield import (JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat,
-                       substitute_params)
+from .ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
 from .spectra import (cp_check, eigenvalue_An, eigenvalue_Ern,
                       eigenvalue_jacobi, F_solve, hc_lift, monotonicity_check)
 from .weights import (dominance_leq, expand_in_monomials, linear_refinement,

@@ -16,9 +16,9 @@ from .errors import NotEigenfunction, ZeroDenominator
 from .operators import (IDENTITY, OperatorSpec, ParamMap, apply_operator,
                         operator_matrix)
 from .ratfield import (JACOBI_VARS, KOORN_VARS, ParamPoly, ParamRat, _common,
-                       _over_common_den, _qq, _qq_text, substitute_params)
+                       _over_common_den, _qq, _qq_text)
 from .spectra import (ch_of_monomial, eigenvalue_An_leading, eigenvalue_Ern,
-                      eigenvalue_jacobi)
+                      eigenvalue_jacobi, rho_monomials)
 from .weights import (HYPEROCTAHEDRAL, PERMUTATIONS_ONLY, linear_refinement,
                       monomial_symmetric)
 
@@ -129,7 +129,7 @@ def koornwinder_triangular(lam, params=None, verify=False):
     params = params or IDENTITY
     n = len(lam)
     p = _triangular(OperatorSpec("koornwinder", n, 1, params), lam,
-                    eigenvalue_Ern(1, n, lam, params.as_subst() or None),
+                    eigenvalue_Ern(1, n, lam, params.as_subst()),
                     KOORN_VARS)
     if verify:
         for r in range(1, n + 1):
@@ -141,7 +141,7 @@ def verify_joint_eigen(p, r, params=None):
     """Assert D_r p = E_r(lam) p through the operator matrix; returns the
     eigenvalue."""
     params = params or IDENTITY
-    ev = eigenvalue_Ern(r, p.n, p.weight, params.as_subst() or None)
+    ev = eigenvalue_Ern(r, p.n, p.weight, params.as_subst())
     _eigen_check(OperatorSpec("koornwinder", p.n, r, params), p, ev)
     return ev
 
@@ -193,8 +193,8 @@ def qh1_limit(p, g, g0, g1, g0p, g1p):
     at_one = {"qh": 1}
     out = {}
     for mu, c in p.coeffs.items():
-        c1 = substitute_params(c, sub)
-        c2 = substitute_params(c1, at_one)
+        c1 = c.substitute(sub)
+        c2 = c1.substitute(at_one)
         out[mu] = _constant_value(c2)
     return OrthoPoly(p.weight, out, p.group, p.scale)
 
@@ -214,7 +214,7 @@ def evaluate_jacobi_coeffs(p, g, tg0, tg1):
     out = {}
     for mu, c in p.coeffs.items():
         for name, val in (("g", g), ("tg0", tg0), ("tg1", tg1)):
-            c = substitute_params(c, {name: val})
+            c = c.substitute({name: val})
         out[mu] = _constant_value(c)
     return OrthoPoly(p.weight, out, p.group, p.scale)
 
@@ -235,7 +235,7 @@ def a_type_eigen_check(p_lead, r, params=None):
     spec = OperatorSpec("a_type", n, r, params)
     f = p_lead.to_laurent()
     img = apply_operator(spec, f, check_invariance=False)
-    ev = eigenvalue_An_leading(r, n, p_lead.weight, params.as_subst() or None)
+    ev = eigenvalue_An_leading(r, n, p_lead.weight, params.as_subst())
     want = f.map_coeff(lambda c: c * ParamRat.from_poly(ev))
     if not (img == want):
         raise NotEigenfunction("A-type eigen-equation fails, r=%d" % r)
@@ -307,21 +307,12 @@ def bn_antiperiodic(lam, S, verify_lam0=True):
 def relm_constant(n, S):
     """The additive constant of the spin-conjugation identity:
     2 sum_j (ch beta(rho_j + 1/2) - ch beta rho_j) at (Bn, S) parameters."""
-    fam = family_specialize(("Bn", S))
-    sub = fam.as_subst()
-    th = sub.get("th", ParamPoly.variable(KOORN_VARS, "th"))
-    ga = sub.get("ga", ParamPoly.variable(KOORN_VARS, "ga"))
-    gb = sub.get("gb", ParamPoly.one(KOORN_VARS))
-    gc = sub.get("gc", ParamPoly.one(KOORN_VARS))
-    gd = sub.get("gd", ParamPoly.one(KOORN_VARS))
-    h = ga * gb * gc * gd
     qh = ParamPoly.variable(KOORN_VARS, "qh")
     total = ParamPoly.zero(KOORN_VARS)
-    for j in range(1, n + 1):
-        u = th ** (2 * (n - j)) * h
+    for u in rho_monomials(n):
         total = (total + ch_of_monomial(u * qh) * 2
                  + (-(ch_of_monomial(u) * 2)))
-    return total
+    return total.substitute(family_specialize(("Bn", S)).as_subst())
 
 
 def dn_combine(lam, delta):

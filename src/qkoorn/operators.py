@@ -27,9 +27,10 @@ from itertools import combinations, product
 from .errors import NotDivisible, NotInvariant
 from .laurent import (LaurentPoly, LaurentRat, _grouped_sum, canonical_binomial,
                       divide_factors, exact_divide, flat_shift, flatten,
-                      lift_to, merge_max, unflatten)
+                      merge_max, unflatten)
 from .ratfield import (JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat,
-                       _over_common_den, _qq)
+                       _monomial_image as _image_parts, _over_common_den,
+                       _qq)
 from .weights import (EVEN_SIGNS, HYPEROCTAHEDRAL, PERMUTATIONS_ONLY,
                       expand_in_monomials, is_invariant, monomial_symmetric,
                       weights_below)
@@ -39,8 +40,9 @@ _QH, _TH, _GA, _GB, _GC, _GD = range(_NP)
 
 
 class ParamMap:
-    """Substitution of half-parameters by monomial values (e.g. th -> 1,
-    gb -> qh, or a rational constant).  qh itself is never substituted."""
+    """Substitution of half-parameters by nonzero monomials on the integer
+    lattice (e.g. th -> 1, gb -> qh, gc -> ga, or a rational constant).
+    qh itself is never substituted."""
 
     __slots__ = ("images", "key")
 
@@ -77,24 +79,16 @@ def _var_exps(name):
 
 
 def _monomial_image(val):
+    """(exponent vector, rational coefficient) of a ParamMap image: text or
+    a value ``ratfield._monomial_image`` reads, on the integer lattice."""
     if isinstance(val, str):
         val = ParamRat.parse(KOORN_VARS, val)
-    if isinstance(val, (int, QQ, ParamRat, ParamPoly)) and not val:
-        raise ValueError("parameter images must be invertible")
-    if isinstance(val, (int, QQ)):
-        return (0,) * _NP, _qq(val)
-    if isinstance(val, ParamRat):
-        num_e, nc, ns = val.num.monomial_parts()
-        den_e, dc, ds = val.den.monomial_parts()
-        if ns != 1 or ds != 1:
-            raise ValueError("parameter images must be plain monomials")
-        return tuple(a - b for a, b in zip(num_e, den_e)), _qq(nc, dc)
-    if isinstance(val, ParamPoly):
-        e, c, s = val.monomial_parts()
-        if s != 1:
-            raise ValueError("parameter images must be plain monomials")
-        return e, c
-    raise TypeError("bad parameter image %r" % (val,))
+    elif not isinstance(val, (int, QQ, ParamRat, ParamPoly)):
+        raise TypeError("bad parameter image %r" % (val,))
+    e, c, s = _image_parts(KOORN_VARS, val)
+    if s != 1:
+        raise ValueError("parameter images must be plain monomials")
+    return e, c
 
 
 IDENTITY = ParamMap()
@@ -543,8 +537,7 @@ def _staged_cell(eng, J, f_flat):
     n = eng.n
     r = len(J)
     Jc = tuple(x for x in range(n) if x not in J)
-    reduced = {}
-    plain_union = {}
+    reduced = []
     for eps in product((1, -1), repeat=r):
         den, groups = eng.nucleus_groups(J, eps)
         emap = dict(zip(J, eps))
@@ -561,15 +554,12 @@ def _staged_cell(eng, J, f_flat):
         for k, bm in den.items():
             kind, _ = _classify_factor(k, n)
             (qpairs if kind == "qpair" else plain)[k] = bm
-        num = divide_factors(num, qpairs)
+        # the qpair and qhunit keys differ in their torus support
         for j, e in zip(J, eps):
-            _, _, qhunit = eng.vb_split(j, e)
-            num = divide_factors(num, qhunit)
-        reduced[eps] = (num, plain)
-        merge_max(plain_union, plain)
-    state = {eps: lift_to(num, plain, plain_union)
-             for eps, (num, plain) in reduced.items()}
-    pending_pairs = dict(plain_union)
+            qpairs.update(eng.vb_split(j, e)[2])
+        reduced.append((eps, 1, LaurentRat(divide_factors(num, qpairs),
+                                           plain)))
+    pending_pairs, state = _grouped_sum(reduced)
     cross_den = {}
     for pos, j in enumerate(J):
         couple = {}
@@ -600,9 +590,8 @@ def _staged_cell(eng, J, f_flat):
                 vnum, cnum = branches[e]
                 piece = state[(e,) + rest] * vnum * cnum
                 total = piece if total is None else total + piece
-            total = divide_factors(total, zdiv)
-            total = divide_factors(total, ready)
-            newstate[rest] = total
+            # the zunit and pair keys differ in their torus support
+            newstate[rest] = divide_factors(total, {**zdiv, **ready})
         state = newstate
     acc = state[()]
     acc = divide_factors(acc, pending_pairs)
@@ -645,22 +634,16 @@ def _apply_staged(spec, f_flat):
             raise NotInvariant("the staged path needs an input invariant "
                                "under permutations of the torus variables")
     acc0, cross0 = _staged_cell(eng, tuple(range(r)), f_flat)
-    pieces = []
-    union = {}
+    cells = []
     for J in combinations(range(n), r):
         tau = J + tuple(x for x in range(n) if x not in J)
         perm = list(range(width))
         for i, j in enumerate(tau):
             perm[j] = i
-        acc, cross = _permuted_cell(acc0, cross0, perm)
-        pieces.append((acc, cross))
-        merge_max(union, cross)
-    total = None
-    for acc, cross in pieces:
-        acc = lift_to(acc, cross, union)
-        total = acc if total is None else total + acc
-    total = divide_factors(total, union)
-    return total
+        cells.append((None, 1, LaurentRat(*_permuted_cell(acc0, cross0,
+                                                           perm))))
+    union, total = _grouped_sum(cells)
+    return divide_factors(total[None], union)
 
 
 # ---------------------------------------------------------------------------

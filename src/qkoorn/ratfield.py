@@ -16,6 +16,11 @@ Exponents may be negative (Laurent) and may sit on a refined lattice: a poly
 carries an integer ``scale`` and stores exponents multiplied by it, so e.g.
 qh^(1/3) is representable exactly.  All arithmetic is exact rational.
 
+A parameter substitution (a classical family, th = qh^g before q -> 1)
+sends variables to nonzero monomials, so it is one exponent map per term
+(``ParamPoly.substitute``); pinning a single variable to a rational value
+cancels removable poles first (``ParamRat.substitute``).
+
 An exact rational coefficient has one representation: a Python ``int`` when
 it is integral and a ``Fraction`` (``QQ``) otherwise, never a float.  The
 public constructors write an integral ``Fraction`` as its ``int``; kernel
@@ -399,35 +404,34 @@ class ParamPoly:
         return ParamPoly(self.vars, out, self.scale)
 
     def substitute(self, sigma):
-        """Ring homomorphism sending variables to ParamRat values.
-
-        sigma maps variable names to ParamRat (or ParamPoly / rational)
-        values over the same variable tuple.  Unlisted variables map to
-        themselves.  Fractional exponents require monomial images.
-        """
-        vals = {}
-        for name, v in sigma.items():
-            vals[self.vars.index(name)] = _as_rat(self.vars, v)
-        out = ParamRat.zero(self.vars)
-        cache = {}
+        """The image of self when each variable named in sigma is replaced
+        by a nonzero monomial (see ``_monomial_image``); unlisted variables
+        stay.  One pass maps every term's exponents onto the lattice
+        ``scale * lcm(image scales)`` and its coefficient; a fractional
+        power of an image needs a unit coefficient."""
+        images = [(self.vars.index(name), _monomial_image(self.vars, v))
+                  for name, v in sigma.items()]
+        lcm = 1
+        for _, (_, _, s) in images:
+            lcm = lcm * s // gcd(lcm, s)
+        out = {}
         for e, c in self.terms.items():
-            term = ParamRat.from_poly(ParamPoly.const(self.vars, c))
-            mono = [0] * len(self.vars)
-            for i, k in enumerate(e):
+            new = [x * lcm for x in e]
+            for i, (ie, ic, s) in images:
+                k = e[i]
                 if not k:
                     continue
-                if i not in vals:
-                    mono[i] += k
-                    continue
-                key = (i, k)
-                if key not in cache:
-                    cache[key] = _rat_power(vals[i], k, self.scale)
-                term = term * cache[key]
-            if any(mono):
-                term = term * ParamRat.from_poly(
-                    ParamPoly.monomial(self.vars, mono, 1, self.scale))
-            out = out + term
-        return out
+                new[i] -= k * lcm
+                f = k * (lcm // s)
+                new = [x + y * f for x, y in zip(new, ie)]
+                if ic != 1:
+                    if k % self.scale:
+                        raise ValueError("fractional power needs a "
+                                         "unit-coefficient monomial")
+                    c = c * QQ(ic) ** (k // self.scale)
+            new = tuple(new)
+            out[new] = out.get(new, 0) + c
+        return ParamPoly(self.vars, out, self.scale * lcm)
 
     def render(self):
         """Canonical text form: sum of monomials in a fixed term order."""
@@ -463,19 +467,23 @@ class ParamPoly:
         return "ParamPoly(%s)" % self.render()
 
 
-def _rat_power(v, k, scale):
-    """v ** (k/scale) for ParamRat v; fractional powers need monomial v."""
-    if k % scale == 0:
-        return v ** (k // scale)
-    num, den = v.num, v.den
-    if not (num.is_monomial() and den.is_monomial()):
-        raise ValueError("fractional power of a non-monomial value")
-    en, cn, sn = num.monomial_parts()
-    ed, cd, sd = den.monomial_parts()
-    if cn != 1 or cd != 1 or sn != 1 or sd != 1:
-        raise ValueError("fractional power needs a unit-coefficient monomial")
-    e = tuple((a - b) * k for a, b in zip(en, ed))
-    return ParamRat.from_poly(ParamPoly(v.num.vars, {e: 1}, scale))
+def _monomial_image(vars_, val):
+    """(exponents, coefficient, scale) of a substitution image: a nonzero
+    rational, a nonzero ParamPoly monomial, or a ParamRat equal to one of
+    these (its constructor moves a monomial denominator into the
+    numerator); the exponents are in units of 1/scale."""
+    if isinstance(val, ParamRat):
+        if not val.den.is_one():
+            raise ValueError("parameter images must be plain monomials")
+        val = val.num
+    elif not isinstance(val, ParamPoly):
+        val = ParamPoly.const(vars_, val)
+    if not val:
+        raise ValueError("parameter images must be invertible")
+    if not val.is_monomial():
+        raise ValueError("parameter images must be plain monomials")
+    e, c, s = val.monomial_parts()
+    return e, _qq(c), s
 
 
 def _as_rat(vars_, v):
@@ -624,22 +632,20 @@ class ParamRat:
         return self._hash
 
     def substitute(self, sigma):
-        """Apply a parameter substitution; cancels removable poles.
+        """Replace the variables named in sigma by nonzero monomials (see
+        ``ParamPoly.substitute``); raises DenominatorVanishes when the
+        denominator's image is zero.
 
-        When the substitution pins a single variable to a rational value,
-        evaluation proceeds through exact synthetic division so that shared
-        linear factors cancel first (this is how q->1 limits are taken).
-        Raises DenominatorVanishes on a genuine pole.
+        A single variable pinned to a rational value goes through exact
+        synthetic division instead, so that shared linear factors cancel
+        first (this is how q->1 limits are taken); that path raises
+        DenominatorVanishes only on a genuine pole.
         """
         if len(sigma) == 1:
             (name, v), = sigma.items()
             if _is_rational(self.vars, v):
                 return self._pin(name, _rational_value(self.vars, v))
-        den = self.den.substitute(sigma)
-        if den.num.is_zero():
-            raise DenominatorVanishes("substitution hits a pole")
-        num = self.num.substitute(sigma)
-        return num / den
+        return ParamRat(self.num.substitute(sigma), self.den.substitute(sigma))
 
     def _pin(self, name, value):
         num, den = self.num, self.den
@@ -781,8 +787,3 @@ def _rational_value(vars_, v):
             return 0
         return v.lex_leading()[1]
     return _qq(_rational_value(vars_, v.num), _rational_value(vars_, v.den))
-
-
-def substitute_params(f, sigma):
-    """Module-level entry for applying a substitution to a ParamRat."""
-    return f.substitute(sigma)

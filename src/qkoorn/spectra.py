@@ -60,23 +60,12 @@ def complete_homogeneous(k, values, one):
 # multiplicative rho vectors and ch encodings
 
 
-def _subst_monomial(params, name):
-    """Image of a half-parameter under a substitution map (monomial)."""
-    if params is None:
-        return ParamPoly.variable(KOORN_VARS, name)
-    return params.get(name, ParamPoly.variable(KOORN_VARS, name))
-
-
 def rho_monomials(n, params=None):
-    """u_j = exp(-beta*rho_j) = th^(2(n-j)) * ga*gb*gc*gd, j = 1..n."""
-    prod = ParamPoly.one(KOORN_VARS)
-    for name in ("ga", "gb", "gc", "gd"):
-        prod = prod * _subst_monomial(params, name)
-    th = _subst_monomial(params, "th")
-    out = []
-    for j in range(1, n + 1):
-        out.append(prod * th ** (2 * (n - j)))
-    return out
+    """u_j = exp(-beta*rho_j) = th^(2(n-j)) * ga*gb*gc*gd, j = 1..n, with
+    the substitution params (name -> monomial image) applied if given."""
+    out = [ParamPoly.monomial(KOORN_VARS, (0, 2 * (n - j), 1, 1, 1, 1))
+           for j in range(1, n + 1)]
+    return [u.substitute(params) for u in out] if params else out
 
 
 def ch_of_monomial(u):
@@ -285,18 +274,13 @@ def evaluate_generator_poly(Q, values):
 
 
 def a_type_exponentials(lam, params=None):
-    """exp(-beta(lam_j + rho'_j)) = qh^(2 lam_j) th^(n+1-2j), j = 1..n."""
+    """exp(-beta(lam_j + rho'_j)) = qh^(2 lam_j) th^(n+1-2j), j = 1..n, with
+    the substitution params applied if given."""
     n = len(lam)
-    th = _subst_monomial(params, "th")
-    q = ParamPoly.variable(KOORN_VARS, "qh", 2)
-    out = []
-    e, c, s = th.monomial_parts()
-    for j in range(1, n + 1):
-        k = n + 1 - 2 * j
-        mono = ParamPoly.monomial(th.vars, tuple(x * k for x in e),
-                                  QQ(c) ** k, s)
-        out.append(q ** lam[j - 1] * mono)
-    return out
+    out = [ParamPoly.monomial(KOORN_VARS, (2 * lam[j - 1], n + 1 - 2 * j,
+                                           0, 0, 0, 0))
+           for j in range(1, n + 1)]
+    return [u.substitute(params) for u in out] if params else out
 
 
 def eigenvalue_An_leading(r, n, lam, params=None):

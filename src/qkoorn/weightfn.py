@@ -213,21 +213,19 @@ def tol(point, M, deg):
 
 
 class WeightFunctionSpec:
-    """Family, truncation order and numeric parameter point for the torus
-    weight.  zbox is where each geometric series is cut (j <= zbox), each
+    """Truncation order and numeric parameter point for the Koornwinder
+    torus weight.  zbox is where each geometric series is cut (j <= zbox), each
     line series is cut (|k| <= zbox), and the box |e_i| <= zbox on which
     delta_truncate gives the exact product of those series."""
 
-    def __init__(self, n, M=16, point=DEFAULT_POINT, family="koornwinder",
-                 zbox=None):
+    def __init__(self, n, M=16, point=DEFAULT_POINT, zbox=None):
         self.n = n
         self.M = M
         self.point = point
-        self.family = family
         self.zbox = zbox if zbox is not None else max(2 * M + 6, 12)
 
     def key(self):
-        return (self.n, self.M, self.family, self.zbox, self.point.key())
+        return (self.n, self.M, self.zbox, self.point.key())
 
 
 def _weight_factors(spec):
@@ -257,33 +255,28 @@ def _weight_factors(spec):
         return tuple(e)
 
     directions = []
-    if spec.family in ("koornwinder", "a_type"):
-        for j in range(n):
-            for k in range(j + 1, n):
-                if spec.family == "koornwinder":
-                    directions += [pair(j, k, 1, 1), pair(j, k, -1, -1)]
-                directions += [pair(j, k, 1, -1), pair(j, k, -1, 1)]
-    else:
-        raise ValueError("no truncated product weight for %r" % spec.family)
+    for j in range(n):
+        for k in range(j + 1, n):
+            directions += [pair(j, k, 1, 1), pair(j, k, -1, -1),
+                           pair(j, k, 1, -1), pair(j, k, -1, 1)]
     for step in directions:
         for m in range(M):
             qm = p.q ** m
             add(num, qm, step)
             add(den, p.t * qm, step)
-    if spec.family == "koornwinder":
-        # the external factor in its fully split form: the numerator
-        # (w^2; q) appears as (w, -w, qh w, -qh w; q), which aligns the
-        # truncation with the four denominator families so that trivial
-        # couplings telescope to exactly 1
-        for j in range(n):
-            for s in (1, -1):
-                e = unit(j, s)
-                for m in range(M):
-                    qm = p.q ** m
-                    for r in (QQ(1), QQ(-1), p.qh, -p.qh):
-                        add(num, r * qm, e)
-                    for x in (p.a, p.b, p.c, p.d):
-                        add(den, x * qm, e)
+    # the external factor in its fully split form: the numerator (w^2; q)
+    # appears as (w, -w, qh w, -qh w; q), which aligns the truncation with
+    # the four denominator families so that trivial couplings telescope to
+    # exactly 1
+    for j in range(n):
+        for s in (1, -1):
+            e = unit(j, s)
+            for m in range(M):
+                qm = p.q ** m
+                for r in (QQ(1), QQ(-1), p.qh, -p.qh):
+                    add(num, r * qm, e)
+                for x in (p.a, p.b, p.c, p.d):
+                    add(den, x * qm, e)
     # multiset cancellation
     for key in list(num):
         if key in den:

@@ -124,10 +124,10 @@ def expand_in_monomials(f, group=HYPEROCTAHEDRAL):
 
     Peels the lexicographically maximal dominant weight of the support.
     Raises NotInvariant if the support is not a union of equal-coefficient
-    orbits.
+    orbits, which is exactly when f is not invariant: a peel subtracts a
+    whole orbit, so an unequal coefficient leaves an orbit member whose
+    dominant member is gone.
     """
-    if not is_invariant(f, group):
-        raise NotInvariant("input is not invariant under %s" % group)
     rem = LaurentPoly(f.n, dict(f.terms), f.scale)
     coeffs = {}
     while rem.terms:

@@ -3,8 +3,9 @@
 Products and sums of ``ParamPoly`` and ``LaurentPoly`` against a Fraction
 reference, exact division by chains of canonical binomials, canonical
 binomials under a permutation of the torus variables, the coefficient parser
-against the renderer, and the one representation of a rational coefficient:
-an int when integral, a Fraction otherwise.
+against the renderer, parameter substitution by monomial images against
+multiplication and evaluation, and the one representation of a rational
+coefficient: an int when integral, a Fraction otherwise.
 """
 
 from fractions import Fraction
@@ -218,16 +219,16 @@ def test_permuted_cell_divides_to_permuted_quotient(data, draw):
     assert divide_factors(num, den) == p.permuted(perm)
 
 
-def koorn_polys(nonzero=False):
-    exps = st.tuples(*[st.integers(-2, 2)] * len(KOORN_VARS))
+def param_polys(vars_=KOORN_VARS, nonzero=False, lattices=(1, 2, 3)):
+    exps = st.tuples(*[st.integers(-2, 2)] * len(vars_))
     terms = st.dictionaries(exps, coeffs("mixed"), min_size=int(nonzero),
                             max_size=4)
-    return st.builds(lambda t, s: ParamPoly(KOORN_VARS, t, s), terms,
-                     st.sampled_from([1, 2, 3]))
+    return st.builds(lambda t, s: ParamPoly(vars_, t, s), terms,
+                     st.sampled_from(lattices))
 
 
 @LAWS
-@given(num=koorn_polys(), den=koorn_polys(nonzero=True))
+@given(num=param_polys(), den=param_polys(nonzero=True))
 def test_parse_reads_render(num, den):
     x = ParamRat(num, den)
     got = ParamRat.parse(KOORN_VARS, x.render())
@@ -236,3 +237,102 @@ def test_parse_reads_render(num, den):
     ints_in = integral(x.num) and integral(x.den)
     check_representation(got.num, ints_in)
     check_representation(got.den, ints_in)
+
+
+def monomials(lattices=(1, 2), unit=False):
+    """Nonzero ParamPoly monomials over VARS with a rational coefficient
+    (1 when ``unit``)."""
+    return st.builds(lambda e, c, s: ParamPoly.monomial(VARS, e, c, s),
+                     st.tuples(*[st.integers(-2, 2)] * len(VARS)),
+                     st.just(1) if unit else coeffs("mixed"),
+                     st.sampled_from(lattices))
+
+
+def images(lattices=(1, 2), unit=False):
+    """Substitution images: a nonzero rational, a ParamPoly monomial, or a
+    ParamRat quotient of two monomials."""
+    mono = monomials(lattices, unit)
+    return st.one_of(st.just(1) if unit else coeffs("mixed"), mono,
+                     st.builds(ParamRat, mono, mono))
+
+
+def substitutions(lattices=(1, 2), unit=False):
+    return st.dictionaries(st.sampled_from(VARS), images(lattices, unit),
+                           min_size=1)
+
+
+def value(x, at):
+    """x (a rational, a ParamPoly on the integer lattice or a ParamRat of
+    such) at the point ``at`` (name -> nonzero Fraction)."""
+    if isinstance(x, ParamRat):
+        return value(x.num, at) / value(x.den, at)
+    if not isinstance(x, ParamPoly):
+        return Fraction(x)
+    total = Fraction(0)
+    for e, c in x.terms.items():
+        term = Fraction(c)
+        for name, k in zip(x.vars, e):
+            assert k % x.scale == 0
+            term *= at[name] ** (k // x.scale)
+        total += term
+    return total
+
+
+@LAWS
+@given(f=param_polys(VARS, lattices=(1, 2)),
+       g=param_polys(VARS, lattices=(1, 2)), draw=st.data())
+def test_substitute_is_a_ring_homomorphism(f, g, draw):
+    # a fractional power of an image needs a unit coefficient
+    sigma = draw.draw(substitutions(unit=f.scale > 1 or g.scale > 1))
+    fs, gs = f.substitute(sigma), g.substitute(sigma)
+    assert (f * g).substitute(sigma) == fs * gs
+    assert (f + g).substitute(sigma) == fs + gs
+    for p in (fs, gs):
+        check_canonical(p)
+
+
+_points = st.builds(QQ, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+
+@LAWS
+@given(f=param_polys(VARS, lattices=(1,)), sigma=substitutions((1,)),
+       point=st.tuples(*[_points] * len(VARS)))
+def test_substitute_agrees_with_evaluation(f, sigma, point):
+    at = dict(zip(VARS, point))
+    moved = dict(at)
+    for name, v in sigma.items():
+        moved[name] = value(v, at)
+    got = f.substitute(sigma)
+    check_canonical(got)
+    assert value(got, at) == value(f, moved)
+
+
+def non_images():
+    """Values no substitution accepts: zero, or not a quotient of two
+    monomials."""
+    mono = monomials()
+    two = st.builds(lambda a, b: a + b, mono, mono).filter(
+        lambda p: len(p) == 2)
+    zeros = [0, QQ(0), ParamPoly.zero(VARS), ParamRat.zero(VARS)]
+    return st.one_of(st.sampled_from(zeros), two,
+                     st.builds(ParamRat, mono, two),
+                     st.builds(ParamRat, two, mono))
+
+
+@LAWS
+@given(f=param_polys(VARS, lattices=(1, 2)), name=st.sampled_from(VARS),
+       bad=non_images())
+def test_substitute_refuses_non_monomial_and_zero_images(f, name, bad):
+    with pytest.raises(ValueError, match="invertible|plain monomials"):
+        f.substitute({name: bad})
+
+
+@LAWS
+@given(g=param_polys(VARS, nonzero=True, lattices=(1,)),
+       name=st.sampled_from(VARS), image=images(unit=True),
+       c=coeffs("mixed").filter(lambda c: c != 1))
+def test_fractional_power_needs_a_unit_coefficient(g, name, image, c):
+    # every term of f holds an odd power of name^(1/2)
+    f = g.mul_monomial(tuple(int(v == name) for v in VARS), 1, 2)
+    with pytest.raises(ValueError, match="unit-coefficient"):
+        f.substitute({name: image * c})

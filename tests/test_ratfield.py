@@ -8,7 +8,7 @@ from qkoorn.koornwinder import _constant_value
 from qkoorn.laurent import LaurentPoly, LaurentRat, canonical_binomial
 from qkoorn.operators import ParamMap, va_factor, vb_factor
 from qkoorn.ratfield import (KOORN_VARS, QQ, ParamPoly, ParamRat,
-                             _rational_value, substitute_params)
+                             _rational_value)
 from qkoorn.spectra import ch_of_monomial, eigenvalue_An_leading
 from qkoorn.weightfn import (NumericPoint, WeightFunctionSpec, delta_truncate,
                              gram_schmidt_oracle)
@@ -59,8 +59,8 @@ def test_cross_multiplication_equality():
 def test_substitute_identity():
     rng = random.Random(3)
     f = ParamRat(rand_poly(rng), rand_poly(rng) + ParamPoly.one(VARS) * 7)
-    assert substitute_params(f, {}) == f
-    assert substitute_params(f, {"th": ParamPoly.variable(VARS, "th")}) == f
+    assert f.substitute({}) == f
+    assert f.substitute({"th": ParamPoly.variable(VARS, "th")}) == f
 
 
 def test_substitute_homomorphism():
@@ -69,10 +69,10 @@ def test_substitute_homomorphism():
     for _ in range(15):
         f = ParamRat.from_poly(rand_poly(rng))
         g = ParamRat.from_poly(rand_poly(rng))
-        assert substitute_params(f * g, sigma) == \
-            substitute_params(f, sigma) * substitute_params(g, sigma)
-        assert substitute_params(f + g, sigma) == \
-            substitute_params(f, sigma) + substitute_params(g, sigma)
+        assert (f * g).substitute(sigma) == \
+            f.substitute(sigma) * g.substitute(sigma)
+        assert (f + g).substitute(sigma) == \
+            f.substitute(sigma) + g.substitute(sigma)
 
 
 def test_trivial_coupling_collapses_pair_ratio():
@@ -80,7 +80,7 @@ def test_trivial_coupling_collapses_pair_ratio():
     th = ParamPoly.variable(VARS, "th")
     w = ParamPoly.variable(VARS, "w")
     f = ParamRat(th * th * w - 1, th * (w - 1))
-    out = substitute_params(f, {"th": 1})
+    out = f.substitute({"th": 1})
     assert out.is_one()
 
 
@@ -90,11 +90,11 @@ def test_shift_unit_limit_with_cancellation():
     qh = ParamPoly.variable(V6, "qh")
     th = ParamPoly.variable(V6, "th")
     f = ParamRat((qh - 1) * (th + 2), (qh - 1) * th)
-    out = substitute_params(f, {"qh": 1})
+    out = f.substitute({"qh": 1})
     assert out == ParamRat(th + 2, th)
     # univariate division oracle in the shift unit: ((qh^2-1)/(qh-1)) -> 2
     g = ParamRat(qh * qh - 1, qh - 1)
-    assert substitute_params(g, {"qh": 1}) == ParamRat.const(V6, 2)
+    assert g.substitute({"qh": 1}) == ParamRat.const(V6, 2)
 
 
 def test_genuine_pole_raises():
@@ -102,7 +102,7 @@ def test_genuine_pole_raises():
     qh = ParamPoly.variable(V6, "qh")
     f = ParamRat(ParamPoly.one(V6), qh - 1)
     with pytest.raises(DenominatorVanishes):
-        substitute_params(f, {"qh": 1})
+        f.substitute({"qh": 1})
 
 
 def test_fractional_lattice_monomials():

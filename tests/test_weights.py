@@ -134,6 +134,21 @@ def test_expand_rejects_non_invariant():
         expand_in_monomials(z1)
 
 
+@pytest.mark.parametrize("n,terms,group", [
+    # a ragged orbit: both members present, coefficients unequal
+    (1, {(1,): 1, (-1,): 2}, HYPEROCTAHEDRAL),
+    (2, {(1, 0): 1, (0, 1): 2}, PERMUTATIONS_ONLY),
+    # sign-invariant but not permutation-invariant
+    (2, {(1, 0): 1, (-1, 0): 1}, HYPEROCTAHEDRAL),
+    (2, {(2, 1): 1, (1, 2): 1, (0, 0): 3, (1, 0): 1}, PERMUTATIONS_ONLY),
+])
+def test_expand_peel_decides_invariance(n, terms, group):
+    one = ParamPoly.one(KOORN_VARS)
+    f = LaurentPoly(n, {e: one * c for e, c in terms.items()})
+    with pytest.raises(NotInvariant):
+        expand_in_monomials(f, group)
+
+
 def test_linear_refinement():
     assert linear_refinement([(2, 0), (1, 1)]) == [(1, 1), (2, 0)]
     assert linear_refinement([(3, 1)]) == [(3, 1)]
