@@ -10,7 +10,7 @@ specializations, all in exact arithmetic.
 from .errors import (DegenerateNorm, DenominatorVanishes, NotDivisible,
                      NotEigenfunction, NotInvariant, QKoornError,
                      ZeroDenominator)
-from .laurent import LaurentPoly, LaurentRat, exact_divide, shift_var
+from .laurent import LaurentPoly, LaurentRat, exact_divide
 from .operators import (IDENTITY, OperatorSpec, ParamMap, apply_operator,
                         apply_operator_nested, commutator_on_basis,
                         operator_matrix)

@@ -126,8 +126,6 @@ def cmd_poly(args):
         spec = weightfn.WeightFunctionSpec(n, M=args.trunc, point=point)
         p = weightfn.gram_schmidt_oracle(lam, spec)
         payload = p.to_json()
-        payload["coeffs"] = [{"weight": c["weight"], "value": c["value"]}
-                             for c in payload["coeffs"]]
     elif args.method == "jacobi":
         p = jacobi_triangular(lam)
         payload = p.to_json()

@@ -235,7 +235,7 @@ def a_type_eigen_check(p_lead, r, params=None):
     spec = OperatorSpec("a_type", n, r, params)
     f = p_lead.to_laurent()
     img = apply_operator(spec, f, check_invariance=False)
-    ev = eigenvalue_An_leading(r, n, p_lead.weight, params.as_subst())
+    ev = eigenvalue_An_leading(r, p_lead.weight, params.as_subst())
     want = f.map_coeff(lambda c: c * ParamRat.from_poly(ev))
     if not (img == want):
         raise NotEigenfunction("A-type eigen-equation fails, r=%d" % r)
@@ -293,7 +293,7 @@ def spin_monomial(n, one=None):
     return monomial_symmetric((1,) * n, HYPEROCTAHEDRAL, one, scale=2)
 
 
-def bn_antiperiodic(lam, S, verify_lam0=True):
+def bn_antiperiodic(lam, S):
     """The anti-periodic member attached to lam: the spin monomial times the
     Koornwinder polynomial at the pushed parameters."""
     n = len(lam)

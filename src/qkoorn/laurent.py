@@ -8,12 +8,19 @@ so half-integer (spin) weights live on scale 2 with exact integer arithmetic.
 Rational functions of the torus variables are kept with their denominators in
 factored form (``LaurentRat``): the only denominators produced by the
 difference operators are products of known binomials, so exact division needs
-no multivariate gcd.  ``exact_divide`` takes a whole factored denominator in
-one pass: the numerator is lifted to the chain's lattice and its exponent
-tuples are packed into single ints; each binomial is then divided out on
-those packed terms, with the coefficients as they are (integral rationals are
-ints, so rational data mostly divide in integer arithmetic), and the quotient
-is unpacked once at the end.
+no multivariate gcd.  A signed sum of such fractions is ``_grouped_sum`` and
+the division of its numerator is ``divide_factors``, one function each.
+``exact_divide`` takes a whole factored denominator in one pass: the
+numerator is lifted to the chain's lattice and its exponent tuples are packed
+into single ints; each binomial is then divided out on those packed terms,
+with the coefficients as they are (integral rationals are ints, so rational
+data mostly divide in integer arithmetic), and the quotient is unpacked once
+at the end.
+
+The operator engine works on flat polys, whose exponent tuples hold the torus
+exponents followed by the parameter exponents (``flatten``, ``unflatten``); a
+q-shift of a torus variable is then an exponent shift on the qh slot
+(``flat_shift``).
 """
 
 from __future__ import annotations
@@ -23,25 +30,9 @@ from operator import lshift
 from struct import Struct
 
 from .errors import NotDivisible
-from .ratfield import (QQ, ParamPoly, ParamRat, _coarsened, _lifted, _qq,
-                       _reduced, _sparse_add, _sparse_eq, _sparse_mul,
+from .ratfield import (QQ, ParamPoly, _coarsened, _lifted, _qq, _reduced,
+                       _sparse_add, _sparse_eq, _sparse_mul,
                        _sparse_mul_monomial, _sparse_neg)
-
-
-def _times_qh(c, num, den):
-    """Multiply a coefficient by qh^(num/den) (parameter monomial)."""
-    if num == 0:
-        return c
-    g = gcd(abs(num), den)
-    num, den = num // g, den // g
-    if isinstance(c, ParamPoly):
-        e = [0] * len(c.vars)
-        e[c.vars.index("qh")] = num
-        return c.mul_monomial(tuple(e), 1, den)
-    if isinstance(c, ParamRat):
-        mono = ParamPoly.variable(c.vars, "qh", (num, den))
-        return c * ParamRat.from_poly(mono)
-    raise TypeError("shift needs parameter-valued coefficients")
 
 
 class LaurentPoly:
@@ -138,21 +129,6 @@ class LaurentPoly:
         body = ", ".join("%s: %r" % (e, self.terms[e]) for e in items)
         more = "..." if len(self.terms) > 6 else ""
         return "LaurentPoly<%d;%d>{%s%s}" % (self.n, self.scale, body, more)
-
-
-def shift_var(f, j, k):
-    """Shift z_j by k half-steps: z_j^m picks up the factor qh^(k*m).
-
-    A full translation step (z_j -> q z_j) is k = 2; the spin operators use
-    k = +-1.  Exact for any lattice: fractional qh powers are carried on the
-    parameter lattice when they arise.
-    """
-    if k == 0:
-        return f
-    out = {}
-    for e, c in f.terms.items():
-        out[e] = _times_qh(c, k * e[j], f.scale)
-    return LaurentPoly._of(f.n, out, f.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +336,15 @@ def _divide_packed(terms, cS, D, EL, di, shift, width, where):
 
 
 # A factored denominator is a dict mapping canonical-binomial keys to
-# (binom, multiplicity); the three operations below are all that sums and
-# quotients over such denominators need.
+# (binom, multiplicity).  ``merge_max`` and ``lift_to`` put two fractions over
+# one denominator, ``_grouped_sum`` is the one signed sum and
+# ``divide_factors`` the one division.  The sum merges pairwise and balanced:
+# a partial sum is lifted only to the union of its two halves.  Lifting every
+# term serially to the union of all terms multiplies each numerator by every
+# factor the others bring; summing the W and nested-chain coefficients that
+# way took test_form_equivalence_small from 20.8 to 36.4 s and
+# test_W_reduction_at_trivial_internal_coupling from 11.2 to 19.4 s (one run
+# each, on a shared 2-CPU machine).
 
 
 def merge_max(den, extra):
@@ -385,16 +368,28 @@ def lift_to(num, own, union):
 
 def _grouped_sum(signed):
     """Sum a list of (key, sign, LaurentRat) terms by key over the union of
-    their denominators: returns (union, {key: numerator}).  The union is
-    merged and each key's numerators are summed in list order."""
-    den = {}
-    for _, _, t in signed:
-        merge_max(den, t.den)
+    their denominators: returns (union, {key: numerator}).
+
+    Each key's terms are summed by balanced pairwise merging (neighbours in
+    list order, an odd last term carried up a level), and the key sums are
+    then lifted to the union of their denominators.  The union and the
+    numerators are those of lifting every term to the union of all terms
+    and adding them in list order."""
     groups = {}
     for key, sign, t in signed:
-        num = lift_to(t.num if sign > 0 else -t.num, t.den, den)
-        groups[key] = groups[key] + num if key in groups else num
-    return den, groups
+        groups.setdefault(key, []).append(
+            t if sign > 0 else LaurentRat(-t.num, t.den))
+    sums = {}
+    union = {}
+    for key, items in groups.items():
+        while len(items) > 1:
+            pairs = [items[i] + items[i + 1]
+                     for i in range(0, len(items) - 1, 2)]
+            items = pairs + items[2 * len(pairs):]
+        sums[key] = items[0]
+        merge_max(union, items[0].den)
+    return union, {key: lift_to(t.num, t.den, union)
+                   for key, t in sums.items()}
 
 
 def divide_factors(num, den):
@@ -450,18 +445,10 @@ class LaurentRat:
         return LaurentRat(lift_to(self.num, self.den, den)
                           + lift_to(other.num, other.den, den), den)
 
-    def collapse(self):
-        """Carry out the factored division; the result must be polynomial."""
-        return exact_divide(self.num, self.den.values())
-
     def __eq__(self, other):
         if not isinstance(other, LaurentRat):
             return NotImplemented
-        diff = self + other._negated()
-        return diff.num.is_zero()
-
-    def _negated(self):
-        return LaurentRat(-self.num, dict(self.den))
+        return (self + LaurentRat(-other.num, other.den)).num.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +482,12 @@ def unflatten(flat, n, pvars):
     return LaurentPoly._of(n, terms, flat.scale)
 
 
-def flat_shift(f, steps, n, qh_slot):
+def flat_shift(f, steps, qh_slot):
     """Translate z_j by steps[j] half-steps on a flat poly.
 
     z_j^m picks up qh^(steps[j]*m); in flat form that is a pure exponent
-    shift on the qh slot, exact on any lattice.
+    shift on the qh slot, exact on any lattice.  A full translation step
+    (z_j -> q z_j) is 2 half-steps; the spin operators use +-1.
     """
     if not any(steps):
         return f

@@ -1,12 +1,17 @@
 """The commuting difference operators, their coefficient functions, and
 exact application to invariant Laurent polynomials.
 
-Coefficient building blocks: the one-pair ratio v_a, the four-factor external
-ratio v_b, the products V over index cells, and the translator-free sums W
-over ordered set partitions.  The hyperoctahedral operators are applied by
-the staged path (``_apply_staged``), which divides out poles cell by cell;
-it computes one cell per permutation orbit and maps the others by permuting
-the torus variables, so its input must be permutation-invariant.
+Coefficient building blocks: one elementary ratio
+(g^2 w + sigma) / (g (w + sigma)) (``_ratio``), of which the one-pair ratio
+v_a is one v_b-shape factor (g = th, sigma = -1) and the external ratio v_b
+the product of four (g = ga, gb, gc, gd); the in-cell pair products
+(``_Engine.inner``); the products V over index cells; and the
+translator-free sums W over ordered set partitions.
+
+The hyperoctahedral operators are applied by the staged path
+(``_apply_staged``), which divides out poles cell by cell; it computes one
+cell per permutation orbit and maps the others by permuting the torus
+variables, so its input must be permutation-invariant.
 The A-type and spin operators go through their normal form
 (``_apply_normal_form``: the translates of the input against numerators over
 one shared denominator), and so does the translator-grouped form of the
@@ -15,9 +20,10 @@ nested-chain form (``apply_operator_nested``) are independent cross-checks,
 and their agreement with the staged path is one of the acceptance checks.
 
 Internally everything runs on flat polynomials (torus and parameter exponents
-in one tuple, rational coefficients); pole cancellation is enforced by exact
-binomial division of the assembled numerator over the factored common
-denominator.
+in one tuple, rational coefficients); every signed sum of coefficients is
+``laurent._grouped_sum``, and pole cancellation is enforced by exact binomial
+division (``laurent.divide_factors``) of the assembled numerator over the
+factored common denominator.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from itertools import combinations, product
 
 from .errors import NotDivisible, NotInvariant
 from .laurent import (LaurentPoly, LaurentRat, _grouped_sum, canonical_binomial,
-                      divide_factors, exact_divide, flat_shift, flatten,
-                      merge_max, unflatten)
+                      divide_factors, flat_shift, flatten, merge_max,
+                      unflatten)
 from .ratfield import (JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat,
                        _monomial_image as _image_parts, _over_common_den,
                        _qq)
@@ -102,59 +108,49 @@ def _flat_rat_one(width):
     return LaurentRat(LaurentPoly.const(width, 1))
 
 
-def _neg_exps(e):
-    return tuple(-x for x in e)
+def _ratio(width, n, w, image, sigma):
+    """(g^2 w + sigma) / (g (w + sigma)) at the flat exponent tuple w, for
+    g the parameter monomial ``image`` (exponent vector, coefficient), with
+    the 1/g unit folded into the numerator; None when g is 1."""
+    ge, gc = image
+    if not any(ge) and gc == 1:
+        return None
+    zero = (0,) * width
+    gpad = zero[:n] + ge
+    num = LaurentPoly(width, {tuple(x + y for x, y in zip(w, gpad)): gc,
+                              tuple(-x for x in gpad): _qq(sigma, gc)})
+    return LaurentRat(num).with_binomial_factor(width, (w, 1), (zero, sigma))
 
 
 def va_factor(width, n, w_exps, qpow, params):
-    """v_a at the composite variable w = q^qpow * z^w_exps:
-    (t w - 1/th) / (w - 1) after folding the 1/th unit into the numerator.
+    """v_a at the composite variable w = q^qpow * z^w_exps: the v_b-shape
+    ratio (th^2 w - 1) / (th (w - 1)) = (th w - 1/th) / (w - 1), that is
+    ``_ratio`` at g = th and sigma = -1.
 
     Collapses to 1 when the substituted th is 1.
     """
-    te, tc = params.image("th")
-    zero = (0,) * width
-    w = list(zero)
-    for j, x in enumerate(w_exps):
-        w[j] = x
+    w = list(w_exps) + [0] * (width - n)
     w[n + _QH] += 2 * qpow
-    w = tuple(w)
-    if not any(te) and tc == 1:
-        return _flat_rat_one(width)
-    tpad = zero[: n] + te
-    num = LaurentPoly(width, {_tadd(w, tpad): tc,
-                              _neg_exps(tpad): _qq(-1, tc)})
-    return LaurentRat(num).with_binomial_factor(
-        width, (w, 1), (zero, -1))
-
-
-def _tadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    rat = _ratio(width, n, tuple(w), params.image("th"), -1)
+    return _flat_rat_one(width) if rat is None else rat
 
 
 _VB_SHAPES = (("ga", 0, -1), ("gb", 0, 1), ("gc", 1, -1), ("gd", 1, 1))
 
 
 def vb_factor(width, n, j, eps, params, shapes=_VB_SHAPES):
-    """v_b at w = z_j^eps: the product of four ratios
+    """v_b at w = z_j^eps: the product of four ``_ratio`` factors
     (g^2 q^s w + sigma) / (g (q^s w + sigma)) with (g, s, sigma) running over
     (ga,0,-1), (gb,0,+1), (gc,1/2,-1), (gd,1/2,+1).  Factors with g = 1
     collapse."""
-    zero = (0,) * width
     out = _flat_rat_one(width)
     for name, qh_pow, sigma in shapes:
-        ge, gc_ = params.image(name)
-        if not any(ge) and gc_ == 1:
-            continue
-        gpad = zero[: n] + ge
-        w = list(zero)
+        w = [0] * width
         w[j] = eps
         w[n + _QH] += qh_pow
-        w = tuple(w)
-        num = LaurentPoly(width, {_tadd(w, gpad): gc_,
-                                  _neg_exps(gpad): _qq(sigma, gc_)})
-        out = out * LaurentRat(num).with_binomial_factor(
-            width, (w, 1), (zero, sigma))
+        rat = _ratio(width, n, tuple(w), params.image(name), sigma)
+        if rat is not None:
+            out = out * rat
     return out
 
 
@@ -170,6 +166,7 @@ class _Engine:
         self._va = {}
         self._vb = {}
         self._couple = {}
+        self._inner = {}
         self._nucleus = {}
 
     def va(self, w_exps, qpow):
@@ -206,6 +203,21 @@ class _Engine:
             got = self._couple[key] = out
         return got
 
+    def inner(self, J, eps):
+        """The in-cell pairs of the cell J with signs eps: v_a, plain and
+        q-shifted, at z_j1^e1 z_j2^e2 for every pair of J."""
+        key = (J, eps)
+        got = self._inner.get(key)
+        if got is None:
+            out = _flat_rat_one(self.width)
+            for (j1, e1), (j2, e2) in combinations(zip(J, eps), 2):
+                w = [0] * self.n
+                w[j1] += e1
+                w[j2] += e2
+                out = out * self.va(w, 0) * self.va(w, 1)
+            got = self._inner[key] = out
+        return got
+
     def nucleus_groups(self, J, eps):
         """Chain sums of a cell grouped by nucleus, cleared over one common
         in-cell denominator: returns (den, {nucleus: numerator})."""
@@ -213,7 +225,6 @@ class _Engine:
         got = self._nucleus.get(key)
         if got is not None:
             return got
-        n = self.n
         emap = dict(zip(J, eps))
         signed = []
         for chain in ordered_set_partitions(J):
@@ -221,21 +232,12 @@ class _Engine:
             coeff = _flat_rat_one(self.width)
             seen = []
             for block in chain:
-                for (i1, j1) in combinations(block, 2):
-                    w = [0] * n
-                    w[i1] += emap[i1]
-                    w[j1] += emap[j1]
-                    coeff = coeff * self.va(w, 0)
-                    coeff = coeff * self.va(w, 1)
+                coeff = coeff * self.inner(block,
+                                           tuple(emap[b] for b in block))
                 seen.extend(block)
-                later = [x for x in J if x not in seen]
+                later = tuple(x for x in J if x not in seen)
                 for b in block:
-                    for k in later:
-                        for sk in (1, -1):
-                            w = [0] * n
-                            w[b] += emap[b]
-                            w[k] += sk
-                            coeff = coeff * self.va(w, 0)
+                    coeff = coeff * self.couplings(b, emap[b], later)
             signed.append((chain[0], sign, coeff))
         got = self._nucleus[key] = _grouped_sum(signed)
         return got
@@ -247,15 +249,10 @@ class _Engine:
         got = self._v.get(key)
         if got is not None:
             return got
-        n, width = self.n, self.width
-        out = _flat_rat_one(width)
+        out = _flat_rat_one(self.width)
         for j, e in zip(J, eps):
-            out = out * vb_factor(width, n, j, e, self.params)
-        for (j1, e1), (j2, e2) in combinations(zip(J, eps), 2):
-            w = [0] * n
-            w[j1] += e1
-            w[j2] += e2
-            out = out * self.va(w, 0) * self.va(w, 1)
+            out = out * vb_factor(self.width, self.n, j, e, self.params)
+        out = out * self.inner(J, eps)
         for j, e in zip(J, eps):
             out = out * self.couplings(j, e, K)
         self._v[key] = out
@@ -287,8 +284,9 @@ class _Engine:
                             rest = tuple(x for x in I if x not in used)
                             coeff = coeff * self.V(
                                 block, tuple(emap[b] for b in block), rest)
-                        terms.append((sign, coeff))
-            out = _sum_rats(self.width, terms)
+                        terms.append((None, sign, coeff))
+            den, total = _grouped_sum(terms)
+            out = LaurentRat(total[None], den)
         self._w[key] = out
         return out
 
@@ -326,24 +324,6 @@ def ordered_set_partitions(elems):
 
     rec(elems, [])
     return out
-
-
-def _sum_rats(width, signed_terms):
-    """Sum (sign, LaurentRat) pairs over factored denominators by balanced
-    pairwise merging, so partial sums are only ever lifted to pairwise
-    unions (the serial lift to the global union explodes)."""
-    if not signed_terms:
-        return LaurentRat(LaurentPoly.zero(width))
-    items = [LaurentRat(t.num if sign > 0 else -t.num, dict(t.den))
-             for sign, t in signed_terms]
-    while len(items) > 1:
-        merged = []
-        for i in range(0, len(items) - 1, 2):
-            merged.append(items[i] + items[i + 1])
-        if len(items) % 2:
-            merged.append(items[-1])
-        items = merged
-    return items[0]
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +435,7 @@ def _normal_form(spec):
                     w = [0] * n
                     w[j] += 1
                     w[k] -= 1
-                    coeff = coeff * va_factor(width, n, w, 0, spec.params)
+                    coeff = coeff * eng.va(w, 0)
             steps = tuple(2 if j in J else 0 for j in range(n))
             terms.append((steps, 1, coeff))
     elif spec.kind in ("c_spin", "dn_minus", "dn_plus"):
@@ -476,7 +456,7 @@ def _normal_form(spec):
                 w = [0] * n
                 w[j1] += eps[j1]
                 w[j2] += eps[j2]
-                coeff = coeff * va_factor(width, n, w, 0, spec.params)
+                coeff = coeff * eng.va(w, 0)
             terms.append((eps, 1, coeff))
     else:
         raise ValueError("no difference normal form for %r" % spec.kind)
@@ -492,11 +472,11 @@ def _apply_normal_form(spec, flat):
     n = spec.n
     total = None
     for steps, num in groups.items():
-        piece = num * flat_shift(flat, steps, n, n + _QH)
+        piece = num * flat_shift(flat, steps, n + _QH)
         total = piece if total is None else total + piece
     if spec.kind == "a_type_centered":
         total = _center_prefactor(total, spec, flat)
-    return exact_divide(total, den.values())
+    return divide_factors(total, den)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +526,7 @@ def _staged_cell(eng, J, f_flat):
             steps = [0] * n
             for j in nucleus:
                 steps[j] = 2 * emap[j]
-            moved = flat_shift(f_flat, tuple(steps), n, n + _QH) + (-f_flat)
+            moved = flat_shift(f_flat, tuple(steps), n + _QH) + (-f_flat)
             piece = gnum * moved
             num = piece if num is None else num + piece
         plain = {}
@@ -734,11 +714,10 @@ def apply_operator_nested(spec, f, check_invariance=True):
                 steps = [0] * n
                 for j in chain[0]:
                     steps[j] = 2 * emap[j]
-                moved = flat_shift(flat, tuple(steps), n, n + _QH) + (-flat)
-                signed.append((sign, coeff.mul_poly(moved)))
-    total = _sum_rats(eng.width, signed)
-    quot = total.collapse()
-    return unflatten(quot, n, KOORN_VARS)
+                moved = flat_shift(flat, tuple(steps), n + _QH) + (-flat)
+                signed.append((None, sign, coeff.mul_poly(moved)))
+    den, total = _grouped_sum(signed)
+    return unflatten(divide_factors(total[None], den), n, KOORN_VARS)
 
 
 def apply_one_var(f, j, params=None):
@@ -752,10 +731,10 @@ def apply_one_var(f, j, params=None):
     for eps in (1, -1):
         coeff = vb_factor(eng.width, n, j, eps, params)
         steps = tuple(2 * eps if i == j else 0 for i in range(n))
-        moved = flat_shift(flat, steps, n, n + _QH) + (-flat)
-        signed.append((1, coeff.mul_poly(moved)))
-    total = _sum_rats(eng.width, signed)
-    return unflatten(total.collapse(), n, KOORN_VARS)
+        moved = flat_shift(flat, steps, n + _QH) + (-flat)
+        signed.append((None, 1, coeff.mul_poly(moved)))
+    den, total = _grouped_sum(signed)
+    return unflatten(divide_factors(total[None], den), n, KOORN_VARS)
 
 
 def elementary_symmetric_apply(r, f, params=None):
@@ -802,7 +781,7 @@ def _apply_jacobi(spec, f, check_invariance=True):
         v = c * sum(x * x for x in e[:n])
         if v:
             acc = acc + LaurentPoly(width, {e: v})
-    signed.append((1, LaurentRat(acc)))
+    signed.append((None, 1, LaurentRat(acc)))
     # pair terms: g (z_j z_k + 1)/(z_j z_k - 1) (theta_j + theta_k)
     #           + g (z_j + z_k)/(z_j - z_k)     (theta_j - theta_k)
     for j, k in combinations(range(n), 2):
@@ -814,12 +793,12 @@ def _apply_jacobi(spec, f, check_invariance=True):
         if tp:
             num = (LaurentPoly(width, {ejk: 1, zero: 1})
                    .mul_monomial(g_e, 1) * tp)
-            signed.append((1, LaurentRat(num).with_binomial_factor(
+            signed.append((None, 1, LaurentRat(num).with_binomial_factor(
                 width, (ejk, 1), (zero, -1))))
         if tm:
             num = (LaurentPoly(width, {ej: 1, ek: 1})
                    .mul_monomial(g_e, 1) * tm)
-            signed.append((1, LaurentRat(num).with_binomial_factor(
+            signed.append((None, 1, LaurentRat(num).with_binomial_factor(
                 width, (ej, 1), (ek, -1))))
     # one-body terms: [tg0 (z+1)/(z-1) + tg1 (z-1)/(z+1)] theta_j
     for j in range(n):
@@ -829,14 +808,14 @@ def _apply_jacobi(spec, f, check_invariance=True):
             continue
         num0 = (LaurentPoly(width, {ej: 1, zero: 1})
                 .mul_monomial(t0_e, 1) * tj)
-        signed.append((1, LaurentRat(num0).with_binomial_factor(
+        signed.append((None, 1, LaurentRat(num0).with_binomial_factor(
             width, (ej, 1), (zero, -1))))
         num1 = (LaurentPoly(width, {ej: 1, zero: -1})
                 .mul_monomial(t1_e, 1) * tj)
-        signed.append((1, LaurentRat(num1).with_binomial_factor(
+        signed.append((None, 1, LaurentRat(num1).with_binomial_factor(
             width, (ej, 1), (zero, 1))))
-    total = _sum_rats(width, signed)
-    return unflatten(total.collapse(), n, JACOBI_VARS)
+    den, total = _grouped_sum(signed)
+    return unflatten(divide_factors(total[None], den), n, JACOBI_VARS)
 
 
 # ---------------------------------------------------------------------------

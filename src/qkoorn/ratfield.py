@@ -261,10 +261,6 @@ class ParamPoly:
         (e, c), = self.terms.items()
         return e, c, self.scale
 
-    def lex_leading(self):
-        e = max(self.terms)
-        return e, self.terms[e]
-
     def __len__(self):
         return len(self.terms)
 
@@ -636,15 +632,15 @@ class ParamRat:
         ``ParamPoly.substitute``); raises DenominatorVanishes when the
         denominator's image is zero.
 
-        A single variable pinned to a rational value goes through exact
-        synthetic division instead, so that shared linear factors cancel
-        first (this is how q->1 limits are taken); that path raises
-        DenominatorVanishes only on a genuine pole.
+        A single variable pinned to a plain rational (an ``int`` or ``QQ``)
+        goes through exact synthetic division instead, so that shared
+        linear factors cancel first (this is how q->1 limits are taken);
+        that path raises DenominatorVanishes only on a genuine pole.
         """
         if len(sigma) == 1:
             (name, v), = sigma.items()
-            if _is_rational(self.vars, v):
-                return self._pin(name, _rational_value(self.vars, v))
+            if isinstance(v, (int, QQ)):
+                return self._pin(name, _qq(v))
         return ParamRat(self.num.substitute(sigma), self.den.substitute(sigma))
 
     def _pin(self, name, value):
@@ -767,23 +763,3 @@ def _parse_sum(vars_, text):
         out = out + term
         pos = m.end()
     return out
-
-
-def _is_rational(vars_, v):
-    if isinstance(v, (int, QQ)):
-        return True
-    if isinstance(v, ParamPoly):
-        return not v.terms or (v.is_monomial() and not any(v.lex_leading()[0]))
-    if isinstance(v, ParamRat):
-        return _is_rational(vars_, v.num) and _is_rational(vars_, v.den)
-    return False
-
-
-def _rational_value(vars_, v):
-    if isinstance(v, (int, QQ)):
-        return _qq(v)
-    if isinstance(v, ParamPoly):
-        if not v.terms:
-            return 0
-        return v.lex_leading()[1]
-    return _qq(_rational_value(vars_, v.num), _rational_value(vars_, v.den))

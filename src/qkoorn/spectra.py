@@ -283,7 +283,7 @@ def a_type_exponentials(lam, params=None):
     return [u.substitute(params) for u in out] if params else out
 
 
-def eigenvalue_An_leading(r, n, lam, params=None):
+def eigenvalue_An_leading(r, lam, params=None):
     """Eigenvalue of the plain A-type operator on the leading polynomial:
     S_r of the exponentials exp(-beta(lam+rho'))."""
     one = ParamPoly.one(KOORN_VARS)
@@ -296,7 +296,7 @@ def eigenvalue_An(r, n, lam, params=None):
 
     The prefactor is qh^(-2 r |lam| / n); fractional powers are carried on
     the parameter lattice, so the value is translation invariant in lam."""
-    core = eigenvalue_An_leading(r, n, lam, params)
+    core = eigenvalue_An_leading(r, lam, params)
     size = sum(lam)
     num, den = -2 * r * size, n
     g = math.gcd(abs(num), den) or 1

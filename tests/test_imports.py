@@ -36,6 +36,42 @@ def test_no_unused_imports():
     assert {name: got for name, got in found.items() if got} == {}
 
 
+def unused_parameters(source):
+    """(line, function, parameter) for each parameter that its function,
+    nested functions included, never reads; ``self``, ``cls`` and names
+    starting with an underscore are exempt."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name)
+                and isinstance(sub.ctx, ast.Load)}
+        out += [(node.lineno, node.name, a.arg) for a in params
+                if a.arg not in read and a.arg not in ("self", "cls")
+                and not a.arg.startswith("_")]
+    return sorted(out)
+
+
+def test_unused_parameters_are_found():
+    source = ("def f(a, b, _c, *rest, key=1):\n    return a + key\n\n"
+              "class K:\n    def m(self, x, y):\n        return y\n\n"
+              "    @classmethod\n    def c(cls, z):\n"
+              "        def inner():\n            return z\n"
+              "        return inner\n")
+    assert unused_parameters(source) == [(1, "f", "b"), (1, "f", "rest"),
+                                         (5, "m", "x")]
+
+
+def test_no_unused_parameters():
+    found = {path.name: unused_parameters(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: got for name, got in found.items() if got} == {}
+
+
 def defined_names(source):
     """(qualified name, name) of every module-level function and of every
     method of a module-level class."""

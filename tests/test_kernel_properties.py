@@ -2,10 +2,12 @@
 
 Products and sums of ``ParamPoly`` and ``LaurentPoly`` against a Fraction
 reference, exact division by chains of canonical binomials, canonical
-binomials under a permutation of the torus variables, the coefficient parser
-against the renderer, parameter substitution by monomial images against
-multiplication and evaluation, and the one representation of a rational
-coefficient: an int when integral, a Fraction otherwise.
+binomials under a permutation of the torus variables, the grouped signed sum
+of factored fractions against the serial sum over one union, the q-shift of
+a flat poly, the coefficient parser against the renderer, parameter
+substitution by monomial images against multiplication and evaluation, and
+the one representation of a rational coefficient: an int when integral, a
+Fraction otherwise.
 """
 
 from fractions import Fraction
@@ -15,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkoorn.errors import NotDivisible
-from qkoorn.laurent import (LaurentPoly, canonical_binomial, divide_factors,
-                            exact_divide)
+from qkoorn.laurent import (LaurentPoly, LaurentRat, _grouped_sum,
+                            canonical_binomial, divide_factors, exact_divide,
+                            flat_shift)
 from qkoorn.operators import _permuted_cell
 from qkoorn.ratfield import KOORN_VARS, QQ, ParamPoly, ParamRat
 
@@ -217,6 +220,91 @@ def test_permuted_cell_divides_to_permuted_quotient(data, draw):
         num = num * b
     num, den = _permuted_cell(num, {None: (b, m)}, perm)
     assert divide_factors(num, den) == p.permuted(perm)
+
+
+def binomial_pool(n):
+    """(key, binom) of a few canonical binomials in n torus variables, so
+    that random denominators share factors."""
+    z = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    zero = (0,) * n
+    raw = [(z[0], zero, -1), (z[0], zero, 1), (z[-1], zero, QQ(-1, 3)),
+           (tuple(map(sum, zip(z[0], z[-1]))), zero, -2)]
+    if n > 1:
+        raw.append((z[0], z[1], -1))
+    return [canonical_binomial(n, (e1, 1), (e2, c))[:2] for e1, e2, c in raw]
+
+
+@st.composite
+def signed_fractions(draw):
+    """A list of (key, sign, LaurentRat): keys repeat, both signs occur, and
+    denominator factors come with multiplicity 1 or 2."""
+    n = draw(st.integers(1, 2))
+    pool = binomial_pool(n)
+    out = []
+    for _ in range(draw(st.integers(1, 7))):
+        num = LaurentPoly(n, draw(term_dicts(n, "mixed", span=2, size=3)))
+        den = {}
+        for i in sorted(draw(st.sets(st.integers(0, len(pool) - 1),
+                                     max_size=3))):
+            key, binom = pool[i]
+            den[key] = (binom, draw(st.integers(1, 2)))
+        out.append((draw(st.sampled_from("abc")),
+                    draw(st.sampled_from((1, -1))), LaurentRat(num, den)))
+    return out
+
+
+def serial_grouped_sum(signed):
+    """The serial algorithm: the union of every denominator first, then
+    each term lifted to it and added to its key's numerator in list
+    order."""
+    union = {}
+    for _, _, t in signed:
+        for key, (binom, m) in t.den.items():
+            if m > union.get(key, (binom, 0))[1]:
+                union[key] = (binom, m)
+    groups = {}
+    for key, sign, t in signed:
+        num = t.num if sign > 0 else -t.num
+        for k, (binom, m) in union.items():
+            for _ in range(m - (t.den[k][1] if k in t.den else 0)):
+                num = num * binom
+        groups[key] = groups[key] + num if key in groups else num
+    return union, groups
+
+
+@LAWS
+@given(signed=signed_fractions())
+def test_grouped_sum_matches_serial_sum(signed):
+    union, groups = _grouped_sum(signed)
+    want_union, want_groups = serial_grouped_sum(signed)
+    assert union == want_union
+    assert groups == want_groups
+
+
+@st.composite
+def flat_polys(draw):
+    """(n, a flat poly over n torus and the KOORN_VARS parameter slots) on
+    lattice 1 or 2."""
+    n = draw(st.integers(1, 2))
+    width = n + len(KOORN_VARS)
+    terms = draw(term_dicts(width, "mixed", span=2, size=4))
+    return n, LaurentPoly(width, terms, draw(st.sampled_from([1, 2])))
+
+
+@LAWS
+@given(data=flat_polys(), draw=st.data())
+def test_flat_shift_round_trip_and_qh_power(data, draw):
+    n, f = data
+    slot = n + KOORN_VARS.index("qh")
+    steps = draw.draw(st.tuples(*[st.integers(-3, 3)] * n))
+    g = flat_shift(f, steps, slot)
+    assert flat_shift(g, tuple(-k for k in steps), slot) == f
+    # z^m picks up qh^(k m), in exact exponents
+    want = {}
+    for e, c in exact(f.terms, f.scale).items():
+        d = sum(k * m for k, m in zip(steps, e))
+        want[e[:slot] + (e[slot] + d,) + e[slot + 1:]] = c
+    assert exact(g.terms, g.scale) == want
 
 
 def param_polys(vars_=KOORN_VARS, nonzero=False, lattices=(1, 2, 3)):

@@ -9,7 +9,7 @@ import pytest
 from qkoorn.errors import NotDivisible
 from qkoorn.laurent import (LaurentPoly, _packing, canonical_binomial,
                             divide_binomial, exact_divide, flat_shift, flatten,
-                            shift_var, unflatten)
+                            unflatten)
 from qkoorn.ratfield import KOORN_VARS, QQ, ParamPoly, ParamRat
 from qkoorn.weightfn import QuadExt
 
@@ -33,14 +33,14 @@ def test_divide_not_divisible():
         divide_binomial(num, binom)
 
 
-def rand_laurent(rng, n, terms=4, span=3, scale=1):
+def rand_laurent(rng, n, terms=4, span=3):
     out = {}
     for _ in range(terms):
         e = tuple(rng.randint(-span, span) for _ in range(n))
         c = rng.randint(-5, 5)
         if c:
             out[e] = P(c)
-    return LaurentPoly(n, out, scale)
+    return LaurentPoly(n, out)
 
 
 def rand_binomial(rng, n):
@@ -83,26 +83,6 @@ def test_exact_divide_multiple_factors():
     assert exact_divide(prod, factors) == a
 
 
-def test_shift_full_step_multiplies_by_q_power():
-    # z^m picks up q^m under one full translation step (two half steps)
-    f = LaurentPoly(1, {(3,): P(1), (0,): P(5), (-2,): P(1)})
-    g = shift_var(f, 0, 2)
-    q = ParamPoly.variable(KOORN_VARS, "qh", 2)
-    qinv = ParamPoly.variable(KOORN_VARS, "qh", -2)
-    assert g.terms[(3,)] == q ** 3
-    assert g.terms[(0,)] == P(5)
-    assert g.terms[(-2,)] == qinv ** 2
-
-
-def test_shift_roundtrip():
-    rng = random.Random(5)
-    for _ in range(20):
-        f = rand_laurent(rng, 2, scale=rng.choice([1, 2]))
-        j = rng.randint(0, 1)
-        k = rng.randint(-3, 3)
-        assert shift_var(shift_var(f, j, k), j, -k) == f
-
-
 def test_shift_matches_exponential_identity():
     # numeric: f(x + i*beta) multiplies e^{i m x} by e^{-beta m}
     rng = random.Random(9)
@@ -142,7 +122,7 @@ def test_flatten_unflatten_roundtrip():
 def test_flat_shift_moves_qh_slot():
     n = 2
     f = LaurentPoly(n + len(KOORN_VARS), {(1, 2, 0, 0, 0, 0, 0, 0): QQ(1)})
-    g = flat_shift(f, (2, -2), n, n)
+    g = flat_shift(f, (2, -2), n)
     assert g.terms == {(1, 2, 2 - 4, 0, 0, 0, 0, 0): QQ(1)}
 
 

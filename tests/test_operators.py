@@ -14,8 +14,8 @@ from qkoorn.operators import (IDENTITY, OperatorSpec, ParamMap,
                               apply_to_monomial, commutator_on_basis,
                               elementary_symmetric_apply, monomial_leading,
                               operator_matrix, ordered_set_partitions,
-                              va_factor, vb_factor, _apply_staged, _engine,
-                              _staged_cell)
+                              va_factor, vb_factor, _VB_SHAPES,
+                              _apply_staged, _engine, _staged_cell)
 from qkoorn.ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
 from qkoorn.spectra import eigenvalue_Ern, eigenvalue_jacobi
 from qkoorn.weights import (HYPEROCTAHEDRAL, PERMUTATIONS_ONLY, dominance_leq,
@@ -88,18 +88,23 @@ def test_vb_trivial_and_closed_form():
         pv = [math.exp(-beta / 2), 1.0, math.exp(-beta * g0 / 2),
               math.exp(-beta * g1 / 2), math.exp(-beta * g0p / 2),
               math.exp(-beta * g1p / 2)]
-        vb = vb_factor(WIDTH1, 1, 0, 1, IDENTITY)
-        got = _rat_value(vb, [cmath.exp(1j * z)], pv)
+        w = [cmath.exp(1j * z)]
         gamma = 1j * beta / 2
         mus = [1j * beta * g0, 1j * beta * g1, 1j * beta * g0p,
                1j * beta * g1p]
-        want = (cmath.sin((mus[0] + z) / 2) / cmath.sin(z / 2)
-                * cmath.cos((mus[1] + z) / 2) / cmath.cos(z / 2)
-                * cmath.sin((mus[2] + gamma + z) / 2)
-                / cmath.sin((gamma + z) / 2)
-                * cmath.cos((mus[3] + gamma + z) / 2)
-                / cmath.cos((gamma + z) / 2))
-        assert abs(got - want) < 1e-8
+        wants = [cmath.sin((mus[0] + z) / 2) / cmath.sin(z / 2),
+                 cmath.cos((mus[1] + z) / 2) / cmath.cos(z / 2),
+                 cmath.sin((mus[2] + gamma + z) / 2)
+                 / cmath.sin((gamma + z) / 2),
+                 cmath.cos((mus[3] + gamma + z) / 2)
+                 / cmath.cos((gamma + z) / 2)]
+        # each of the four ratios on its own, then their product
+        for shape, want in zip(_VB_SHAPES, wants):
+            got = _rat_value(vb_factor(WIDTH1, 1, 0, 1, IDENTITY,
+                                       shapes=(shape,)), w, pv)
+            assert abs(got - want) < 1e-8
+        vb = vb_factor(WIDTH1, 1, 0, 1, IDENTITY)
+        assert abs(_rat_value(vb, w, pv) - math.prod(wants)) < 1e-8
 
 
 def test_vb_half_period_covariance():
