@@ -33,14 +33,14 @@ def test_divide_not_divisible():
         divide_binomial(num, binom)
 
 
-def rand_laurent(rng, n, terms=4, span=3):
+def rand_laurent(rng, n, terms=4, span=3, scale=1):
     out = {}
     for _ in range(terms):
         e = tuple(rng.randint(-span, span) for _ in range(n))
         c = rng.randint(-5, 5)
         if c:
             out[e] = P(c)
-    return LaurentPoly(n, out)
+    return LaurentPoly(n, out, scale)
 
 
 def rand_binomial(rng, n):
@@ -81,6 +81,34 @@ def test_exact_divide_multiple_factors():
         factors.append((binom, 1))
         prod = prod * binom
     assert exact_divide(prod, factors) == a
+
+
+def shift_var(f, j, k):
+    """Translate z_j by k half-steps through the flat form."""
+    steps = tuple(k if i == j else 0 for i in range(f.n))
+    g = flat_shift(flatten(f, KOORN_VARS), steps,
+                   f.n + KOORN_VARS.index("qh"))
+    return unflatten(g, f.n, KOORN_VARS)
+
+
+def test_shift_full_step_multiplies_by_q_power():
+    # z^m picks up q^m under one full translation step (two half steps)
+    f = LaurentPoly(1, {(3,): P(1), (0,): P(5), (-2,): P(1)})
+    g = shift_var(f, 0, 2)
+    q = ParamPoly.variable(KOORN_VARS, "qh", 2)
+    qinv = ParamPoly.variable(KOORN_VARS, "qh", -2)
+    assert g.terms[(3,)] == q ** 3
+    assert g.terms[(0,)] == P(5)
+    assert g.terms[(-2,)] == qinv ** 2
+
+
+def test_shift_roundtrip():
+    rng = random.Random(5)
+    for _ in range(20):
+        f = rand_laurent(rng, 2, scale=rng.choice([1, 2]))
+        j = rng.randint(0, 1)
+        k = rng.randint(-3, 3)
+        assert shift_var(shift_var(f, j, k), j, -k) == f
 
 
 def test_shift_matches_exponential_identity():
