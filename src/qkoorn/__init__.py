@@ -12,8 +12,7 @@ from .errors import (DegenerateNorm, DenominatorVanishes, NotDivisible,
                      ZeroDenominator)
 from .laurent import LaurentPoly, LaurentRat, exact_divide
 from .operators import (IDENTITY, OperatorSpec, ParamMap, apply_operator,
-                        apply_operator_nested, commutator_on_basis,
-                        operator_matrix)
+                        commutator_on_basis, operator_matrix)
 from .ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
 from .spectra import (cp_check, eigenvalue_An, eigenvalue_Ern,
                       eigenvalue_jacobi, F_solve, hc_lift, monotonicity_check)

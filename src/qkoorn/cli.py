@@ -23,7 +23,7 @@ from .koornwinder import (OrthoPoly, evaluate_jacobi_coeffs, family_specialize,
                           macdonald_An_extract, qh1_limit)
 from .operators import (OperatorSpec, ParamMap, apply_operator,
                         apply_to_monomial, commutator_on_basis)
-from .ratfield import KOORN_VARS, QQ, ParamRat
+from .ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
 from .spectra import (cp_check, eigenvalue_Ern, eigenvalue_core,
                       eigenvalue_core_recursive, linear_system_residual)
 from .weights import (dominance_leq, expand_in_monomials, monomial_symmetric,
@@ -154,24 +154,25 @@ def _numeric_json(p):
             "half_lattice": False, "coeffs": coeffs}
 
 
-def _poly_from_json(data):
-    n = int(data["n"])
+def _poly_from_json(data, pvars):
+    """The polynomial of a ``poly`` output, its coefficients read over the
+    parameter names ``pvars``."""
     scale = 2 if data.get("half_lattice") else 1
     group = data.get("group", "BC")
     coeffs = {}
     for item in data["coeffs"]:
         mu = tuple(item["weight"])
-        coeffs[mu] = _parse_value(item["value"])
+        coeffs[mu] = _parse_value(item["value"], pvars)
     return OrthoPoly(data.get("weight") and tuple(data["weight"]) or
                      max(coeffs), coeffs, group, scale)
 
 
-def _parse_value(text):
+def _parse_value(text, pvars):
     try:
         # str(): a hand-written file may give a rational as a JSON number
-        return ParamRat.parse(KOORN_VARS, str(text))
+        return ParamRat.parse(pvars, str(text))
     except (ValueError, ZeroDivisionError):
-        _usage("cannot parse coefficient %r" % text)
+        _usage("cannot parse coefficient %r over %s" % (text, ",".join(pvars)))
 
 
 def cmd_apply(args):
@@ -184,13 +185,21 @@ def cmd_apply(args):
         spec = OperatorSpec.from_json(op_data)
     except (KeyError, ValueError) as exc:
         _usage("bad operator spec: %s" % exc)
+    pvars = JACOBI_VARS if spec.kind == "jacobi" else KOORN_VARS
     try:
         with open(args.infile) as fh:
             data = json.load(fh)
-        p = _poly_from_json(data)
+        p = _poly_from_json(data, pvars)
     except (OSError, KeyError, ValueError) as exc:
         _usage("bad input polynomial: %s" % exc)
-    img = apply_operator(spec, p.to_laurent())
+    if p.n != spec.n:
+        _usage("the operator acts on %d variables, the input has %d"
+               % (spec.n, p.n))
+    f = p.to_laurent(ParamPoly.one(pvars))
+    if spec.kind == "a_type_centered" and \
+            len({sum(e) for e in f.terms}) > 1:
+        _usage("the centered operator needs a homogeneous input")
+    img = apply_operator(spec, f)
     coeffs = expand_in_monomials(img, spec.group)
     out = OrthoPoly(p.weight, coeffs, spec.group, p.scale)
     _emit(out.to_json(), args)
@@ -214,11 +223,10 @@ def _suite_checks(args):
 
     if suite == "appendixB":
         top = args.max or 6
-        from .ratfield import ParamPoly as PP
         for nn in range(1, top + 1):
             tvars = tuple("t%d" % i for i in range(1, nn + 1))
-            ts = [PP.variable(tvars, v) for v in tvars]
-            one = PP.one(tvars)
+            ts = [ParamPoly.variable(tvars, v) for v in tvars]
+            one = ParamPoly.one(tvars)
             for r in range(1, nn + 1):
                 res = linear_system_residual(r, nn, ts, one)
                 add("linear-system n=%d r=%d" % (nn, r), res.is_zero(),
@@ -226,9 +234,11 @@ def _suite_checks(args):
         for nn in range(1, min(top, 5) + 1):
             allvars = tuple("t%d" % i for i in range(1, nn + 1)) + \
                 tuple("p%d" % i for i in range(1, nn + 1))
-            ts = [PP.variable(allvars, "t%d" % i) for i in range(1, nn + 1)]
-            ps = [PP.variable(allvars, "p%d" % i) for i in range(1, nn + 1)]
-            one = PP.one(allvars)
+            ts = [ParamPoly.variable(allvars, "t%d" % i)
+                  for i in range(1, nn + 1)]
+            ps = [ParamPoly.variable(allvars, "p%d" % i)
+                  for i in range(1, nn + 1)]
+            one = ParamPoly.one(allvars)
             for r in range(1, nn + 1):
                 direct = eigenvalue_core(r, ts, ps[r - 1:], one)
                 rec = eigenvalue_core_recursive(r, ts, ps[r - 1:], one)

@@ -341,8 +341,9 @@ def _divide_packed(terms, cS, D, EL, di, shift, width, where):
 # ``divide_factors`` the one division.  The sum merges pairwise and balanced:
 # a partial sum is lifted only to the union of its two halves.  Lifting every
 # term serially to the union of all terms multiplies each numerator by every
-# factor the others bring; summing the W and nested-chain coefficients that
-# way took test_form_equivalence_small from 20.8 to 36.4 s and
+# factor the others bring; when W and the nucleus sums were still sums over
+# chains of index sets, summing them that way took
+# test_form_equivalence_small from 20.8 to 36.4 s and
 # test_W_reduction_at_trivial_internal_coupling from 11.2 to 19.4 s (one run
 # each, on a shared 2-CPU machine).
 

@@ -5,8 +5,9 @@ Coefficient building blocks: one elementary ratio
 (g^2 w + sigma) / (g (w + sigma)) (``_ratio``), of which the one-pair ratio
 v_a is one v_b-shape factor (g = th, sigma = -1) and the external ratio v_b
 the product of four (g = ga, gb, gc, gd); the in-cell pair products
-(``_Engine.inner``); the products V over index cells; and the
-translator-free sums W over ordered set partitions.
+(``_Engine.inner``), q-shifted or reflected; the products V over index
+cells; and the translator-free coefficients, each a signed sum of such
+products: W over (subset, signs) and a cell's sums per nucleus.
 
 The hyperoctahedral operators are applied by the staged path
 (``_apply_staged``), which divides out poles cell by cell; it computes one
@@ -15,9 +16,8 @@ variables, so its input must be permutation-invariant.
 The A-type and spin operators go through their normal form
 (``_apply_normal_form``: the translates of the input against numerators over
 one shared denominator), and so does the translator-grouped form of the
-hyperoctahedral operators (``apply_operator_grouped``).  That form and the
-nested-chain form (``apply_operator_nested``) are independent cross-checks,
-and their agreement with the staged path is one of the acceptance checks.
+hyperoctahedral operators (``apply_operator_grouped``), the paper's sum of
+U V T terms; it is the independent cross-check of the staged path.
 
 Internally everything runs on flat polynomials (torus and parameter exponents
 in one tuple, rational coefficients); every signed sum of coefficients is
@@ -203,10 +203,11 @@ class _Engine:
             got = self._couple[key] = out
         return got
 
-    def inner(self, J, eps):
-        """The in-cell pairs of the cell J with signs eps: v_a, plain and
-        q-shifted, at z_j1^e1 z_j2^e2 for every pair of J."""
-        key = (J, eps)
+    def inner(self, J, eps, shift=1):
+        """The in-cell pair products of the cell J with signs eps: for every
+        pair of J, at w = z_j1^e1 z_j2^e2, v_a(w) v_a(q w) (shift 1) or the
+        reflected v_a(w) v_a(1/(q w)) (shift -1)."""
+        key = (J, eps, shift)
         got = self._inner.get(key)
         if got is None:
             out = _flat_rat_one(self.width)
@@ -214,79 +215,67 @@ class _Engine:
                 w = [0] * self.n
                 w[j1] += e1
                 w[j2] += e2
-                out = out * self.va(w, 0) * self.va(w, 1)
+                out = (out * self.va(w, 0)
+                       * self.va([shift * x for x in w], shift))
             got = self._inner[key] = out
         return got
 
     def nucleus_groups(self, J, eps):
-        """Chain sums of a cell grouped by nucleus, cleared over one common
-        in-cell denominator: returns (den, {nucleus: numerator})."""
+        """The translator-free sums of a cell grouped by nucleus, cleared
+        over one common in-cell denominator: returns (den, {nucleus:
+        numerator}).  The nucleus I, a nonempty subset of J, carries
+        (-1)^|R| times its q-shifted pairs, its couplings into the rest
+        R = J minus I, and the reflected pairs of R."""
         key = (J, eps)
         got = self._nucleus.get(key)
         if got is not None:
             return got
         emap = dict(zip(J, eps))
         signed = []
-        for chain in ordered_set_partitions(J):
-            sign = -1 if len(chain) % 2 == 0 else 1
-            coeff = _flat_rat_one(self.width)
-            seen = []
-            for block in chain:
-                coeff = coeff * self.inner(block,
-                                           tuple(emap[b] for b in block))
-                seen.extend(block)
-                later = tuple(x for x in J if x not in seen)
-                for b in block:
-                    coeff = coeff * self.couplings(b, emap[b], later)
-            signed.append((chain[0], sign, coeff))
+        for size in range(1, len(J) + 1):
+            for I in combinations(J, size):
+                R = tuple(x for x in J if x not in I)
+                coeff = (self.inner(I, tuple(emap[i] for i in I))
+                         * self.inner(R, tuple(emap[x] for x in R), -1))
+                for i in I:
+                    coeff = coeff * self.couplings(i, emap[i], R)
+                signed.append((I, (-1) ** len(R), coeff))
         got = self._nucleus[key] = _grouped_sum(signed)
         return got
 
-    def V(self, J, eps, K):
+    def V(self, J, eps, K, shift=1):
         """The cell building block: externals over J, internal pairs over J
-        (plain and q-shifted), and couplings of J into K."""
-        key = (J, eps, K)
+        (``inner`` with ``shift``), and couplings of J into K."""
+        key = (J, eps, K, shift)
         got = self._v.get(key)
         if got is not None:
             return got
         out = _flat_rat_one(self.width)
         for j, e in zip(J, eps):
             out = out * vb_factor(self.width, self.n, j, e, self.params)
-        out = out * self.inner(J, eps)
+        out = out * self.inner(J, eps, shift)
         for j, e in zip(J, eps):
             out = out * self.couplings(j, e, K)
         self._v[key] = out
         return out
 
-    def W(self, I, p):
-        """Translator-free coefficient W_{I,p}: the alternating sum over
-        ordered set partitions of p-subsets of I, each block coupled to the
-        complement of the chain inside I."""
-        key = (I, p)
+    def W(self, K, p):
+        """Translator-free coefficient W_{K,p}: (-1)^p times the sum over
+        p-subsets L of K and signs eps on L of V(L, eps, K minus L) with the
+        reflected pairs."""
+        key = (K, p)
         got = self._w.get(key)
         if got is not None:
             return got
-        if p == 0:
-            out = _flat_rat_one(self.width)
-        elif len(I) < p:
-            out = LaurentRat(LaurentPoly.zero(self.width))
-        else:
-            terms = []
-            for P in combinations(I, p):
-                for chain in ordered_set_partitions(P):
-                    sign = -1 if len(chain) % 2 else 1
-                    for eps in product((1, -1), repeat=p):
-                        emap = dict(zip(P, eps))
-                        coeff = _flat_rat_one(self.width)
-                        used = []
-                        for block in chain:
-                            used.extend(block)
-                            rest = tuple(x for x in I if x not in used)
-                            coeff = coeff * self.V(
-                                block, tuple(emap[b] for b in block), rest)
-                        terms.append((None, sign, coeff))
+        terms = [(None, (-1) ** p,
+                  self.V(L, eps, tuple(x for x in K if x not in L), -1))
+                 for L in combinations(K, p)
+                 for eps in product((1, -1), repeat=p)]
+        if terms:
             den, total = _grouped_sum(terms)
             out = LaurentRat(total[None], den)
+        else:
+            out = LaurentRat(LaurentPoly.zero(self.width))
         self._w[key] = out
         return out
 
@@ -300,30 +289,6 @@ def _engine(n, params):
     if eng is None:
         eng = _ENGINES[key] = _Engine(n, params)
     return eng
-
-
-def ordered_set_partitions(elems):
-    """All chains of strictly increasing subsets ending at the full set,
-    listed as tuples of blocks, deterministic order."""
-    elems = tuple(elems)
-    if not elems:
-        return []
-    out = []
-    idx = list(range(len(elems)))
-
-    def rec(rest, acc):
-        if not rest:
-            out.append(tuple(acc))
-            return
-        for r in range(1, len(rest) + 1):
-            for block in combinations(rest, r):
-                remaining = tuple(x for x in rest if x not in block)
-                acc.append(block)
-                rec(remaining, acc)
-                acc.pop()
-
-    rec(elems, [])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +449,10 @@ def _apply_normal_form(spec, flat):
 #
 # The grouped normal form clears every term over one global denominator,
 # which explodes combinatorially with n.  The staged path instead follows
-# the pole-cancellation structure: for each cell the chain sum (external
-# factors excluded) is already regular at the half-period-shifted poles, so
-# those factors divide out while the objects are still small; sign pairs
-# then cancel the unit-circle poles one variable at a time, exchange
+# the pole-cancellation structure: for each cell the translator-free sum
+# (external factors excluded) is already regular at the half-period-shifted
+# poles, so those factors divide out while the objects are still small; sign
+# pairs then cancel the unit-circle poles one variable at a time, exchange
 # symmetry cancels the in-cell pair poles, and only the small cross-cell
 # pair factors survive to the final division.  Every division is exact and
 # raises NotDivisible if any of these cancellation claims ever failed.  On a
@@ -636,22 +601,24 @@ def apply_operator(spec, f, check_invariance=True):
     The result is again a polynomial: the assembled numerator divides
     exactly by the factored denominator (NotDivisible would flag a violated
     pole-cancellation claim).  Coefficients of f may be ParamPoly or
-    ParamRat over the half-parameter field (ParamRat denominators are
-    cleared up front and restored on the result).
+    ParamRat over the operator's parameter field, ``JACOBI_VARS`` for the
+    differential branch and ``KOORN_VARS`` otherwise (ParamRat denominators
+    are cleared up front and restored on the result).
     """
-    if spec.kind == "jacobi":
-        return _apply_jacobi(spec, f, check_invariance)
     if check_invariance and not is_invariant(f, spec.group):
         raise NotInvariant("input not invariant under %s" % spec.group)
+    pvars = JACOBI_VARS if spec.kind == "jacobi" else KOORN_VARS
     nums, dens = _over_common_den(f.terms)
-    flat = flatten(LaurentPoly(f.n, nums, f.scale), KOORN_VARS)
-    if spec.kind == "koornwinder":
+    flat = flatten(LaurentPoly(f.n, nums, f.scale), pvars)
+    if spec.kind == "jacobi":
+        quot = _apply_jacobi(spec, flat)
+    elif spec.kind == "koornwinder":
         quot = _apply_staged(spec, flat)
     else:
         quot = _apply_normal_form(spec, flat)
-    out = unflatten(quot, spec.n, KOORN_VARS)
+    out = unflatten(quot, spec.n, pvars)
     if dens:
-        inv = ParamRat.one(KOORN_VARS)
+        inv = ParamRat.one(pvars)
         for d in dens:
             inv = inv / ParamRat.from_poly(d)
         out = out.map_coeff(lambda c: ParamRat.from_poly(c) * inv)
@@ -687,39 +654,6 @@ def _center_prefactor(total, spec, flat_input):
     return total.mul_monomial(tuple(e), 1, spec.n * total.scale)
 
 
-def apply_operator_nested(spec, f, check_invariance=True):
-    """Independent evaluation of the hyperoctahedral operators through the
-    nested-chain form (sum over cells, sign configurations and ordered block
-    chains, with the translator acting on the first block only)."""
-    if spec.kind != "koornwinder":
-        raise ValueError("nested form exists for the hyperoctahedral family")
-    if check_invariance and not is_invariant(f, spec.group):
-        raise NotInvariant("input not invariant under %s" % spec.group)
-    n, r = spec.n, spec.r
-    eng = _engine(n, spec.params)
-    flat = flatten(f, KOORN_VARS)
-    signed = []
-    for J in combinations(range(n), r):
-        for eps in product((1, -1), repeat=r):
-            emap = dict(zip(J, eps))
-            for chain in ordered_set_partitions(J):
-                sign = -1 if len(chain) % 2 == 0 else 1
-                coeff = _flat_rat_one(eng.width)
-                seen = []
-                for block in chain:
-                    seen.extend(block)
-                    comp = tuple(x for x in range(n) if x not in seen)
-                    coeff = coeff * eng.V(
-                        block, tuple(emap[b] for b in block), comp)
-                steps = [0] * n
-                for j in chain[0]:
-                    steps[j] = 2 * emap[j]
-                moved = flat_shift(flat, tuple(steps), n + _QH) + (-flat)
-                signed.append((None, sign, coeff.mul_poly(moved)))
-    den, total = _grouped_sum(signed)
-    return unflatten(divide_factors(total[None], den), n, KOORN_VARS)
-
-
 def apply_one_var(f, j, params=None):
     """The rank-one operator acting in the variable z_j alone:
     v_b(z_j) (T_j - 1) + v_b(1/z_j) (T_j^{-1} - 1)."""
@@ -753,18 +687,14 @@ def elementary_symmetric_apply(r, f, params=None):
 # the differential (q -> 1) branch
 
 
-def _apply_jacobi(spec, f, check_invariance=True):
-    """The second-order hypergeometric operator on the torus: Euler-square
-    part plus cotangent one- and two-body terms written as exact rational
-    multipliers."""
-    if check_invariance and not is_invariant(f, HYPEROCTAHEDRAL):
-        raise NotInvariant("input not invariant under BC")
-    if f.scale != 1:
+def _apply_jacobi(spec, flat):
+    """The second-order hypergeometric operator on the torus, applied to a
+    flat polynomial over ``JACOBI_VARS``: Euler-square part plus cotangent
+    one- and two-body terms written as exact rational multipliers."""
+    if flat.scale != 1:
         raise ValueError("the differential branch lives on the integer lattice")
     n = spec.n
-    npar = len(JACOBI_VARS)
-    width = n + npar
-    flat = flatten(f, JACOBI_VARS)
+    width = flat.n
     g_e = tuple(1 if i == n else 0 for i in range(width))
     t0_e = tuple(1 if i == n + 1 else 0 for i in range(width))
     t1_e = tuple(1 if i == n + 2 else 0 for i in range(width))
@@ -815,7 +745,7 @@ def _apply_jacobi(spec, f, check_invariance=True):
         signed.append((None, 1, LaurentRat(num1).with_binomial_factor(
             width, (ej, 1), (zero, 1))))
     den, total = _grouped_sum(signed)
-    return unflatten(divide_factors(total[None], den), n, JACOBI_VARS)
+    return divide_factors(total[None], den)
 
 
 # ---------------------------------------------------------------------------

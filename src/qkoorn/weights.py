@@ -65,30 +65,38 @@ def weights_below(lam):
 
 
 def worbit(w, group=HYPEROCTAHEDRAL):
-    """Deduplicated Weyl orbit of a weight, deterministic order."""
+    """Deduplicated Weyl orbit of a weight, deterministic order.  Under D an
+    odd number of sign changes is reached only when some entry is 0, whose
+    sign change is free."""
     seen = set()
     for p in permutations(w):
         if group == PERMUTATIONS_ONLY:
             seen.add(p)
             continue
         support = [i for i, x in enumerate(p) if x]
+        even_only = group == EVEN_SIGNS and len(support) == len(p)
         for mask in range(1 << len(support)):
+            if even_only and bin(mask).count("1") % 2:
+                continue
             v = list(p)
-            flips = 0
             for b, i in enumerate(support):
                 if mask >> b & 1:
                     v[i] = -v[i]
-                    flips += 1
-            if group == EVEN_SIGNS and flips % 2:
-                continue
             seen.add(tuple(v))
     return sorted(seen)
 
 
 def dominant_rep(e, group):
+    """The dominant member of the orbit of e: entries decreasing, and
+    nonnegative except, under D, the last one, which carries the sign of
+    the product of the entries when none is 0."""
     if group == PERMUTATIONS_ONLY:
         return tuple(sorted(e, reverse=True))
-    return tuple(sorted((abs(x) for x in e), reverse=True))
+    out = sorted((abs(x) for x in e), reverse=True)
+    if group == EVEN_SIGNS and out and out[-1] and \
+            sum(x < 0 for x in e) % 2:
+        out[-1] = -out[-1]
+    return tuple(out)
 
 
 def monomial_symmetric(lam, group=HYPEROCTAHEDRAL, one=None, scale=1):

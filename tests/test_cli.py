@@ -1,12 +1,14 @@
 import json
+import math
 from decimal import Decimal
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
 from qkoorn.cli import main
-from qkoorn.ratfield import KOORN_VARS, ParamRat
-from qkoorn.spectra import eigenvalue_Ern
+from qkoorn.ratfield import JACOBI_VARS, KOORN_VARS, ParamRat
+from qkoorn.spectra import eigenvalue_Ern, eigenvalue_jacobi
 from qkoorn.weightfn import (DEFAULT_POINT, WeightFunctionSpec,
                              gram_schmidt_oracle)
 
@@ -17,8 +19,8 @@ def run(tmp_path, argv, name="out.json"):
     return json.loads(out.read_text())
 
 
-def coeffs(data):
-    return {tuple(c["weight"]): ParamRat.parse(KOORN_VARS, c["value"])
+def coeffs(data, pvars=KOORN_VARS):
+    return {tuple(c["weight"]): ParamRat.parse(pvars, c["value"])
             for c in data["coeffs"]}
 
 
@@ -32,6 +34,77 @@ def test_apply_reads_poly_output(tmp_path):
     assert set(got) == set(p)
     for mu, c in p.items():
         assert got[mu] == c * ev
+
+
+def test_apply_reads_jacobi_output(tmp_path):
+    run(tmp_path, ["poly", "--n", "2", "--weight", "1,0", "--method",
+                   "jacobi"], "p.json")
+    img = run(tmp_path, ["apply", "--op",
+                         '{"kind":"Jacobi_D10","n":2,"group":"BC"}',
+                         "--in", str(tmp_path / "p.json")])
+    p = coeffs(json.loads((tmp_path / "p.json").read_text()), JACOBI_VARS)
+    ev = eigenvalue_jacobi(1, 2, (1, 0))
+    got = coeffs(img, JACOBI_VARS)
+    assert set(got) == set(p)
+    for mu, c in p.items():
+        assert got[mu] == c * ev
+
+
+def _signed_orbit(lam, even):
+    """Signed permutations of lam, with an even number of sign changes
+    when ``even``, as a set."""
+    return {tuple(s * x for s, x in zip(signs, p))
+            for p in permutations(lam)
+            for signs in product((1, -1), repeat=len(lam))
+            if not even or math.prod(signs) == 1}
+
+
+def _orbit_sum(lam, z, even=False):
+    return sum(math.prod(x ** k for x, k in zip(z, e))
+               for e in _signed_orbit(lam, even))
+
+
+def _param_at(text, values):
+    rat = ParamRat.parse(KOORN_VARS, text)
+
+    def at(poly):
+        assert poly.scale == 1
+        return sum(c * math.prod(v ** k for v, k in zip(values, e))
+                   for e, c in poly.terms.items())
+    return at(rat.num) / at(rat.den)
+
+
+@pytest.mark.parametrize("kind", ["Dn_plus", "Dn_minus"])
+@pytest.mark.parametrize("lam", [(1, 0), (1, 0, 0), (2, 0, 0), (1, 1, 1)])
+def test_half_spin_operator_image(tmp_path, kind, lam):
+    # the image of the BC monomial m_lam, read back over D_n orbits, against
+    # the product formula at a rational point: the sum over sign vectors of
+    # product +1 (plus) or -1 (minus) of prod_{j<k} v_a(z_j^e_j z_k^e_k)
+    # times m_lam(q^(e/2) z)
+    n = len(lam)
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps({"n": n, "weight": list(lam), "coeffs": [
+        {"weight": list(lam), "value": "1"}]}))
+    img = run(tmp_path, ["apply", "--op", json.dumps(
+        {"kind": kind, "n": n, "group": "D"}), "--in", str(src)])
+    qh, th = Fraction(2, 7), Fraction(3, 5)
+    z = (Fraction(5, 3), Fraction(-7, 4), Fraction(11, 6))[:n]
+
+    def va(w):
+        return (th * w - 1 / th) / (w - 1)
+    sign = 1 if kind == "Dn_plus" else -1
+    want = 0
+    for eps in product((1, -1), repeat=n):
+        if math.prod(eps) == sign:
+            zz = [x ** e for x, e in zip(z, eps)]
+            want += math.prod(va(zz[j] * zz[k])
+                              for j in range(n) for k in range(j + 1, n)) \
+                * _orbit_sum(lam, [qh * x ** e for x, e in zip(z, eps)])
+    point = (qh, th, 1, 1, 1, 1)
+    got = sum(_param_at(c["value"], point)
+              * _orbit_sum(c["weight"], z, even=True)
+              for c in img["coeffs"])
+    assert got == want
 
 
 @pytest.mark.parametrize("value", ["2qh", "(qh+1)/(0)"])
@@ -80,6 +153,30 @@ def exit_code(argv):
         return exc.code
 
 
+# polynomials that ``apply`` reads: an argument "@name" stands for a file
+# holding INPUTS[name]
+INPUTS = {
+    "m10": {"n": 2, "weight": [1, 0],
+            "coeffs": [{"weight": [1, 0], "value": "1"}]},
+    "m100+m000": {"n": 3, "weight": [1, 0, 0], "group": "A",
+                  "coeffs": [{"weight": [1, 0, 0], "value": "1"},
+                             {"weight": [0, 0, 0], "value": "1"}]},
+    "qh*m10": {"n": 2, "weight": [1, 0],
+               "coeffs": [{"weight": [1, 0], "value": "qh"}]},
+}
+
+
+def with_inputs(tmp_path, argv):
+    out = []
+    for arg in argv:
+        if arg.startswith("@"):
+            path = tmp_path / ("in_%d.json" % len(out))
+            path.write_text(json.dumps(INPUTS[arg[1:]]))
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
 BAD_INPUTS = {
     "q-out-of-range": (["poly", "--n", "1", "--weight", "2", "--numeric",
                         "q=2,t=1/2,a=1/2,b=-1/3,c=1/5,d=-1/7"], 2),
@@ -96,6 +193,15 @@ BAD_INPUTS = {
     "divergent-series": (["poly", "--n", "1", "--weight", "1", "--method",
                           "gs", "--trunc", "3", "--numeric",
                           "q=1/4,t=1/2,a=1,b=-1/3,c=1,d=-1/7"], 3),
+    "centered-not-homogeneous": (["apply", "--op", '{"kind":"A_Dr_centered",'
+                                  '"n":3,"r":1,"group":"A"}',
+                                  "--in", "@m100+m000"], 2),
+    "coefficient-outside-jacobi-ring": (["apply", "--op",
+                                         '{"kind":"Jacobi_D10","n":2}',
+                                         "--in", "@qh*m10"], 2),
+    "operator-and-input-sizes-differ": (["apply", "--op",
+                                         '{"kind":"Dr","n":3,"r":1}',
+                                         "--in", "@m10"], 2),
 }
 
 
@@ -103,7 +209,7 @@ BAD_INPUTS = {
 def test_bad_input_exits_with_one_error_line(tmp_path, capsys, case):
     argv, code = BAD_INPUTS[case]
     out = tmp_path / "out.json"
-    assert exit_code(argv + ["--out", str(out)]) == code
+    assert exit_code(with_inputs(tmp_path, argv) + ["--out", str(out)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err

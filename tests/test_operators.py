@@ -6,16 +6,16 @@ from itertools import combinations, product
 import pytest
 
 from qkoorn.errors import NotInvariant
-from qkoorn.laurent import (LaurentPoly, LaurentRat, divide_factors, flatten,
-                            lift_to, merge_max)
+from qkoorn.laurent import (LaurentPoly, LaurentRat, _grouped_sum,
+                            divide_factors, flat_shift, flatten, lift_to,
+                            merge_max, unflatten)
 from qkoorn.operators import (IDENTITY, OperatorSpec, ParamMap,
                               apply_operator, apply_operator_grouped,
-                              apply_operator_nested, apply_one_var,
-                              apply_to_monomial, commutator_on_basis,
-                              elementary_symmetric_apply, monomial_leading,
-                              operator_matrix, ordered_set_partitions,
-                              va_factor, vb_factor, _VB_SHAPES,
-                              _apply_staged, _engine, _staged_cell)
+                              apply_one_var, apply_to_monomial,
+                              commutator_on_basis, elementary_symmetric_apply,
+                              monomial_leading, operator_matrix, va_factor,
+                              vb_factor, _QH, _VB_SHAPES, _apply_staged,
+                              _engine, _flat_rat_one, _staged_cell)
 from qkoorn.ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
 from qkoorn.spectra import eigenvalue_Ern, eigenvalue_jacobi
 from qkoorn.weights import (HYPEROCTAHEDRAL, PERMUTATIONS_ONLY, dominance_leq,
@@ -139,6 +139,193 @@ def test_vb_half_period_covariance():
     swapped_den = swap(den_prod)
     neg_den = negate_odd(den_prod)
     assert lhs_num * swapped_den == rhs_num * neg_den
+
+
+# ---------------------------------------------------------------------------
+# the chain-sum oracle: the translator-free coefficients written literally
+# as alternating sums over chains of index sets
+
+
+def ordered_set_partitions(elems):
+    """All chains of strictly increasing subsets ending at the full set,
+    listed as tuples of blocks, deterministic order."""
+    elems = tuple(elems)
+    if not elems:
+        return []
+    out = []
+    idx = list(range(len(elems)))
+
+    def rec(rest, acc):
+        if not rest:
+            out.append(tuple(acc))
+            return
+        for r in range(1, len(rest) + 1):
+            for block in combinations(rest, r):
+                remaining = tuple(x for x in rest if x not in block)
+                acc.append(block)
+                rec(remaining, acc)
+                acc.pop()
+
+    rec(elems, [])
+    return out
+
+
+def apply_operator_nested(spec, f, check_invariance=True):
+    """Independent evaluation of the hyperoctahedral operators through the
+    nested-chain form (sum over cells, sign configurations and ordered block
+    chains, with the translator acting on the first block only)."""
+    if spec.kind != "koornwinder":
+        raise ValueError("nested form exists for the hyperoctahedral family")
+    if check_invariance and not is_invariant(f, spec.group):
+        raise NotInvariant("input not invariant under %s" % spec.group)
+    n, r = spec.n, spec.r
+    eng = _engine(n, spec.params)
+    flat = flatten(f, KOORN_VARS)
+    signed = []
+    for J in combinations(range(n), r):
+        for eps in product((1, -1), repeat=r):
+            emap = dict(zip(J, eps))
+            for chain in ordered_set_partitions(J):
+                sign = -1 if len(chain) % 2 == 0 else 1
+                coeff = _flat_rat_one(eng.width)
+                seen = []
+                for block in chain:
+                    seen.extend(block)
+                    comp = tuple(x for x in range(n) if x not in seen)
+                    coeff = coeff * eng.V(
+                        block, tuple(emap[b] for b in block), comp)
+                steps = [0] * n
+                for j in chain[0]:
+                    steps[j] = 2 * emap[j]
+                moved = flat_shift(flat, tuple(steps), n + _QH) + (-flat)
+                signed.append((None, sign, coeff.mul_poly(moved)))
+    den, total = _grouped_sum(signed)
+    return unflatten(divide_factors(total[None], den), n, KOORN_VARS)
+
+
+def _random_point(rng, n):
+    """Random nonzero rationals for z_1..z_n and the six half-parameters."""
+    return tuple(QQ(rng.choice((1, -1)) * rng.randint(1, 97),
+                    rng.randint(2, 89)) for _ in range(n + len(KOORN_VARS)))
+
+
+def _poly_at(p, point):
+    assert p.scale == 1
+    total = QQ(0)
+    for e, c in p.terms.items():
+        term = QQ(c)
+        for x, k in zip(point, e):
+            if k:
+                term *= x ** k
+        total += term
+    return total
+
+
+def _rat_at(rat, point):
+    """A flat LaurentRat at a rational point: the numerator over each
+    denominator binomial, every one evaluated on its own."""
+    val = _poly_at(rat.num, point)
+    for b, m in rat.den.values():
+        d = _poly_at(b, point)
+        assert d, "the point is a pole"
+        val /= d ** m
+    return val
+
+
+def _factors_at(eng, point):
+    """The engine's factors at the point, each evaluated once: a function
+    of ("inner", J, eps, shift), ("vb", j, e) or ("couplings", j, e, K)."""
+    build = {"inner": eng.inner, "couplings": eng.couplings,
+             "vb": lambda j, e: vb_factor(eng.width, eng.n, j, e, eng.params)}
+    memo = {}
+
+    def at(*key):
+        if key not in memo:
+            memo[key] = _rat_at(build[key[0]](*key[1:]), point)
+        return memo[key]
+    return at
+
+
+def _V_at(at, J, eps, K, shift=1):
+    """``eng.V(J, eps, K, shift)`` at the point, factor by factor."""
+    val = at("inner", J, eps, shift)
+    for j, e in zip(J, eps):
+        val *= at("vb", j, e) * at("couplings", j, e, K)
+    return val
+
+
+def _chain_sum_at(at, L, eps, K, nucleus=None, externals=True):
+    """The alternating sum over chains (B_1, ..., B_k) of L, B_1 = nucleus
+    when one is given, of (-1)^k times the product of the V(B_i, eps,
+    K minus (B_1 u ... u B_i)), at the point; without the externals v_b
+    when ``externals`` is false."""
+    emap = dict(zip(L, eps))
+    total = QQ(0)
+    for chain in ordered_set_partitions(L):
+        if nucleus is not None and chain[0] != nucleus:
+            continue
+        term = QQ((-1) ** len(chain))
+        seen = []
+        for block in chain:
+            seen.extend(block)
+            rest = tuple(x for x in K if x not in seen)
+            beps = tuple(emap[b] for b in block)
+            if externals:
+                term *= _V_at(at, block, beps, rest)
+            else:
+                term *= at("inner", block, beps, 1)
+                for b, e in zip(block, beps):
+                    term *= at("couplings", b, e, rest)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("params", [IDENTITY,
+                                    ParamMap({"gc": "ga", "gd": "gb"})],
+                         ids=["identity", "BCn:Cn"])
+def test_chain_sum_is_one_closed_product(n, params):
+    # for every L in K = {1..n} and signs eps on L, the chain sum over L
+    # equals (-1)^|L| V(L, eps, K minus L) with the reflected pairs
+    eng = _engine(n, params)
+    rng = random.Random(1000 + n)
+    K = tuple(range(n))
+    for _ in range(2):
+        at = _factors_at(eng, _random_point(rng, n))
+        for size in range(1, n + 1):
+            for L in combinations(K, size):
+                rest = tuple(x for x in K if x not in L)
+                for eps in product((1, -1), repeat=size):
+                    closed = (-1) ** size * _V_at(at, L, eps, rest, -1)
+                    assert _chain_sum_at(at, L, eps, K) == closed
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("params", [IDENTITY,
+                                    ParamMap({"gc": "ga", "gd": "gb"})],
+                         ids=["identity", "BCn:Cn"])
+def test_closed_forms_match_chain_sums(n, params):
+    # the engine's nucleus sums and W, against the chain sums they replace
+    eng = _engine(n, params)
+    point = _random_point(random.Random(2000 + n), n)
+    at = _factors_at(eng, point)
+    K = tuple(range(n))
+    for size in range(1, n + 1):
+        for J in combinations(K, size):
+            for eps in product((1, -1), repeat=size):
+                den, groups = eng.nucleus_groups(J, eps)
+                assert set(groups) == {B[0] for B in ordered_set_partitions(J)}
+                dval = _rat_at(LaurentRat(LaurentPoly.const(eng.width, 1),
+                                          den), point)
+                for I, num in groups.items():
+                    assert _poly_at(num, point) * dval == -_chain_sum_at(
+                        at, J, eps, J, nucleus=I, externals=False)
+    # W(K, p) at n = 3 only for p = 1: the larger p are slow symbolically
+    for p in range(1, 2 if n == 3 else n + 1):
+        want = sum(_chain_sum_at(at, L, eps, K)
+                   for L in combinations(K, p)
+                   for eps in product((1, -1), repeat=p))
+        assert _rat_at(eng.W(K, p), point) == want
 
 
 def test_ordered_set_partitions_counts():

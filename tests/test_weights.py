@@ -1,14 +1,16 @@
 import math
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkoorn.errors import NotInvariant
 from qkoorn.laurent import LaurentPoly
 from qkoorn.ratfield import KOORN_VARS, ParamPoly
 from qkoorn.weights import (EVEN_SIGNS, HYPEROCTAHEDRAL, PERMUTATIONS_ONLY,
-                            dominance_leq, expand_in_monomials,
+                            dominance_leq, dominant_rep, expand_in_monomials,
                             linear_refinement, monomial_symmetric,
                             weights_below, worbit)
 
@@ -89,6 +91,58 @@ def test_orbit_size_divides_group_order():
 def test_even_sign_orbit():
     orb = worbit((1, 1), EVEN_SIGNS)
     assert (1, 1) in orb and (-1, -1) in orb and (1, -1) not in orb
+    assert worbit((1, -1), EVEN_SIGNS) == [(-1, 1), (1, -1)]
+    # a zero entry makes an odd number of sign changes free
+    assert worbit((1, 0), EVEN_SIGNS) == worbit((1, 0))
+    assert len(worbit((2, 1, 0), EVEN_SIGNS)) == 24
+    assert dominant_rep((-1, 2), EVEN_SIGNS) == (2, -1)
+    assert dominant_rep((-1, -2), EVEN_SIGNS) == (2, 1)
+    assert dominant_rep((0, -2), EVEN_SIGNS) == (2, 0)
+
+
+GROUPS = (HYPEROCTAHEDRAL, PERMUTATIONS_ONLY, EVEN_SIGNS)
+ORBITS = settings(derandomize=True, database=None, deadline=None,
+                  max_examples=60)
+_points = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(tuple)
+
+
+def _group_orbit(e, group):
+    """The orbit of e straight from the group's elements: permutations,
+    with every sign vector (BC), none (A) or those of product 1 (D)."""
+    signs = [s for s in product((1, -1), repeat=len(e))
+             if group == HYPEROCTAHEDRAL
+             or group == EVEN_SIGNS and math.prod(s) == 1
+             or not any(x < 0 for x in s)]
+    return {tuple(s[i] * x for i, x in enumerate(p))
+            for p in permutations(e) for s in signs}
+
+
+@ORBITS
+@given(_points, st.sampled_from(GROUPS))
+def test_orbit_is_the_group_orbit(e, group):
+    orb = worbit(e, group)
+    assert set(orb) == _group_orbit(e, group)
+    if group == EVEN_SIGNS:
+        # the BC orbit, or half of it when no entry is 0
+        bc = len(worbit(e))
+        assert len(orb) == (bc if 0 in e else bc // 2)
+
+
+@ORBITS
+@given(_points, st.sampled_from(GROUPS))
+def test_dominant_rep_is_constant_on_the_orbit(e, group):
+    lam = dominant_rep(e, group)
+    assert lam in worbit(e, group)
+    assert {dominant_rep(x, group) for x in worbit(e, group)} == {lam}
+
+
+@ORBITS
+@given(_points, st.sampled_from(GROUPS))
+def test_monomial_expands_to_itself(e, group):
+    lam = dominant_rep(e, group)
+    one = ParamPoly.one(KOORN_VARS)
+    assert expand_in_monomials(monomial_symmetric(lam, group),
+                               group) == {lam: one}
 
 
 def test_monomial_symmetric():
