@@ -26,8 +26,8 @@ from .operators import (OperatorSpec, ParamMap, apply_operator,
 from .ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
 from .spectra import (cp_check, eigenvalue_Ern, eigenvalue_core,
                       eigenvalue_core_recursive, linear_system_residual)
-from .weights import (dominance_leq, expand_in_monomials, monomial_symmetric,
-                      weights_below)
+from .weights import (dominance_leq, expand_in_monomials, is_invariant,
+                      monomial_symmetric, weights_below)
 from . import weightfn
 
 USAGE_ERROR = 2
@@ -199,7 +199,10 @@ def cmd_apply(args):
     if spec.kind == "a_type_centered" and \
             len({sum(e) for e in f.terms}) > 1:
         _usage("the centered operator needs a homogeneous input")
-    img = apply_operator(spec, f)
+    if not is_invariant(f, spec.group, spec.n):
+        _usage("the input is not invariant under the operator's group %s"
+               % spec.group)
+    img = apply_operator(spec, f, check_invariance=False)
     coeffs = expand_in_monomials(img, spec.group)
     out = OrthoPoly(p.weight, coeffs, spec.group, p.scale)
     _emit(out.to_json(), args)

@@ -26,7 +26,7 @@ q-shift of a torus variable is then an exponent shift on the qh slot
 from __future__ import annotations
 
 from math import gcd
-from operator import lshift
+from operator import itemgetter, lshift, mul
 from struct import Struct
 
 from .errors import NotDivisible
@@ -113,16 +113,17 @@ class LaurentPoly:
 
     def permuted(self, perm):
         """Apply z_i -> z_{perm[i]} (perm is a tuple image of indices)."""
-        return LaurentPoly._of(self.n,
-                               {tuple(e[perm[i]] for i in range(self.n)): c
-                                for e, c in self.terms.items()}, self.scale)
+        get = itemgetter(*perm) if self.n > 1 else tuple
+        return LaurentPoly._of(self.n, {get(e): c
+                                        for e, c in self.terms.items()},
+                               self.scale)
 
     def inverted(self, idx):
         """Flip z_j -> z_j^{-1} for every j in idx."""
-        sw = set(idx)
-        return LaurentPoly._of(
-            self.n, {tuple(-x if i in sw else x for i, x in enumerate(e)): c
-                     for e, c in self.terms.items()}, self.scale)
+        signs = [-1 if i in idx else 1 for i in range(self.n)]
+        return LaurentPoly._of(self.n, {tuple(map(mul, e, signs)): c
+                                        for e, c in self.terms.items()},
+                               self.scale)
 
     def __repr__(self):
         items = sorted(self.terms)[:6]

@@ -10,9 +10,11 @@ cells; and the translator-free coefficients, each a signed sum of such
 products: W over (subset, signs) and a cell's sums per nucleus.
 
 The hyperoctahedral operators are applied by the staged path
-(``_apply_staged``), which divides out poles cell by cell; it computes one
-cell per permutation orbit and maps the others by permuting the torus
-variables, so its input must be permutation-invariant.
+(``_apply_staged``), which divides out poles cell by cell.  It builds one
+sign branch of one cell and maps the rest: each sign branch is the all-plus
+branch with some z_j inverted, and each cell the first one with the torus
+variables permuted (``_mapped``), so its input must be invariant under the
+whole hyperoctahedral group.
 The A-type and spin operators go through their normal form
 (``_apply_normal_form``: the translates of the input against numerators over
 one shared denominator), and so does the translator-grouped form of the
@@ -30,9 +32,9 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .errors import NotDivisible, NotInvariant
+from .errors import NotInvariant
 from .laurent import (LaurentPoly, LaurentRat, _grouped_sum, canonical_binomial,
-                      divide_factors, flat_shift, flatten, merge_max,
+                      divide_factors, flat_shift, flatten, lift_to, merge_max,
                       unflatten)
 from .ratfield import (JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat,
                        _monomial_image as _image_parts, _over_common_den,
@@ -177,16 +179,15 @@ class _Engine:
                                             qpow, self.params)
         return got
 
-    def vb_split(self, j, eps):
-        key = (j, eps)
-        got = self._vb.get(key)
+    def vb_split(self, j):
+        """v_b(z_j) as (numerator, z-unit factors, qh-unit factors)."""
+        got = self._vb.get(j)
         if got is None:
-            rat = vb_factor(self.width, self.n, j, eps, self.params)
+            rat = vb_factor(self.width, self.n, j, 1, self.params)
             zunit, qhunit = {}, {}
             for k, bm in rat.den.items():
-                kind, _ = _classify_factor(k, self.n)
-                (zunit if kind == "zunit" else qhunit)[k] = bm
-            got = self._vb[key] = (rat.num, zunit, qhunit)
+                (qhunit if _support(k, self.n)[1] else zunit)[k] = bm
+            got = self._vb[j] = (rat.num, zunit, qhunit)
         return got
 
     def couplings(self, j, eps, K):
@@ -449,146 +450,119 @@ def _apply_normal_form(spec, flat):
 #
 # The grouped normal form clears every term over one global denominator,
 # which explodes combinatorially with n.  The staged path instead follows
-# the pole-cancellation structure: for each cell the translator-free sum
+# the pole-cancellation structure, on one branch per hyperoctahedral orbit.
+# D_r commutes with the hyperoctahedral group, so on an invariant input the
+# sign branch eps of a cell is its all-plus branch with z_j inverted wherever
+# eps_j = -1, and the cell J is the first cell with z_J0 renamed z_J.  Only
+# the all-plus branch of the first cell is built.  Its translator-free sum
 # (external factors excluded) is already regular at the half-period-shifted
-# poles, so those factors divide out while the objects are still small; sign
-# pairs then cancel the unit-circle poles one variable at a time, exchange
-# symmetry cancels the in-cell pair poles, and only the small cross-cell
-# pair factors survive to the final division.  Every division is exact and
-# raises NotDivisible if any of these cancellation claims ever failed.  On a
-# permutation-invariant input the cells form one orbit under permutations of
-# the torus variables: one cell is computed, the rest are its images.
+# poles, so those factors divide out while it is small.  The sign of each
+# z_j is then summed out: the running cell times v_b(z_j) and the couplings
+# of z_j, plus its own image under z_j -> 1/z_j, is regular at the
+# unit-circle poles of z_j, and exchange symmetry cancels each in-cell pair
+# pole once both of its variables are summed.  Only the cross-cell pair
+# factors survive to the final division, of the sum of the cell's permuted
+# images.  Every division is exact and raises NotDivisible if any of these
+# cancellation or symmetry claims ever failed.
 
 
-def _classify_factor(key, n):
-    """Sort a canonical binomial into zunit / qhunit / pair / qpair."""
+def _support(key, n):
+    """The torus variables of a canonical binomial, and whether qh is one of
+    its variables: a z-unit or pair factor, or a qh-unit or q-shifted pair
+    factor."""
     _, _, e1, e2, _ = key
-    torus = set()
-    qh = False
-    for e in (e1, e2):
-        for i in range(n):
-            if e[i]:
-                torus.add(i)
-        if e[n + _QH]:
-            qh = True
-    if len(torus) == 1:
-        return ("qhunit" if qh else "zunit"), torus.pop()
-    return ("qpair" if qh else "pair"), tuple(sorted(torus))
+    return (tuple(i for i in range(n) if e1[i] or e2[i]),
+            bool(e1[n + _QH] or e2[n + _QH]))
+
+
+def _mapped(rat, image):
+    """A factored fraction under a monomial map of the torus variables,
+    ``image`` taking a flat poly to its image.  Each mapped factor is
+    re-canonicalised, and the units that split off multiply the numerator
+    once, as one monomial."""
+    width = rat.num.n
+    unit = LaurentPoly.const(width, 1)
+    den = {}
+    for b, m in rat.den.values():
+        pb = image(b)
+        key, binom, mm, cu, su = canonical_binomial(width, *pb.terms.items(),
+                                                    pb.scale)
+        den[key] = (binom, m)
+        unit = unit.mul_monomial(tuple(-m * x for x in mm), _qq(1, cu ** m),
+                                 su)
+    num = image(rat.num)
+    (e, c), = unit.terms.items()
+    if any(e) or c != 1:
+        num = num.mul_monomial(e, c, unit.scale)
+    return LaurentRat(num, den)
 
 
 def _staged_cell(eng, J, f_flat):
-    """One cell's contribution: numerator over the surviving cross-cell
-    pair factors."""
+    """One cell's contribution over its cross-cell pair factors: the
+    all-plus sign branch, then the sign of each z_j in J summed out."""
     n = eng.n
-    r = len(J)
     Jc = tuple(x for x in range(n) if x not in J)
-    reduced = []
-    for eps in product((1, -1), repeat=r):
-        den, groups = eng.nucleus_groups(J, eps)
-        emap = dict(zip(J, eps))
-        num = None
-        for nucleus, gnum in groups.items():
-            steps = [0] * n
-            for j in nucleus:
-                steps[j] = 2 * emap[j]
-            moved = flat_shift(f_flat, tuple(steps), n + _QH) + (-f_flat)
-            piece = gnum * moved
-            num = piece if num is None else num + piece
-        plain = {}
-        qpairs = {}
-        for k, bm in den.items():
-            kind, _ = _classify_factor(k, n)
-            (qpairs if kind == "qpair" else plain)[k] = bm
-        # the qpair and qhunit keys differ in their torus support
-        for j, e in zip(J, eps):
-            qpairs.update(eng.vb_split(j, e)[2])
-        reduced.append((eps, 1, LaurentRat(divide_factors(num, qpairs),
-                                           plain)))
-    pending_pairs, state = _grouped_sum(reduced)
-    cross_den = {}
-    for pos, j in enumerate(J):
-        couple = {}
-        branches = {}
-        zdiv = None
-        for e in (1, -1):
-            vnum, zunit, _ = eng.vb_split(j, e)
-            crat = eng.couplings(j, e, Jc)
-            branches[e] = (vnum, crat.num)
-            if zdiv is None:
-                zdiv = zunit
-                couple = crat.den
-            else:
-                if set(zunit) != set(zdiv) or set(crat.den) != set(couple):
-                    raise NotDivisible("sign-branch denominators disagree")
-        merge_max(cross_den, couple)
-        # in-cell pair poles cancel by exchange symmetry once both of their
-        # variables have had their signs summed out
-        done = set(J[: pos + 1])
-        ready = {k: bm for k, bm in pending_pairs.items()
-                 if set(_classify_factor(k, n)[1]) <= done}
-        for k in ready:
-            del pending_pairs[k]
-        newstate = {}
-        for rest in product((1, -1), repeat=r - pos - 1):
-            total = None
-            for e in (1, -1):
-                vnum, cnum = branches[e]
-                piece = state[(e,) + rest] * vnum * cnum
-                total = piece if total is None else total + piece
-            # the zunit and pair keys differ in their torus support
-            newstate[rest] = divide_factors(total, {**zdiv, **ready})
-        state = newstate
-    acc = state[()]
-    acc = divide_factors(acc, pending_pairs)
-    return acc, cross_den
+    den, groups = eng.nucleus_groups(J, (1,) * len(J))
+    num = None
+    for nucleus, gnum in groups.items():
+        steps = tuple(2 if j in nucleus else 0 for j in range(n))
+        piece = gnum * (flat_shift(f_flat, steps, n + _QH) + (-f_flat))
+        num = piece if num is None else num + piece
 
+    def divided(rat, ready):
+        now = {k: bm for k, bm in rat.den.items() if ready(*_support(k, n))}
+        return LaurentRat(divide_factors(rat.num, now),
+                          {k: bm for k, bm in rat.den.items() if k not in now})
 
-def _permuted_cell(acc, cross, perm):
-    """A cell's numerator and cross-cell factors with the torus variables
-    permuted (``LaurentPoly.permuted`` of ``perm``, the full flat width).
-    Each permuted factor is re-canonicalised; the unit that splits off moves
-    into the numerator, once per multiplicity."""
-    num = acc.permuted(perm)
-    den = {}
-    for b, m in cross.values():
-        pb = b.permuted(perm)
-        key, binom, mm, cu, su = canonical_binomial(
-            pb.n, *pb.terms.items(), pb.scale)
-        if cu != 1 or any(mm):
-            num = num.mul_monomial(tuple(-m * x for x in mm), _qq(1, cu ** m),
-                                   su)
-        den[key] = (binom, m)
-    return num, den
+    # the qh-unit factors of v_b are regular already, like the q-shifted
+    # pairs (their keys differ in their torus support)
+    for j in J:
+        den = {**den, **eng.vb_split(j)[2]}
+    cell = divided(LaurentRat(num, den), lambda torus, qh: qh)
+    done = set()
+    for j in J:
+        vnum, zunit, _ = eng.vb_split(j)
+        cell = (LaurentRat(cell.num * vnum, {**cell.den, **zunit})
+                * eng.couplings(j, 1, Jc))
+        cell = cell + _mapped(cell, lambda p: p.inverted((j,)))
+        # z_j's unit factors, and the in-cell pairs whose variables are all
+        # summed, are now regular
+        done.add(j)
+        cell = divided(cell, lambda torus, qh: done.issuperset(torus))
+    return cell
 
 
 def _apply_staged(spec, f_flat):
     """D_r applied to a flat polynomial: the sum of the cells J (index sets
     of size r) over the union of their cross-cell factors, divided exactly.
 
-    The input must be invariant under permutations of the torus variables
-    (NotInvariant otherwise).  Then the cell J is the cell J0 = (0..r-1)
-    with z_J0 renamed z_J and z_J0c renamed z_Jc, so only J0 is computed and
-    every other cell is its permuted image."""
+    The input must be invariant under the hyperoctahedral group
+    (NotInvariant otherwise).  Then only the cell J0 = (0..r-1) is computed;
+    the cell J is its image with z_J0 renamed z_J and z_J0c renamed z_Jc.
+    The union comes from mapping the factors alone, the cell is lifted to it
+    once, and its images are summed and divided once."""
     n, r = spec.n, spec.r
+    if not is_invariant(f_flat, HYPEROCTAHEDRAL, n):
+        raise NotInvariant("the staged path needs an input invariant under "
+                           "the hyperoctahedral group")
     eng = _engine(n, spec.params)
-    width = eng.width
-    for i in range(n - 1):
-        swap = list(range(width))
-        swap[i], swap[i + 1] = i + 1, i
-        if f_flat.permuted(swap) != f_flat:
-            raise NotInvariant("the staged path needs an input invariant "
-                               "under permutations of the torus variables")
-    acc0, cross0 = _staged_cell(eng, tuple(range(r)), f_flat)
-    cells = []
+    cell = _staged_cell(eng, tuple(range(r)), f_flat)
+    images = []
     for J in combinations(range(n), r):
-        tau = J + tuple(x for x in range(n) if x not in J)
-        perm = list(range(width))
-        for i, j in enumerate(tau):
+        perm = list(range(eng.width))
+        for i, j in enumerate(J + tuple(x for x in range(n) if x not in J)):
             perm[j] = i
-        cells.append((None, 1, LaurentRat(*_permuted_cell(acc0, cross0,
-                                                           perm))))
-    union, total = _grouped_sum(cells)
-    return divide_factors(total[None], union)
+        images.append(lambda p, perm=tuple(perm): p.permuted(perm))
+    factors = LaurentRat(LaurentPoly.const(eng.width, 1), cell.den)
+    union = {}
+    for image in images:
+        merge_max(union, _mapped(factors, image).den)
+    lifted = LaurentRat(lift_to(cell.num, cell.den, union), union)
+    total = None
+    for image in images:
+        t = _mapped(lifted, image)
+        total = t if total is None else total + t
+    return divide_factors(total.num, total.den)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +579,7 @@ def apply_operator(spec, f, check_invariance=True):
     differential branch and ``KOORN_VARS`` otherwise (ParamRat denominators
     are cleared up front and restored on the result).
     """
-    if check_invariance and not is_invariant(f, spec.group):
+    if check_invariance and not is_invariant(f, spec.group, spec.n):
         raise NotInvariant("input not invariant under %s" % spec.group)
     pvars = JACOBI_VARS if spec.kind == "jacobi" else KOORN_VARS
     nums, dens = _over_common_den(f.terms)
@@ -632,7 +606,7 @@ def apply_operator_grouped(spec, f, check_invariance=True):
     kept as a cross-check against the staged evaluation."""
     if spec.kind != "koornwinder":
         raise ValueError("grouped form exists for the hyperoctahedral family")
-    if check_invariance and not is_invariant(f, spec.group):
+    if check_invariance and not is_invariant(f, spec.group, spec.n):
         raise NotInvariant("input not invariant under %s" % spec.group)
     quot = _apply_normal_form(spec, flatten(f, KOORN_VARS))
     return unflatten(quot, spec.n, KOORN_VARS)

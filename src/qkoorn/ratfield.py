@@ -719,7 +719,8 @@ _TERM = re.compile(r"([+-]?)((?:%s|%s)(?:\*(?:%s|%s))*)"
 def _split_quotient(text):
     """(numerator, denominator or None): split at the top-level slash that
     does not sit between the digits of a rational constant, and drop the
-    parentheses around either side."""
+    parentheses around either side, which must be parenthesised or one term,
+    as ``render`` writes them: "a+1/b" is refused, not read as (a+1)/b."""
     depth = 0
     for i, ch in enumerate(text):
         if ch == "(":
@@ -728,7 +729,11 @@ def _split_quotient(text):
             depth -= 1
         elif ch == "/" and not depth and not (
                 text[i - 1:i].isdigit() and text[i + 1:i + 2].isdigit()):
-            return _unwrap(text[:i]), _unwrap(text[i + 1:])
+            sides = text[:i], text[i + 1:]
+            if not all(_unwrap(x) != x or _TERM.fullmatch(x) for x in sides):
+                raise ValueError("a side of the quotient %r is neither "
+                                 "parenthesised nor one term" % text)
+            return tuple(map(_unwrap, sides))
     return _unwrap(text), None
 
 

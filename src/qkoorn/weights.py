@@ -106,10 +106,11 @@ def monomial_symmetric(lam, group=HYPEROCTAHEDRAL, one=None, scale=1):
     return LaurentPoly(len(lam), {e: one for e in worbit(lam, group)}, scale)
 
 
-def _generators(n, group):
+def _generators(n, group, width):
+    """Generators of the group on the first n of ``width`` variables."""
     gens = []
     for i in range(n - 1):
-        perm = list(range(n))
+        perm = list(range(width))
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
         gens.append(("perm", tuple(perm)))
     if group == HYPEROCTAHEDRAL and n >= 1:
@@ -119,8 +120,10 @@ def _generators(n, group):
     return gens
 
 
-def is_invariant(f, group):
-    for kind, data in _generators(f.n, group):
+def is_invariant(f, group, n):
+    """Whether f is invariant under the group acting on its first n torus
+    variables; the parameter slots of a flat poly stay as they are."""
+    for kind, data in _generators(n, group, f.n):
         g = f.permuted(data) if kind == "perm" else f.inverted(data)
         if not (f == g):
             return False

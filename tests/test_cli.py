@@ -163,6 +163,12 @@ INPUTS = {
                              {"weight": [0, 0, 0], "value": "1"}]},
     "qh*m10": {"n": 2, "weight": [1, 0],
                "coeffs": [{"weight": [1, 0], "value": "qh"}]},
+    # z_1 + z_2 + z_3: invariant under permutations, not under sign changes
+    "m100 over A": {"n": 3, "weight": [1, 0, 0], "group": "A",
+                    "coeffs": [{"weight": [1, 0, 0], "value": "1"}]},
+    "sum-beside-quotient*m10": {
+        "n": 2, "weight": [1, 0],
+        "coeffs": [{"weight": [1, 0], "value": "qh*th + 1/(qh*th)"}]},
 }
 
 
@@ -202,6 +208,16 @@ BAD_INPUTS = {
     "operator-and-input-sizes-differ": (["apply", "--op",
                                          '{"kind":"Dr","n":3,"r":1}',
                                          "--in", "@m10"], 2),
+    "input-not-invariant-c-spin": (["apply", "--op",
+                                    '{"kind":"C_spin","n":3,"group":"BC"}',
+                                    "--in", "@m100 over A"], 2),
+    "input-not-invariant-dr": (["apply", "--op",
+                                '{"kind":"Dr","n":3,"r":1,"group":"BC"}',
+                                "--in", "@m100 over A"], 2),
+    "coefficient-sum-beside-quotient": (["apply", "--op",
+                                         '{"kind":"Dr","n":2,"r":1}',
+                                         "--in", "@sum-beside-quotient*m10"],
+                                        2),
 }
 
 

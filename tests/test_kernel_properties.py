@@ -2,7 +2,8 @@
 
 Products and sums of ``ParamPoly`` and ``LaurentPoly`` against a Fraction
 reference, exact division by chains of canonical binomials, canonical
-binomials under a permutation of the torus variables, the grouped signed sum
+binomials under a signed permutation of the torus variables, the grouped
+signed sum
 of factored fractions against the serial sum over one union, the q-shift of
 a flat poly, the coefficient parser against the renderer, parameter
 substitution by monomial images against multiplication and evaluation, and
@@ -20,7 +21,7 @@ from qkoorn.errors import NotDivisible
 from qkoorn.laurent import (LaurentPoly, LaurentRat, _grouped_sum,
                             canonical_binomial, divide_factors, exact_divide,
                             flat_shift)
-from qkoorn.operators import _permuted_cell
+from qkoorn.operators import _mapped
 from qkoorn.ratfield import KOORN_VARS, QQ, ParamPoly, ParamRat
 
 LAWS = settings(derandomize=True, database=None, deadline=None,
@@ -173,18 +174,18 @@ def test_added_monomial_is_not_divisible(data, e, c):
 
 
 @st.composite
-def permuted_binomials(draw):
-    """(b, m, perm): a canonical flat binomial z^eL + c z^eS on width n + 6
-    with an int trailing coefficient c, a multiplicity m, and a permutation
-    of the n torus slots (parameter slots fixed) that may swap eL and eS in
-    lex order."""
+def mapped_binomials(draw):
+    """(b, m, image): a canonical flat binomial z^eL + c z^eS on width n + 6
+    with an int trailing coefficient c, a multiplicity m, and a signed
+    permutation of the n torus slots (parameter slots fixed), which may swap
+    eL and eS in lex order, as a map of flat polys."""
     n = draw(st.integers(2, 3))
     width = n + len(KOORN_VARS)
     torus = st.tuples(*[st.integers(-2, 2)] * n)
     params = st.tuples(*[st.integers(-2, 2)] * len(KOORN_VARS))
     t1 = draw(torus)
     p1 = draw(params)
-    # distinct torus parts put the lex order in the permuted slots
+    # distinct torus parts put the lex order in the mapped slots
     e1 = t1 + p1
     e2 = draw(torus.filter(lambda t: t != t1)) + draw(
         st.one_of(st.just(p1), params))
@@ -192,34 +193,36 @@ def permuted_binomials(draw):
     b = canonical_binomial(width, (max(e1, e2), 1), (min(e1, e2), trail),
                            draw(st.sampled_from([1, 2])))[1]
     perm = tuple(draw(st.permutations(range(n)))) + tuple(range(n, width))
-    return b, draw(st.integers(1, 2)), perm
+    flips = tuple(draw(st.sets(st.integers(0, n - 1))))
+    return b, draw(st.integers(1, 2)), \
+        lambda p: p.permuted(perm).inverted(flips)
 
 
 @LAWS
-@given(data=permuted_binomials())
+@given(data=mapped_binomials())
 def test_permuted_binomial_recanonicalises(data):
-    b, m, perm = data
-    pb = b.permuted(perm)
+    b, m, image = data
+    pb = image(b)
     key, binom, mm, cu, su = canonical_binomial(pb.n, *pb.terms.items(),
                                                 pb.scale)
     assert binom.mul_monomial(mm, cu, su) == pb
-    _, den = _permuted_cell(b, {None: (b, m)}, perm)
-    assert den == {key: (binom, m)}
+    assert _mapped(LaurentRat(b, {None: (b, m)}), image).den == {
+        key: (binom, m)}
 
 
 @LAWS
-@given(data=permuted_binomials(), draw=st.data())
+@given(data=mapped_binomials(), draw=st.data())
 def test_permuted_cell_divides_to_permuted_quotient(data, draw):
     # sigma(p * b^m) over the re-canonicalised sigma(b)^m, with the unit
     # folded into the numerator, is sigma(p)
-    b, m, perm = data
+    b, m, image = data
     p = LaurentPoly(b.n, draw.draw(term_dicts(b.n, "mixed", span=2, size=4)),
                     draw.draw(st.sampled_from([1, 2, 3])))
     num = p
     for _ in range(m):
         num = num * b
-    num, den = _permuted_cell(num, {None: (b, m)}, perm)
-    assert divide_factors(num, den) == p.permuted(perm)
+    rat = _mapped(LaurentRat(num, {None: (b, m)}), image)
+    assert divide_factors(rat.num, rat.den) == image(p)
 
 
 def binomial_pool(n):

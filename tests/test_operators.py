@@ -7,15 +7,15 @@ import pytest
 
 from qkoorn.errors import NotInvariant
 from qkoorn.laurent import (LaurentPoly, LaurentRat, _grouped_sum,
-                            divide_factors, flat_shift, flatten, lift_to,
-                            merge_max, unflatten)
+                            divide_factors, flat_shift, flatten, merge_max,
+                            unflatten)
 from qkoorn.operators import (IDENTITY, OperatorSpec, ParamMap,
                               apply_operator, apply_operator_grouped,
                               apply_one_var, apply_to_monomial,
                               commutator_on_basis, elementary_symmetric_apply,
                               monomial_leading, operator_matrix, va_factor,
                               vb_factor, _QH, _VB_SHAPES, _apply_staged,
-                              _engine, _flat_rat_one, _staged_cell)
+                              _engine, _flat_rat_one, _support)
 from qkoorn.ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
 from qkoorn.spectra import eigenvalue_Ern, eigenvalue_jacobi
 from qkoorn.weights import (HYPEROCTAHEDRAL, PERMUTATIONS_ONLY, dominance_leq,
@@ -176,7 +176,7 @@ def apply_operator_nested(spec, f, check_invariance=True):
     chains, with the translator acting on the first block only)."""
     if spec.kind != "koornwinder":
         raise ValueError("nested form exists for the hyperoctahedral family")
-    if check_invariance and not is_invariant(f, spec.group):
+    if check_invariance and not is_invariant(f, spec.group, spec.n):
         raise NotInvariant("input not invariant under %s" % spec.group)
     n, r = spec.n, spec.r
     eng = _engine(n, spec.params)
@@ -443,32 +443,84 @@ def test_form_equivalence_small():
                     assert a == apply_operator_nested(spec, m)
 
 
-def _staged_every_cell(spec, f_flat):
-    """The staged sum with every cell computed from scratch."""
-    eng = _engine(spec.n, spec.params)
-    pieces, union = [], {}
-    for J in combinations(range(spec.n), spec.r):
-        acc, cross = _staged_cell(eng, J, f_flat)
-        pieces.append((acc, cross))
-        merge_max(union, cross)
-    total = None
-    for acc, cross in pieces:
-        acc = lift_to(acc, cross, union)
-        total = acc if total is None else total + acc
-    return divide_factors(total, union)
+def _staged_cell_branches(eng, J, f_flat):
+    """The staged cell with no symmetry used: every one of the 2^r sign
+    branches built from its own nucleus sums, and the signs summed out one
+    variable at a time over a state per remaining sign tuple.  Returns
+    (numerator, cross-cell factors)."""
+    n = eng.n
+    r = len(J)
+    Jc = tuple(x for x in range(n) if x not in J)
+
+    def vb_split(j, e):
+        rat = vb_factor(eng.width, n, j, e, eng.params)
+        zunit, qhunit = {}, {}
+        for k, bm in rat.den.items():
+            (qhunit if _support(k, n)[1] else zunit)[k] = bm
+        return rat.num, zunit, qhunit
+
+    reduced = []
+    for eps in product((1, -1), repeat=r):
+        den, groups = eng.nucleus_groups(J, eps)
+        emap = dict(zip(J, eps))
+        num = None
+        for nucleus, gnum in groups.items():
+            steps = [0] * n
+            for j in nucleus:
+                steps[j] = 2 * emap[j]
+            piece = gnum * (flat_shift(f_flat, tuple(steps), n + _QH)
+                            + (-f_flat))
+            num = piece if num is None else num + piece
+        plain, qpairs = {}, {}
+        for k, bm in den.items():
+            (qpairs if _support(k, n)[1] else plain)[k] = bm
+        for j, e in zip(J, eps):
+            qpairs.update(vb_split(j, e)[2])
+        reduced.append((eps, 1, LaurentRat(divide_factors(num, qpairs),
+                                           plain)))
+    pending_pairs, state = _grouped_sum(reduced)
+    cross_den = {}
+    for pos, j in enumerate(J):
+        branches = {e: (vb_split(j, e), eng.couplings(j, e, Jc))
+                    for e in (1, -1)}
+        (_, zdiv, _), couple = branches[1]
+        assert set(branches[-1][0][1]) == set(zdiv)
+        assert set(branches[-1][1].den) == set(couple.den)
+        merge_max(cross_den, couple.den)
+        done = set(J[: pos + 1])
+        ready = {k: bm for k, bm in pending_pairs.items()
+                 if done.issuperset(_support(k, n)[0])}
+        for k in ready:
+            del pending_pairs[k]
+        newstate = {}
+        for rest in product((1, -1), repeat=r - pos - 1):
+            total = None
+            for e in (1, -1):
+                (vnum, _, _), crat = branches[e]
+                piece = state[(e,) + rest] * vnum * crat.num
+                total = piece if total is None else total + piece
+            newstate[rest] = divide_factors(total, {**zdiv, **ready})
+        state = newstate
+    return divide_factors(state[()], pending_pairs), cross_den
 
 
 @pytest.mark.parametrize("params", [IDENTITY,
                                     ParamMap({"gc": "ga", "gd": "gb"})],
                          ids=["identity", "BCn:Cn"])
 def test_staged_orbit_matches_every_cell(params):
-    # the cells of one permutation orbit, mapped from the first, sum to the
-    # same image as the cells computed one by one
-    for lam in ((1, 1, 0), (2, 0, 0)):
+    # one sign branch of one cell, mapped to the rest, against every cell
+    # and every sign branch computed from scratch and summed over the cells'
+    # union
+    eng = _engine(3, params)
+    for lam in ((1, 1, 0), (2, 0, 0), (1, 1, 1)):
         flat = flatten(monomial_symmetric(lam), KOORN_VARS)
-        for r in (1, 2):
+        for r in (1, 2, 3):
+            union, total = _grouped_sum([
+                (None, 1, LaurentRat(*_staged_cell_branches(eng, J, flat)))
+                for J in combinations(range(3), r)])
             spec = OperatorSpec("koornwinder", 3, r, params)
-            assert _apply_staged(spec, flat) == _staged_every_cell(spec, flat)
+            assert _apply_staged(spec, flat) == divide_factors(total[None],
+                                                               union)
 
 
 @pytest.mark.parametrize("value", ["0", "0*ga", "ga-ga"])
@@ -486,11 +538,20 @@ def test_staged_path_refuses_non_permutation_invariant_input():
                        check_invariance=False)
 
 
+def test_staged_path_refuses_non_flip_invariant_input():
+    # z_1 + z_2 + z_3 is invariant under permutations, not under z_1 -> 1/z_1
+    one = ParamPoly.one(KOORN_VARS)
+    f = LaurentPoly(3, {(1, 0, 0): one, (0, 1, 0): one, (0, 0, 1): one})
+    with pytest.raises(NotInvariant):
+        apply_operator(OperatorSpec("koornwinder", 3, 1), f,
+                       check_invariance=False)
+
+
 def test_output_invariance_and_polynomiality():
     for lam in [(2, 0), (2, 1)]:
         for r in (1, 2):
             img = apply_to_monomial(OperatorSpec("koornwinder", 2, r), lam)
-            assert is_invariant(img, HYPEROCTAHEDRAL)
+            assert is_invariant(img, HYPEROCTAHEDRAL, 2)
 
 
 def test_rejects_non_invariant_input():

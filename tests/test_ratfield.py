@@ -154,6 +154,24 @@ def test_parse_rejects_malformed(text):
         ParamRat.parse(KOORN_VARS, text)
 
 
+@pytest.mark.parametrize("text", ["qh*th + 1/(qh*th)", "1/(qh*th)+qh*th",
+                                  "qh+1/th", "(qh+1)/th+1"])
+def test_parse_refuses_a_sum_beside_a_quotient(text):
+    # render parenthesises each side of a quotient that is a sum, so a sum
+    # with an unparenthesised quotient in it is not its text
+    with pytest.raises(ValueError, match="quotient"):
+        ParamRat.parse(KOORN_VARS, text)
+
+
+def test_parse_reads_a_term_over_a_sum():
+    V6 = KOORN_VARS
+    th1 = ParamPoly.variable(V6, "th") + 1
+    assert ParamRat.parse(V6, "-3/4*qh^-1/(th+1)") == ParamRat(
+        ParamPoly.variable(V6, "qh", -1) * QQ(-3, 4), th1)
+    assert ParamRat.parse(V6, "qh^(1/2)/(th+1)") == ParamRat(
+        ParamPoly.variable(V6, "qh", (1, 2)), th1)
+
+
 def rand_coeff(rng, kind):
     """A nonzero rational: an integer (up to 40 digits), a non-integer (small
     or 21-digit denominator), or either for kind 'mixed'."""
