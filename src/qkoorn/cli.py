@@ -111,6 +111,12 @@ def _as_text(payload):
 def cmd_poly(args):
     n = args.n
     lam = _parse_weight(args.weight, n)
+    # only the symbolic eigen and an routes take a parameter substitution
+    if args.params and (args.method in ("gs", "jacobi", "family")
+                        or args.method == "eigen" and args.numeric):
+        _usage("--params does not apply to %s" % (
+            "--numeric" if args.method == "eigen" else
+            "--method " + args.method))
     params = _load_params(args)
     if args.method == "eigen":
         if args.numeric:

@@ -290,8 +290,11 @@ def _divide_packed(terms, cS, D, EL, di, shift, width, where):
     coefficient at key + k*D, the relation f = q * binom is the two-term
     recurrence q_k = f_k - cS*q_(k+1), solved top-down, with one leftover
     equation f_kmin = cS*q_(kmin+1) per line deciding exact divisibility.
-    q_k sits at key + k*D - EL.  Where q_k vanishes, the walk jumps to the
-    line's next term, so an exact quotient costs the terms of f and of q.
+    q_k sits at key + k*D - EL.  The walk visits only the terms of f: across
+    an empty stretch of g exponents below a nonzero q_k it carries
+    q_k (-cS)^(g+1) in one step, and writes the stretch out only once the
+    line's closing equation holds, so an exact quotient costs the terms of
+    f and of q and a line that does not divide costs the terms of f alone.
     A failing line is named by ``where`` of its lowest point.
     """
     mask = (1 << width) - 1
@@ -306,33 +309,47 @@ def _divide_packed(terms, cS, D, EL, di, shift, width, where):
             lines[key] = {k: c}
         else:
             line[k] = c
+    negc = -cS
+    powers = {}
     quo = {}
+    # the empty stretches of the current line below a nonzero q_k:
+    # (q_k, its packed exponent, their length g); they hold
+    # q_(k-j) = q_k (-cS)^j for 0 < j <= g
+    gaps = []
     for key, line in lines.items():
         ks = sorted(line)
-        lo = ks[0]
+        base = key - EL
         i = len(ks) - 1
         k = ks[i]
-        at = line.get
-        base = key - EL
-        e = base + k * D
         carry = None
-        while k > lo:
-            val = at(k)
-            if carry is not None:
-                val = -cS * carry if val is None else val - cS * carry
+        while i:
+            i -= 1
+            below = ks[i]
+            val = line[k] if carry is None else line[k] + carry
             if val:
-                quo[e] = carry = val
-                k -= 1
-                e -= D
+                e = base + k * D
+                quo[e] = val
+                g = k - below - 1
+                if g:
+                    gaps.append((val, e, g))
+                    step = powers.get(g + 1)
+                    if step is None:
+                        step = powers[g + 1] = negc ** (g + 1)
+                    carry = val * step
+                else:
+                    carry = val * negc
             else:
                 carry = None
-                while ks[i] >= k:
-                    i -= 1
-                k = ks[i]
-                e = base + k * D
-        lhs = line[lo]
-        if lhs if carry is None else lhs - cS * carry:
-            raise NotDivisible("line through z^%s" % where(key + lo * D))
+            k = below
+        if line[k] if carry is None else line[k] + carry:
+            raise NotDivisible("line through z^%s" % where(key + k * D))
+        if gaps:
+            for val, e, g in gaps:
+                for _ in range(g):
+                    val = val * negc
+                    e -= D
+                    quo[e] = val
+            gaps.clear()
     return quo
 
 

@@ -31,14 +31,16 @@ factored common denominator.
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import gcd
+from operator import add, itemgetter
 
 from .errors import NotInvariant
 from .laurent import (LaurentPoly, LaurentRat, _grouped_sum, canonical_binomial,
                       divide_factors, flat_shift, flatten, lift_to, merge_max,
                       unflatten)
 from .ratfield import (JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat,
-                       _monomial_image as _image_parts, _over_common_den,
-                       _qq)
+                       _lifted, _monomial_image as _image_parts,
+                       _over_common_den, _qq)
 from .weights import (EVEN_SIGNS, HYPEROCTAHEDRAL, PERMUTATIONS_ONLY,
                       expand_in_monomials, is_invariant, monomial_symmetric,
                       weights_below)
@@ -475,26 +477,34 @@ def _support(key, n):
             bool(e1[n + _QH] or e2[n + _QH]))
 
 
-def _mapped(rat, image):
-    """A factored fraction under a monomial map of the torus variables,
-    ``image`` taking a flat poly to its image.  Each mapped factor is
-    re-canonicalised, and the units that split off multiply the numerator
-    once, as one monomial."""
+def _mapped(rat, emap):
+    """A factored fraction under a signed permutation of the torus
+    variables, ``emap`` taking an exponent tuple to its image.  Each mapped
+    factor is re-canonicalised; the units that split off are folded into
+    the map of the numerator, which passes over its terms once."""
     width = rat.num.n
-    unit = LaurentPoly.const(width, 1)
+    shift, scale, unit = (0,) * width, 1, 1
     den = {}
     for b, m in rat.den.values():
-        pb = image(b)
-        key, binom, mm, cu, su = canonical_binomial(width, *pb.terms.items(),
-                                                    pb.scale)
+        key, binom, mm, cu, su = canonical_binomial(
+            width, *((emap(e), c) for e, c in b.terms.items()), b.scale)
         den[key] = (binom, m)
-        unit = unit.mul_monomial(tuple(-m * x for x in mm), _qq(1, cu ** m),
-                                 su)
-    num = image(rat.num)
-    (e, c), = unit.terms.items()
-    if any(e) or c != 1:
-        num = num.mul_monomial(e, c, unit.scale)
-    return LaurentRat(num, den)
+        s = scale * su // gcd(scale, su)
+        shift = tuple(x * (s // scale) - m * y * (s // su)
+                      for x, y in zip(shift, mm))
+        scale, unit = s, unit * cu ** m
+    num = rat.num
+    s = num.scale * scale // gcd(num.scale, scale)
+    e0 = tuple(x * (s // scale) for x in shift)
+    c = _qq(1, unit)
+    terms = _lifted(num, s).items()
+    if any(e0):
+        out = {tuple(map(add, emap(e), e0)): v * c for e, v in terms}
+    else:
+        out = {emap(e): v * c for e, v in terms}
+    # a unit coefficient +-1 leaves every coefficient in its canonical form
+    build = LaurentPoly._of if c in (1, -1) else LaurentPoly
+    return LaurentRat(build(width, out, s), den)
 
 
 def _staged_cell(eng, J, f_flat):
@@ -524,7 +534,11 @@ def _staged_cell(eng, J, f_flat):
         vnum, zunit, _ = eng.vb_split(j)
         cell = (LaurentRat(cell.num * vnum, {**cell.den, **zunit})
                 * eng.couplings(j, 1, Jc))
-        cell = cell + _mapped(cell, lambda p: p.inverted((j,)))
+
+        def flip(e, j=j):
+            return e[:j] + (-e[j],) + e[j + 1:]
+
+        cell = cell + _mapped(cell, flip)
         # z_j's unit factors, and the in-cell pairs whose variables are all
         # summed, are now regular
         done.add(j)
@@ -552,7 +566,7 @@ def _apply_staged(spec, f_flat):
         perm = list(range(eng.width))
         for i, j in enumerate(J + tuple(x for x in range(n) if x not in J)):
             perm[j] = i
-        images.append(lambda p, perm=tuple(perm): p.permuted(perm))
+        images.append(itemgetter(*perm))
     factors = LaurentRat(LaurentPoly.const(eng.width, 1), cell.den)
     union = {}
     for image in images:

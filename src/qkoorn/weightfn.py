@@ -21,10 +21,11 @@ and all tolerance comparisons are decided exactly there.
 
 from __future__ import annotations
 
-from math import isqrt
+from collections import namedtuple
+from math import isqrt, lcm
+from operator import sub
 
 from .errors import DegenerateNorm, DivergentSeries, ZeroDenominator
-from .laurent import LaurentPoly
 from .ratfield import JACOBI_VARS, QQ, ParamPoly, ParamRat, _qq_text
 from .weights import (HYPEROCTAHEDRAL, linear_refinement, monomial_symmetric,
                       weights_below)
@@ -127,6 +128,17 @@ def _sqrt_rational(v):
     return QQ(rn, rd)
 
 
+def _integer_numerators(terms):
+    """(integer numerators, their denominator) of a term dict whose
+    coefficients are all rational; any other term dict (QuadExt
+    coefficients) comes back unchanged over 1."""
+    if not all(type(c) is int or type(c) is QQ for c in terms.values()):
+        return terms, 1
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator)
+            for e, c in terms.items()}, den
+
+
 class NumericPoint:
     """A rational parameter point (q, t, a, b, c, d) with 0 < |q| < 1.
 
@@ -166,28 +178,42 @@ class NumericPoint:
         return (self.a, -self.b, self.c / self.qh, -self.d / self.qh)
 
     def specialize_poly(self, poly):
-        """ParamPoly (over the half-parameters) -> QuadExt."""
+        """ParamPoly (over the half-parameters) -> QuadExt.
+
+        One pass over the terms on integers: each base v = p/d (qh, t and
+        the four squared half-parameters) gets a table of the numerators
+        v^m = p^(m-lo) d^(hi-m) / (p^(-lo) d^hi) over the exponents used
+        (lo <= 0 <= hi), the coefficients are cleared once, and the sums of
+        the rational and the sqrt(H) terms are divided once at the end."""
         if poly.scale != 1:
             raise ValueError("fractional parameter powers at a numeric point")
-        gsq = self._gsquares()
-        tot = QuadExt.rational(0, self.H)
-        for e, coeff in poly.terms.items():
-            alpha, beta = e[0], e[1]
-            gexp = e[2:]
-            if beta % 2:
+        if not poly.terms:
+            return QuadExt.rational(0, self.H)
+        terms, den = _integer_numerators(poly.terms)
+        # t^(beta/2) and (gX^2)^((k - parity)/2): both exponents are k >> 1
+        tables = []
+        for v, col, half in zip((self.qh, self.t) + self._gsquares(),
+                                zip(*terms), (0, 1, 1, 1, 1, 1)):
+            used = set(col)
+            lo = min(min(used) >> half, 0)
+            hi = max(max(used) >> half, 0)
+            p, d = v.numerator, v.denominator
+            tables.append({k: p ** ((k >> half) - lo) * d ** (hi - (k >> half))
+                           for k in used})
+            den *= p ** -lo * d ** hi
+        tq, tt, t0, t1, t2, t3 = tables
+        x = y = 0
+        for (alpha, beta, k0, k1, k2, k3), c in terms.items():
+            if beta & 1:
                 raise ValueError("odd power of th at a numeric point")
-            par = gexp[0] % 2
-            if any(x % 2 != par for x in gexp):
+            if ((k0 ^ k1) | (k0 ^ k2) | (k0 ^ k3)) & 1:
                 raise ValueError("unmatched external half-parameter parity")
-            val = QQ(coeff) * self.t ** (beta // 2)
-            for gs, k in zip(gsq, gexp):
-                val = val * gs ** ((k - par) // 2)
-            val = val * self.qh ** alpha
-            if par:
-                tot = tot + QuadExt(0, val, self.H)
+            v = c * tq[alpha] * tt[beta] * t0[k0] * t1[k1] * t2[k2] * t3[k3]
+            if k0 & 1:
+                y += v
             else:
-                tot = tot + QuadExt(val, 0, self.H)
-        return tot
+                x += v
+        return QuadExt(QQ(x, den), QQ(y, den), self.H)
 
     def specialize(self, value):
         if isinstance(value, ParamRat):
@@ -390,9 +416,14 @@ def _lines_product(n, lines, box):
     return terms, total_den
 
 
+TruncatedWeight = namedtuple("TruncatedWeight", "terms den")
+TruncatedWeight.__doc__ = """The truncated weight as integer numerators
+{exponent: int} over one positive denominator ``den``."""
+
+
 def delta_truncate(spec):
     """The truncated weight as an exact Laurent polynomial on the box
-    |e_i| <= zbox.
+    |e_i| <= zbox, as a ``TruncatedWeight``.
 
     Each denominator factor (1 - c z^step)^-1, |c| < 1, becomes its
     geometric series cut at j <= zbox.  The factors are grouped by line
@@ -405,28 +436,32 @@ def delta_truncate(spec):
     if got is not None:
         return got
     lines = _weight_lines(spec)
-    terms, den = _lines_product(spec.n, sorted(lines.items()), spec.zbox)
-    got = LaurentPoly(spec.n, {e: QQ(c, den) for e, c in terms.items()})
+    got = TruncatedWeight(*_lines_product(spec.n, sorted(lines.items()),
+                                          spec.zbox))
     _DELTA_CACHE[key] = got
     return got
 
 
 def inner_product(f, g, spec):
     """Constant-term pairing CT[f(z) g(1/z) Delta_M(z)], normalized by the
-    torus volume; exact in the coefficient field of f and g."""
-    delta = delta_truncate(spec)
-    total = None
-    for ef, cf in f.terms.items():
-        for eg, cg in g.terms.items():
-            e = tuple(y - x for x, y in zip(ef, eg))
-            w = delta.terms.get(e)
-            if w is None:
-                continue
-            term = cf * cg * w
-            total = term if total is None else total + term
-    if total is None:
-        total = QQ(0)
-    return total
+    torus volume; exact in the coefficient field of f and g.
+
+    Rational f and g are paired on their integer numerators against the
+    weight's, and the sum is divided once."""
+    weight, den = delta_truncate(spec)
+    at = weight.get
+    fn, fd = _integer_numerators(f.terms)
+    gn, gd = _integer_numerators(g.terms)
+    gitems = list(gn.items())
+    total = 0
+    for ef, cf in fn.items():
+        inner = 0
+        for eg, cg in gitems:
+            w = at(tuple(map(sub, eg, ef)))
+            if w is not None:
+                inner += cg * w
+        total += cf * inner
+    return total * QQ(1, fd * gd * den)
 
 
 def monomial_numeric(lam, group=HYPEROCTAHEDRAL):

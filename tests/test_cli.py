@@ -195,6 +195,17 @@ BAD_INPUTS = {
     "weight-not-integers": (["poly", "--n", "2", "--weight", "a,b"], 2),
     "zero-parameter-image": (["poly", "--n", "1", "--weight", "2",
                               "--params", '{"th":"ga-ga"}'], 2),
+    # routes that take no parameter substitution refuse one
+    "params-with-numeric": (["poly", "--n", "1", "--weight", "2", "--numeric",
+                             "q=1/4,t=1/2,a=1/2,b=-1/3,c=1/5,d=-1/7",
+                             "--params", '{"gb":"1","gc":"1","gd":"1"}'], 2),
+    "params-with-gs": (["poly", "--n", "1", "--weight", "2", "--method", "gs",
+                        "--trunc", "3", "--params", '{"gb":"1"}'], 2),
+    "params-with-jacobi": (["poly", "--n", "1", "--weight", "2", "--method",
+                            "jacobi", "--params", '{"gb":"1"}'], 2),
+    "params-with-family": (["poly", "--n", "1", "--weight", "2", "--method",
+                            "family", "--family", "Bn:Cn", "--params",
+                            '{"gb":"1"}'], 2),
     # a property of the parameter point, not of the command line
     "divergent-series": (["poly", "--n", "1", "--weight", "1", "--method",
                           "gs", "--trunc", "3", "--numeric",

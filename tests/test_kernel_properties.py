@@ -8,10 +8,12 @@ of factored fractions against the serial sum over one union, the q-shift of
 a flat poly, the coefficient parser against the renderer, parameter
 substitution by monomial images against multiplication and evaluation, and
 the one representation of a rational coefficient: an int when integral, a
-Fraction otherwise.
+Fraction otherwise; the numeric route's specialisation at a rational point
+and its constant-term pairing against their term-by-term Fraction forms.
 """
 
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,9 @@ from qkoorn.laurent import (LaurentPoly, LaurentRat, _grouped_sum,
                             flat_shift)
 from qkoorn.operators import _mapped
 from qkoorn.ratfield import KOORN_VARS, QQ, ParamPoly, ParamRat
+from qkoorn.weightfn import (DEFAULT_POINT, NumericPoint, QuadExt,
+                             WeightFunctionSpec, delta_truncate,
+                             inner_product)
 
 LAWS = settings(derandomize=True, database=None, deadline=None,
                 max_examples=40)
@@ -178,7 +183,7 @@ def mapped_binomials(draw):
     """(b, m, image): a canonical flat binomial z^eL + c z^eS on width n + 6
     with an int trailing coefficient c, a multiplicity m, and a signed
     permutation of the n torus slots (parameter slots fixed), which may swap
-    eL and eS in lex order, as a map of flat polys."""
+    eL and eS in lex order, as a map of exponent tuples."""
     n = draw(st.integers(2, 3))
     width = n + len(KOORN_VARS)
     torus = st.tuples(*[st.integers(-2, 2)] * n)
@@ -194,19 +199,25 @@ def mapped_binomials(draw):
                            draw(st.sampled_from([1, 2])))[1]
     perm = tuple(draw(st.permutations(range(n)))) + tuple(range(n, width))
     flips = tuple(draw(st.sets(st.integers(0, n - 1))))
+    signs = tuple(-1 if i in flips else 1 for i in range(width))
     return b, draw(st.integers(1, 2)), \
-        lambda p: p.permuted(perm).inverted(flips)
+        lambda e: tuple(x * y for x, y in zip(itemgetter(*perm)(e), signs))
+
+
+def mapped_poly(p, emap):
+    """The flat poly p under the exponent map emap."""
+    return LaurentPoly(p.n, {emap(e): c for e, c in p.terms.items()}, p.scale)
 
 
 @LAWS
 @given(data=mapped_binomials())
 def test_permuted_binomial_recanonicalises(data):
-    b, m, image = data
-    pb = image(b)
+    b, m, emap = data
+    pb = mapped_poly(b, emap)
     key, binom, mm, cu, su = canonical_binomial(pb.n, *pb.terms.items(),
                                                 pb.scale)
     assert binom.mul_monomial(mm, cu, su) == pb
-    assert _mapped(LaurentRat(b, {None: (b, m)}), image).den == {
+    assert _mapped(LaurentRat(b, {None: (b, m)}), emap).den == {
         key: (binom, m)}
 
 
@@ -215,14 +226,14 @@ def test_permuted_binomial_recanonicalises(data):
 def test_permuted_cell_divides_to_permuted_quotient(data, draw):
     # sigma(p * b^m) over the re-canonicalised sigma(b)^m, with the unit
     # folded into the numerator, is sigma(p)
-    b, m, image = data
+    b, m, emap = data
     p = LaurentPoly(b.n, draw.draw(term_dicts(b.n, "mixed", span=2, size=4)),
                     draw.draw(st.sampled_from([1, 2, 3])))
     num = p
     for _ in range(m):
         num = num * b
-    rat = _mapped(LaurentRat(num, {None: (b, m)}), image)
-    assert divide_factors(rat.num, rat.den) == image(p)
+    rat = _mapped(LaurentRat(num, {None: (b, m)}), emap)
+    assert divide_factors(rat.num, rat.den) == mapped_poly(p, emap)
 
 
 def binomial_pool(n):
@@ -427,3 +438,128 @@ def test_fractional_power_needs_a_unit_coefficient(g, name, image, c):
     f = g.mul_monomial(tuple(int(v == name) for v in VARS), 1, 2)
     with pytest.raises(ValueError, match="unit-coefficient"):
         f.substitute({name: image * c})
+
+
+# ---------------------------------------------------------------------------
+# the numeric route's two kernels against their term-by-term forms
+
+# qh = 1/2 and the squared half-parameters 1/2, 1/3, 2/5, 2/7: numerators
+# +-1 among them; then a point where no base has numerator +-1 (qh = 3/4,
+# t = -2/3, and 2/5, 3/7, 4/5, 8/9)
+POINTS = (DEFAULT_POINT,
+          NumericPoint(QQ(9, 16), QQ(-2, 3), QQ(2, 5), QQ(-3, 7), QQ(3, 5),
+                       QQ(-2, 3)))
+
+
+def specialize_oracle(point, poly):
+    """NumericPoint.specialize_poly term by term, in Fraction arithmetic."""
+    if poly.scale != 1:
+        raise ValueError("fractional parameter powers at a numeric point")
+    gsq = point._gsquares()
+    tot = QuadExt.rational(0, point.H)
+    for e, coeff in poly.terms.items():
+        alpha, beta = e[0], e[1]
+        gexp = e[2:]
+        if beta % 2:
+            raise ValueError("odd power of th at a numeric point")
+        par = gexp[0] % 2
+        if any(x % 2 != par for x in gexp):
+            raise ValueError("unmatched external half-parameter parity")
+        val = QQ(coeff) * point.t ** (beta // 2)
+        for gs, k in zip(gsq, gexp):
+            val = val * gs ** ((k - par) // 2)
+        val = val * point.qh ** alpha
+        if par:
+            tot = tot + QuadExt(0, val, point.H)
+        else:
+            tot = tot + QuadExt(val, 0, point.H)
+    return tot
+
+
+@st.composite
+def point_exponents(draw):
+    """An exponent tuple over KOORN_VARS that specializes: an even power of
+    th and one parity for ga, gb, gc, gd; negative powers included."""
+    par = draw(st.integers(0, 1))
+    small = st.integers(-3, 3)
+    return (draw(small), 2 * draw(small)) + tuple(
+        2 * draw(small) + par for _ in range(4))
+
+
+def point_polys(min_size=0):
+    return st.builds(lambda t: ParamPoly(KOORN_VARS, t),
+                     st.dictionaries(point_exponents(), coeffs("mixed"),
+                                     min_size=min_size, max_size=6))
+
+
+@LAWS
+@given(poly=point_polys(), point=st.sampled_from(POINTS))
+def test_specialize_matches_term_by_term(poly, point):
+    got = point.specialize_poly(poly)
+    want = specialize_oracle(point, poly)
+    assert (got.x, got.y) == (want.x, want.y)
+
+
+@st.composite
+def unspecializable(draw):
+    """(poly, reason): a specializable poly with one term added that has a
+    fractional power, an odd power of th, or mixed half-parameter parity."""
+    kind = draw(st.sampled_from(["fractional", "odd power", "unmatched"]))
+    poly = draw(point_polys())
+    e = list(draw(point_exponents()))
+    if kind == "fractional":
+        bad = ParamPoly.monomial(KOORN_VARS, e, 1, 2) if any(
+            x % 2 for x in e) else ParamPoly.monomial(
+                KOORN_VARS, [1] + e[1:], 1, 2)
+    elif kind == "odd power":
+        e[1] += 1
+        bad = ParamPoly.monomial(KOORN_VARS, e, 1)
+    else:
+        e[2 + draw(st.integers(0, 3))] += 1
+        bad = ParamPoly.monomial(KOORN_VARS, e, 1)
+    return poly + bad, kind
+
+
+@LAWS
+@given(data=unspecializable(), point=st.sampled_from(POINTS))
+def test_specialize_refuses_as_term_by_term(data, point):
+    poly, kind = data
+    with pytest.raises(ValueError, match=kind):
+        specialize_oracle(point, poly)
+    with pytest.raises(ValueError, match=kind):
+        point.specialize_poly(poly)
+
+
+def pairing_oracle(f, g, spec):
+    """inner_product Fraction by Fraction over the weight's coefficients."""
+    terms, den = delta_truncate(spec)
+    total = None
+    for ef, cf in f.terms.items():
+        for eg, cg in g.terms.items():
+            e = tuple(y - x for x, y in zip(ef, eg))
+            w = terms.get(e)
+            if w is None:
+                continue
+            term = cf * cg * QQ(w, den)
+            total = term if total is None else total + term
+    return QQ(0) if total is None else total
+
+
+SPECS = {1: WeightFunctionSpec(1, M=2, point=DEFAULT_POINT, zbox=6),
+         2: WeightFunctionSpec(2, M=1, point=DEFAULT_POINT, zbox=4)}
+
+
+@LAWS
+@given(n=st.sampled_from(sorted(SPECS)), quad=st.booleans(), draw=st.data())
+def test_inner_product_matches_fraction_pairing(n, quad, draw):
+    # rational f and g, or QuadExt f against a rational g; exponents reach
+    # past the weight's box
+    f = LaurentPoly(n, draw.draw(term_dicts(n, "mixed", span=5, size=6)))
+    g = LaurentPoly(n, draw.draw(term_dicts(n, "mixed", span=5, size=6)))
+    if quad:
+        H = DEFAULT_POINT.H
+        f = LaurentPoly(n, {e: QuadExt(c, c / 3, H)
+                            for e, c in f.terms.items()})
+    got = inner_product(f, g, SPECS[n])
+    assert got == pairing_oracle(f, g, SPECS[n])
+    assert isinstance(got, QuadExt) == (quad and bool(f.terms))

@@ -1,11 +1,15 @@
 import cmath
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import qkoorn
 from qkoorn.errors import NotDivisible
 from qkoorn.laurent import (LaurentPoly, _packing, canonical_binomial,
                             divide_binomial, exact_divide, flat_shift, flatten,
@@ -385,10 +389,41 @@ def test_exact_divide_jumps_across_empty_stretches(p):
     finally:
         tracemalloc.stop()
     # a term just below the line's lowest one: the walk jumps straight to it
-    # (a term inside a gap would fill the gap with a dense partial quotient)
     low = min(prod.terms)[0] - 1
     with pytest.raises(NotDivisible, match=r"^line through z\^\(%d,\)$" % low):
         divide_binomial(prod + LaurentPoly.monomial(1, (low,), 1), binom)
+
+
+GAP_CHILD = """
+import resource
+import sys
+from fractions import Fraction
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from qkoorn.errors import NotDivisible
+from qkoorn.laurent import LaurentPoly, canonical_binomial, divide_binomial
+N = 10 ** 20
+binom = canonical_binomial(1, ((1,), 1), ((0,), -1))[1]
+p = LaurentPoly(1, {(N,): 3, (7,): Fraction(-1, 2), (-5,): 2, (-N,): -1})
+try:
+    divide_binomial(p * binom + LaurentPoly.monomial(1, (3,), 1), binom)
+except NotDivisible as exc:
+    print(exc)
+"""
+
+
+def test_not_divisible_line_builds_no_gap():
+    # z^3 sits inside the gap below z^7, so the quotient's carry crosses the
+    # 10^20 empty exponents down to z^-N before the line fails; the child's
+    # address space is capped so that a dense partial quotient fails this
+    # test instead of exhausting the machine
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qkoorn.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", GAP_CHILD, str(2 ** 30)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "line through z^(-%d,)\n" % 10 ** 20
 
 
 @pytest.mark.parametrize("n,bound,width", [(1, 0, 8), (3, 127, 8),

@@ -309,7 +309,7 @@ def test_exact_division_sites_take_ints():
     # projection coefficient 0)
     spec = WeightFunctionSpec(1, M=2, point=NumericPoint(
         QQ(1, 4), 1, 1, -1, QQ(1, 2), QQ(-1, 2)))
-    assert delta_truncate(spec).terms == {(0,): 1}
+    assert delta_truncate(spec) == ({(0,): 1}, 1)
     gs = gram_schmidt_oracle((2,), spec)
     assert gs.coeffs == {(2,): 1}
     got.append(list(gs.coeffs.values()))

@@ -54,14 +54,19 @@ def test_specialize_eigenvalue():
     assert ev == QuadExt(0, want_y, pt.H)
 
 
+def values(terms, den):
+    """The weight's coefficients from its integer numerators."""
+    return {e: QQ(c, den) for e, c in terms.items()}
+
+
 def test_delta_m0_and_trivial():
     spec0 = WeightFunctionSpec(2, M=0, point=DEFAULT_POINT, zbox=6)
-    assert dict(delta_truncate(spec0).terms) == {(0, 0): QQ(1)}
+    assert delta_truncate(spec0) == ({(0, 0): 1}, 1)
     qh = QQ(1, 2)
     triv = NumericPoint(QQ(1, 4), 1, 1, -1, qh, -qh)
     for n in (1, 2):
         spec = WeightFunctionSpec(n, M=4, point=triv, zbox=8)
-        assert dict(delta_truncate(spec).terms) == {(0,) * n: QQ(1)}
+        assert delta_truncate(spec) == ({(0,) * n: 1}, 1)
 
 
 def test_delta_refuses_divergent_series():
@@ -75,7 +80,7 @@ def test_delta_refuses_divergent_series():
 def test_delta_independent_of_factor_and_line_order():
     from qkoorn.weightfn import _lines_product, _weight_lines
     spec = WeightFunctionSpec(2, M=3, point=DEFAULT_POINT, zbox=12)
-    want = delta_truncate(spec).terms
+    want = values(*delta_truncate(spec))
     lines = sorted(_weight_lines(spec).items())
     rng = random.Random(7)
     orders = [[(prim, fac[::-1]) for prim, fac in reversed(lines)]]
@@ -84,8 +89,7 @@ def test_delta_independent_of_factor_and_line_order():
         rng.shuffle(shuffled)
         orders.append(shuffled)
     for order in orders:
-        terms, den = _lines_product(2, order, spec.zbox)
-        assert {e: QQ(c, den) for e, c in terms.items()} == want
+        assert values(*_lines_product(2, order, spec.zbox)) == want
 
 
 def test_delta_against_naive_series_oracle():
@@ -130,7 +134,7 @@ def test_delta_against_naive_series_oracle():
         for _ in range(mult):
             terms = mul(terms, geo)
     for k in range(-3, 4):
-        assert terms.get((k,), QQ(0)) == d.terms.get((k,), QQ(0))
+        assert terms.get((k,), QQ(0)) == QQ(d.terms.get((k,), 0), d.den)
 
 
 def test_inner_product_flat_weight():
