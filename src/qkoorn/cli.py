@@ -117,6 +117,9 @@ def cmd_poly(args):
         _usage("--params does not apply to %s" % (
             "--numeric" if args.method == "eigen" else
             "--method " + args.method))
+    # only the eigen and gs routes run at a numeric point
+    if args.numeric and args.method in ("jacobi", "an", "family"):
+        _usage("--numeric does not apply to --method %s" % args.method)
     params = _load_params(args)
     if args.method == "eigen":
         if args.numeric:
@@ -208,7 +211,7 @@ def cmd_apply(args):
     if not is_invariant(f, spec.group, spec.n):
         _usage("the input is not invariant under the operator's group %s"
                % spec.group)
-    img = apply_operator(spec, f, check_invariance=False)
+    img = apply_operator(spec, f)
     coeffs = expand_in_monomials(img, spec.group)
     out = OrthoPoly(p.weight, coeffs, spec.group, p.scale)
     _emit(out.to_json(), args)

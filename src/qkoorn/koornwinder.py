@@ -129,7 +129,7 @@ def koornwinder_triangular(lam, params=None, verify=False):
     params = params or IDENTITY
     n = len(lam)
     p = _triangular(OperatorSpec("koornwinder", n, 1, params), lam,
-                    eigenvalue_Ern(1, n, lam, params.as_subst()),
+                    eigenvalue_Ern(1, n, lam, params),
                     KOORN_VARS)
     if verify:
         for r in range(1, n + 1):
@@ -141,7 +141,7 @@ def verify_joint_eigen(p, r, params=None):
     """Assert D_r p = E_r(lam) p through the operator matrix; returns the
     eigenvalue."""
     params = params or IDENTITY
-    ev = eigenvalue_Ern(r, p.n, p.weight, params.as_subst())
+    ev = eigenvalue_Ern(r, p.n, p.weight, params)
     _eigen_check(OperatorSpec("koornwinder", p.n, r, params), p, ev)
     return ev
 
@@ -185,17 +185,11 @@ def qh1_limit(p, g, g0, g1, g0p, g1p):
     The result matches the differential-branch polynomial with
     tg0 = g0 + g0' and tg1 = g1 + g1'.
     """
-    sub = {"th": ParamPoly.variable(KOORN_VARS, "qh", g),
-           "ga": ParamPoly.variable(KOORN_VARS, "qh", g0),
-           "gb": ParamPoly.variable(KOORN_VARS, "qh", g1),
-           "gc": ParamPoly.variable(KOORN_VARS, "qh", g0p),
-           "gd": ParamPoly.variable(KOORN_VARS, "qh", g1p)}
-    at_one = {"qh": 1}
-    out = {}
-    for mu, c in p.coeffs.items():
-        c1 = c.substitute(sub)
-        c2 = c1.substitute(at_one)
-        out[mu] = _constant_value(c2)
+    sub = ParamMap({name: ParamPoly.variable(KOORN_VARS, "qh", k)
+                    for name, k in zip(("th", "ga", "gb", "gc", "gd"),
+                                       (g, g0, g1, g0p, g1p))})
+    out = {mu: _constant_value(c.substitute(sub).substitute({"qh": 1}))
+           for mu, c in p.coeffs.items()}
     return OrthoPoly(p.weight, out, p.group, p.scale)
 
 
@@ -234,8 +228,8 @@ def a_type_eigen_check(p_lead, r, params=None):
     n = p_lead.n
     spec = OperatorSpec("a_type", n, r, params)
     f = p_lead.to_laurent()
-    img = apply_operator(spec, f, check_invariance=False)
-    ev = eigenvalue_An_leading(r, p_lead.weight, params.as_subst())
+    img = apply_operator(spec, f)
+    ev = eigenvalue_An_leading(r, p_lead.weight, params)
     want = f.map_coeff(lambda c: c * ParamRat.from_poly(ev))
     if not (img == want):
         raise NotEigenfunction("A-type eigen-equation fails, r=%d" % r)
@@ -312,7 +306,7 @@ def relm_constant(n, S):
     for u in rho_monomials(n):
         total = (total + ch_of_monomial(u * qh) * 2
                  + (-(ch_of_monomial(u) * 2)))
-    return total.substitute(family_specialize(("Bn", S)).as_subst())
+    return total.substitute(family_specialize(("Bn", S)))
 
 
 def dn_combine(lam, delta):
@@ -346,7 +340,7 @@ def halfspin_eigencheck(which, lam, pair=None, params=None):
     p = koornwinder_triangular(lam, params)
     f = p.to_laurent()
     spec = OperatorSpec(which, n, params=params)
-    img = apply_operator(spec, f, check_invariance=False)
+    img = apply_operator(spec, f)
     return proportionality_factor(img, f)
 
 

@@ -26,7 +26,7 @@ q-shift of a torus variable is then an exponent shift on the qh slot
 from __future__ import annotations
 
 from math import gcd
-from operator import itemgetter, lshift, mul
+from operator import lshift
 from struct import Struct
 
 from .errors import NotDivisible
@@ -71,9 +71,6 @@ class LaurentPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def __len__(self):
-        return len(self.terms)
-
     def __add__(self, other):
         return LaurentPoly._of(self.n, *_sparse_add(self, other))
 
@@ -110,20 +107,6 @@ class LaurentPoly:
             if v:
                 out[e] = v
         return LaurentPoly._of(self.n, out, self.scale)
-
-    def permuted(self, perm):
-        """Apply z_i -> z_{perm[i]} (perm is a tuple image of indices)."""
-        get = itemgetter(*perm) if self.n > 1 else tuple
-        return LaurentPoly._of(self.n, {get(e): c
-                                        for e, c in self.terms.items()},
-                               self.scale)
-
-    def inverted(self, idx):
-        """Flip z_j -> z_j^{-1} for every j in idx."""
-        signs = [-1 if i in idx else 1 for i in range(self.n)]
-        return LaurentPoly._of(self.n, {tuple(map(mul, e, signs)): c
-                                        for e, c in self.terms.items()},
-                               self.scale)
 
     def __repr__(self):
         items = sorted(self.terms)[:6]

@@ -39,8 +39,7 @@ from .laurent import (LaurentPoly, LaurentRat, _grouped_sum, canonical_binomial,
                       divide_factors, flat_shift, flatten, lift_to, merge_max,
                       unflatten)
 from .ratfield import (JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat,
-                       _lifted, _monomial_image as _image_parts,
-                       _over_common_den, _qq)
+                       _lifted, _monomial_image, _over_common_den, _qq)
 from .weights import (EVEN_SIGNS, HYPEROCTAHEDRAL, PERMUTATIONS_ONLY,
                       expand_in_monomials, is_invariant, monomial_symmetric,
                       weights_below)
@@ -49,56 +48,42 @@ _NP = len(KOORN_VARS)
 _QH, _TH, _GA, _GB, _GC, _GD = range(_NP)
 
 
-class ParamMap:
-    """Substitution of half-parameters by nonzero monomials on the integer
-    lattice (e.g. th -> 1, gb -> qh, gc -> ga, or a rational constant).
-    qh itself is never substituted."""
+_UNITS = {name: ParamPoly.variable(KOORN_VARS, name) for name in KOORN_VARS}
 
-    __slots__ = ("images", "key")
+
+class ParamMap(dict):
+    """Substitution of half-parameters by nonzero monomials on the integer
+    lattice (e.g. th -> 1, gb -> qh, gc -> ga, or a rational constant), as
+    the dict name -> ParamPoly monomial that ``ParamPoly.substitute`` reads;
+    identity images are left out.  qh itself is never substituted."""
+
+    __slots__ = ("key",)
 
     def __init__(self, mapping=None):
-        images = {}
+        super().__init__()
         for name, val in (mapping or {}).items():
             if name == "qh":
                 raise ValueError("qh is the scale parameter; not substitutable")
-            e, c = _monomial_image(val)
-            if (e, c) != (_var_exps(name), 1):
-                images[name] = (e, c)
-        self.images = images
-        self.key = tuple(sorted(images.items()))
+            if isinstance(val, str):
+                val = ParamRat.parse(KOORN_VARS, val)
+            elif not isinstance(val, (int, QQ, ParamRat, ParamPoly)):
+                raise TypeError("bad parameter image %r" % (val,))
+            e, c, s = _monomial_image(KOORN_VARS, val)
+            if s != 1:
+                raise ValueError("parameter images must be plain monomials")
+            if name not in _UNITS:
+                raise ValueError("unknown parameter %r" % (name,))
+            image = ParamPoly(KOORN_VARS, {e: c})
+            if image != _UNITS[name]:
+                self[name] = image
+        self.key = tuple(sorted((name, self.image(name)) for name in self))
 
     def image(self, name):
         """(exponent vector over parameter slots, rational coefficient)."""
-        return self.images.get(name, (_var_exps(name), 1))
-
-    def as_subst(self):
-        """The substitution as a dict name -> ParamPoly monomial."""
-        return {name: ParamPoly(KOORN_VARS, {e: c})
-                for name, (e, c) in self.images.items()}
+        return self.get(name, _UNITS[name]).monomial_parts()[:2]
 
     def __repr__(self):
-        return "ParamMap(%r)" % dict(self.key)
-
-
-def _var_exps(name):
-    if name not in KOORN_VARS:
-        raise ValueError("unknown parameter %r" % (name,))
-    e = [0] * _NP
-    e[KOORN_VARS.index(name)] = 1
-    return tuple(e)
-
-
-def _monomial_image(val):
-    """(exponent vector, rational coefficient) of a ParamMap image: text or
-    a value ``ratfield._monomial_image`` reads, on the integer lattice."""
-    if isinstance(val, str):
-        val = ParamRat.parse(KOORN_VARS, val)
-    elif not isinstance(val, (int, QQ, ParamRat, ParamPoly)):
-        raise TypeError("bad parameter image %r" % (val,))
-    e, c, s = _image_parts(KOORN_VARS, val)
-    if s != 1:
-        raise ValueError("parameter images must be plain monomials")
-    return e, c
+        return "ParamMap(%r)" % {k: v.render() for k, v in self.items()}
 
 
 IDENTITY = ParamMap()
@@ -348,9 +333,9 @@ class OperatorSpec:
                "group": _JSON_GROUPS[self.group]}
         if self.r is not None:
             out["r"] = self.r
-        if self.params.key:
-            out["params"] = {k: ParamPoly(KOORN_VARS, {e: c}).render()
-                             for k, (e, c) in self.params.key}
+        if self.params:
+            out["params"] = {k: v.render()
+                             for k, v in sorted(self.params.items())}
         return out
 
     @classmethod
@@ -550,15 +535,12 @@ def _apply_staged(spec, f_flat):
     """D_r applied to a flat polynomial: the sum of the cells J (index sets
     of size r) over the union of their cross-cell factors, divided exactly.
 
-    The input must be invariant under the hyperoctahedral group
-    (NotInvariant otherwise).  Then only the cell J0 = (0..r-1) is computed;
+    The input is invariant under the hyperoctahedral group (as
+    ``apply_operator`` checks), so only the cell J0 = (0..r-1) is computed;
     the cell J is its image with z_J0 renamed z_J and z_J0c renamed z_Jc.
     The union comes from mapping the factors alone, the cell is lifted to it
     once, and its images are summed and divided once."""
     n, r = spec.n, spec.r
-    if not is_invariant(f_flat, HYPEROCTAHEDRAL, n):
-        raise NotInvariant("the staged path needs an input invariant under "
-                           "the hyperoctahedral group")
     eng = _engine(n, spec.params)
     cell = _staged_cell(eng, tuple(range(r)), f_flat)
     images = []
@@ -583,8 +565,9 @@ def _apply_staged(spec, f_flat):
 # application
 
 
-def apply_operator(spec, f, check_invariance=True):
-    """Apply an operator to an invariant Laurent polynomial.
+def apply_operator(spec, f):
+    """Apply an operator to a Laurent polynomial invariant under its group
+    (NotInvariant otherwise).
 
     The result is again a polynomial: the assembled numerator divides
     exactly by the factored denominator (NotDivisible would flag a violated
@@ -593,11 +576,11 @@ def apply_operator(spec, f, check_invariance=True):
     differential branch and ``KOORN_VARS`` otherwise (ParamRat denominators
     are cleared up front and restored on the result).
     """
-    if check_invariance and not is_invariant(f, spec.group, spec.n):
-        raise NotInvariant("input not invariant under %s" % spec.group)
     pvars = JACOBI_VARS if spec.kind == "jacobi" else KOORN_VARS
     nums, dens = _over_common_den(f.terms)
     flat = flatten(LaurentPoly(f.n, nums, f.scale), pvars)
+    if not is_invariant(flat, spec.group, spec.n):
+        raise NotInvariant("input not invariant under %s" % spec.group)
     if spec.kind == "jacobi":
         quot = _apply_jacobi(spec, flat)
     elif spec.kind == "koornwinder":
@@ -613,14 +596,14 @@ def apply_operator(spec, f, check_invariance=True):
     return out
 
 
-def apply_operator_grouped(spec, f, check_invariance=True):
+def apply_operator_grouped(spec, f):
     """Evaluate a hyperoctahedral operator through the translator-grouped
     form: coefficients assembled as V times the translator-free W sums,
     everything cleared over one shared denominator.  An independent route
     kept as a cross-check against the staged evaluation."""
     if spec.kind != "koornwinder":
         raise ValueError("grouped form exists for the hyperoctahedral family")
-    if check_invariance and not is_invariant(f, spec.group, spec.n):
+    if not is_invariant(f, spec.group, spec.n):
         raise NotInvariant("input not invariant under %s" % spec.group)
     quot = _apply_normal_form(spec, flatten(f, KOORN_VARS))
     return unflatten(quot, spec.n, KOORN_VARS)
@@ -753,7 +736,7 @@ def apply_to_monomial(spec, lam, scale=1):
             m = monomial_leading(lam, one)
         else:
             m = monomial_symmetric(lam, spec.group, one, scale)
-        got = apply_operator(spec, m, check_invariance=False)
+        got = apply_operator(spec, m)
         _MONO_CACHE[key] = got
     return got
 

@@ -16,10 +16,11 @@ Exponents may be negative (Laurent) and may sit on a refined lattice: a poly
 carries an integer ``scale`` and stores exponents multiplied by it, so e.g.
 qh^(1/3) is representable exactly.  All arithmetic is exact rational.
 
-A parameter substitution (a classical family, th = qh^g before q -> 1)
-sends variables to nonzero monomials, so it is one exponent map per term
-(``ParamPoly.substitute``); pinning a single variable to a rational value
-cancels removable poles first (``ParamRat.substitute``).
+A parameter substitution (a classical family, th = qh^g before q -> 1) is a
+dict name -> nonzero monomial (``operators.ParamMap``), one exponent map per
+term (``ParamPoly.substitute``).  Pinning one variable to a rational value
+(``ParamRat.substitute``) differentiates numerator and denominator while
+both vanish there, so removable poles cancel and nothing is divided.
 
 An exact rational coefficient has one representation: a Python ``int`` when
 it is integral and a ``Fraction`` (``QQ``) otherwise, never a float.  The
@@ -285,9 +286,6 @@ class ParamPoly:
             return ParamRat.from_poly(self) - other
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, QQ)):
             c = _qq(other)
@@ -357,47 +355,15 @@ class ParamPoly:
                 out.pop(e2, None)
         return ParamPoly(self.vars, out, self.scale)
 
-    def divide_linear(self, name, root):
-        """Exact division by (x_name - root); remainder must vanish."""
+    def derivative(self, name):
+        """The partial derivative in one variable, whose powers must be
+        integers (``eval_var`` checks that)."""
         i = self.vars.index(name)
-        root = _qq(root)
-        if any(e[i] % self.scale for e in self.terms):
-            raise ValueError("fractional exponent in divide_linear")
-        lo = min(e[i] for e in self.terms) // self.scale
-        # strip x^lo so the poly is honest in x, divide, put x^lo back
-        cols = {}
-        for e, c in self.terms.items():
-            k = e[i] // self.scale - lo
-            rest = e[:i] + (0,) + e[i + 1:]
-            cols.setdefault(k, {})[rest] = c
-        deg = max(cols)
-        quot = {}
-        carry = {}
-        for k in range(deg, 0, -1):
-            cur = dict(carry)
-            for rest, c in cols.get(k, {}).items():
-                v = cur.get(rest, 0) + c
-                if v:
-                    cur[rest] = v
-                else:
-                    cur.pop(rest, None)
-            quot[k - 1] = cur
-            carry = {r: c * root for r, c in cur.items()}
-        rem = dict(carry)
-        for rest, c in cols.get(0, {}).items():
-            v = rem.get(rest, 0) + c
-            if v:
-                rem[rest] = v
-            else:
-                rem.pop(rest, None)
-        if rem:
-            raise DenominatorVanishes("linear factor does not divide exactly")
-        out = {}
-        for k, col in quot.items():
-            for rest, c in col.items():
-                e = rest[:i] + ((k + lo) * self.scale,) + rest[i + 1:]
-                out[e] = c
-        return ParamPoly(self.vars, out, self.scale)
+        s = self.scale
+        return ParamPoly(self.vars, {e[:i] + (e[i] - s,) + e[i + 1:]:
+                                     c * (e[i] // s)
+                                     for e, c in self.terms.items() if e[i]},
+                         s)
 
     def substitute(self, sigma):
         """The image of self when each variable named in sigma is replaced
@@ -582,9 +548,6 @@ class ParamRat:
     def __sub__(self, other):
         return self + (-_as_rat(self.vars, other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = _as_rat(self.vars, other)
         return ParamRat(self.num * other.num, self.den * other.den)
@@ -596,18 +559,6 @@ class ParamRat:
         if other.num.is_zero():
             raise DenominatorVanishes("division by zero")
         return ParamRat(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _as_rat(self.vars, other) / self
-
-    def __pow__(self, k):
-        if k == 0:
-            return ParamRat.one(self.vars)
-        if k < 0:
-            if self.num.is_zero():
-                raise DenominatorVanishes("inverse of zero")
-            return ParamRat(self.den ** (-k), self.num ** (-k))
-        return ParamRat(self.num ** k, self.den ** k)
 
     def __eq__(self, other):
         if isinstance(other, ParamPoly):
@@ -633,9 +584,8 @@ class ParamRat:
         denominator's image is zero.
 
         A single variable pinned to a plain rational (an ``int`` or ``QQ``)
-        goes through exact synthetic division instead, so that shared
-        linear factors cancel first (this is how q->1 limits are taken);
-        that path raises DenominatorVanishes only on a genuine pole.
+        takes the limit instead (``_pin``; this is how q->1 limits are
+        taken), which raises DenominatorVanishes only on a genuine pole.
         """
         if len(sigma) == 1:
             (name, v), = sigma.items()
@@ -644,14 +594,16 @@ class ParamRat:
         return ParamRat(self.num.substitute(sigma), self.den.substitute(sigma))
 
     def _pin(self, name, value):
+        """The limit at name = value: while the denominator vanishes there,
+        the numerator must too (else the pole is genuine), and both are
+        replaced by their derivatives in name.  A shared factor
+        (name - value)^m leaves m! on both sides, which normalizing drops."""
         num, den = self.num, self.den
         dv = den.eval_var(name, value)
         while dv.is_zero():
-            nv = num.eval_var(name, value)
-            if not nv.is_zero():
+            if num.eval_var(name, value):
                 raise DenominatorVanishes("pole at %s=%s" % (name, value))
-            num = num.divide_linear(name, value)
-            den = den.divide_linear(name, value)
+            num, den = num.derivative(name), den.derivative(name)
             dv = den.eval_var(name, value)
         return ParamRat(num.eval_var(name, value), dv)
 

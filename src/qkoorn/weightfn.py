@@ -25,7 +25,7 @@ from collections import namedtuple
 from math import isqrt, lcm
 from operator import sub
 
-from .errors import DegenerateNorm, DivergentSeries, ZeroDenominator
+from .errors import DegenerateNorm, DivergentSeries
 from .ratfield import JACOBI_VARS, QQ, ParamPoly, ParamRat, _qq_text
 from .weights import (HYPEROCTAHEDRAL, linear_refinement, monomial_symmetric,
                       weights_below)
@@ -177,7 +177,7 @@ class NumericPoint:
     def _gsquares(self):
         return (self.a, -self.b, self.c / self.qh, -self.d / self.qh)
 
-    def specialize_poly(self, poly):
+    def specialize(self, poly):
         """ParamPoly (over the half-parameters) -> QuadExt.
 
         One pass over the terms on integers: each base v = p/d (qh, t and
@@ -214,15 +214,6 @@ class NumericPoint:
             else:
                 x += v
         return QuadExt(QQ(x, den), QQ(y, den), self.H)
-
-    def specialize(self, value):
-        if isinstance(value, ParamRat):
-            num = self.specialize_poly(value.num)
-            den = self.specialize_poly(value.den)
-            if not den:
-                raise ZeroDenominator("parameter point hits a pole")
-            return num / den
-        return self.specialize_poly(value)
 
 
 DEFAULT_POINT = NumericPoint(QQ(1, 4), QQ(1, 2), QQ(1, 2), QQ(-1, 3),

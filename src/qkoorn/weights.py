@@ -10,6 +10,7 @@ are named "BC" (permutations and sign flips), "A" (permutations only) and
 from __future__ import annotations
 
 from itertools import permutations
+from operator import itemgetter
 
 from .errors import NotInvariant
 from .laurent import LaurentPoly
@@ -107,25 +108,28 @@ def monomial_symmetric(lam, group=HYPEROCTAHEDRAL, one=None, scale=1):
 
 
 def _generators(n, group, width):
-    """Generators of the group on the first n of ``width`` variables."""
+    """Generators of the group on the first n of ``width`` variables, as
+    maps of exponent tuples: a transposition of neighbours, and the sign
+    flip of the first variable (BC) or of the first two (D)."""
     gens = []
     for i in range(n - 1):
         perm = list(range(width))
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        gens.append(("perm", tuple(perm)))
+        gens.append(itemgetter(*perm))
     if group == HYPEROCTAHEDRAL and n >= 1:
-        gens.append(("flip", (0,)))
+        gens.append(lambda e: (-e[0],) + e[1:])
     elif group == EVEN_SIGNS and n >= 2:
-        gens.append(("flip", (0, 1)))
+        gens.append(lambda e: (-e[0], -e[1]) + e[2:])
     return gens
 
 
 def is_invariant(f, group, n):
     """Whether f is invariant under the group acting on its first n torus
-    variables; the parameter slots of a flat poly stay as they are."""
-    for kind, data in _generators(n, group, f.n):
-        g = f.permuted(data) if kind == "perm" else f.inverted(data)
-        if not (f == g):
+    variables; the parameter slots of a flat poly stay as they are.  Each
+    generator maps the term dict, which must come back unchanged."""
+    terms = f.terms
+    for gen in _generators(n, group, f.n):
+        if {gen(e): c for e, c in terms.items()} != terms:
             return False
     return True
 

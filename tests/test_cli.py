@@ -206,6 +206,16 @@ BAD_INPUTS = {
     "params-with-family": (["poly", "--n", "1", "--weight", "2", "--method",
                             "family", "--family", "Bn:Cn", "--params",
                             '{"gb":"1"}'], 2),
+    # routes that run at no numeric point refuse one
+    "numeric-with-jacobi": (["poly", "--n", "1", "--weight", "2", "--method",
+                             "jacobi", "--numeric",
+                             "q=1/4,t=1/2,a=1/2,b=-1/3,c=1/5,d=-1/7"], 2),
+    "numeric-with-an": (["poly", "--n", "1", "--weight", "2", "--method",
+                         "an", "--numeric",
+                         "q=1/4,t=1/2,a=1/2,b=-1/3,c=1/5,d=-1/7"], 2),
+    "numeric-with-family": (["poly", "--n", "1", "--weight", "2", "--method",
+                             "family", "--family", "Bn:Bn", "--numeric",
+                             "q=1/4,t=1/2,a=1/2,b=-1/3,c=1/5,d=-1/7"], 2),
     # a property of the parameter point, not of the command line
     "divergent-series": (["poly", "--n", "1", "--weight", "1", "--method",
                           "gs", "--trunc", "3", "--numeric",
@@ -280,3 +290,23 @@ def test_every_poly_method_is_monic(tmp_path, method):
                + POLY_METHODS[method])
     assert [c["value"] for c in data["coeffs"]
             if c["weight"] == [1, 0]] == ["1"]
+
+
+def test_text_format_and_standard_output(capsys):
+    # without --out the result goes to standard output; --format text lists
+    # a suite's checks and writes any other payload as JSON
+    assert main(["verify", "--suite", "appendixB", "--max", "1",
+                 "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "suite appendixB: %d/%d passed" % (
+        len(lines) - 1, len(lines) - 1)
+    assert all(line.startswith("PASS   ") for line in lines[:-1])
+    outputs = []
+    for fmt in ("json", "text"):
+        assert main(["poly", "--n", "1", "--weight", "1",
+                     "--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    data = json.loads(outputs[0])
+    assert data["weight"] == [1] and [c["weight"] for c in data["coeffs"]] \
+        == [[0], [1]]

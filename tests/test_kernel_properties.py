@@ -6,8 +6,9 @@ binomials under a signed permutation of the torus variables, the grouped
 signed sum
 of factored fractions against the serial sum over one union, the q-shift of
 a flat poly, the coefficient parser against the renderer, parameter
-substitution by monomial images against multiplication and evaluation, and
-the one representation of a rational coefficient: an int when integral, a
+substitution by monomial images against multiplication and evaluation, the
+pin of one variable against cancelling a shared factor by hand, and the one
+representation of a rational coefficient: an int when integral, a
 Fraction otherwise; the numeric route's specialisation at a rational point
 and its constant-term pairing against their term-by-term Fraction forms.
 """
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkoorn.errors import NotDivisible
+from qkoorn.errors import DenominatorVanishes, NotDivisible
 from qkoorn.laurent import (LaurentPoly, LaurentRat, _grouped_sum,
                             canonical_binomial, divide_factors, exact_divide,
                             flat_shift)
@@ -440,6 +441,29 @@ def test_fractional_power_needs_a_unit_coefficient(g, name, image, c):
         f.substitute({name: image * c})
 
 
+def pin(f, v):
+    """The render of f at x = v, or None at a pole."""
+    try:
+        return f.substitute({"x": v}).render()
+    except DenominatorVanishes:
+        return None
+
+
+@LAWS
+@given(a=param_polys(VARS, nonzero=True, lattices=(1,)),
+       b=param_polys(VARS, nonzero=True, lattices=(1,)), v=_points,
+       m1=st.integers(0, 3), m2=st.integers(0, 3))
+def test_pin_cancels_every_power_of_a_shared_factor(a, b, v, m1, m2):
+    # the pin of a (x-v)^m1 / (b (x-v)^m2) at x = v: a (x-v)^(m1-m2) / b
+    # pinned when m1 >= m2, and a pole when m1 < m2 and a(v) != 0
+    at_v = ParamPoly.variable(VARS, "x") - v
+    got = pin(ParamRat(a * at_v ** m1, b * at_v ** m2), v)
+    if m1 >= m2:
+        assert got == pin(ParamRat(a * at_v ** (m1 - m2), b), v)
+    elif a.eval_var("x", v):
+        assert got is None
+
+
 # ---------------------------------------------------------------------------
 # the numeric route's two kernels against their term-by-term forms
 
@@ -452,7 +476,7 @@ POINTS = (DEFAULT_POINT,
 
 
 def specialize_oracle(point, poly):
-    """NumericPoint.specialize_poly term by term, in Fraction arithmetic."""
+    """NumericPoint.specialize term by term, in Fraction arithmetic."""
     if poly.scale != 1:
         raise ValueError("fractional parameter powers at a numeric point")
     gsq = point._gsquares()
@@ -495,7 +519,7 @@ def point_polys(min_size=0):
 @LAWS
 @given(poly=point_polys(), point=st.sampled_from(POINTS))
 def test_specialize_matches_term_by_term(poly, point):
-    got = point.specialize_poly(poly)
+    got = point.specialize(poly)
     want = specialize_oracle(point, poly)
     assert (got.x, got.y) == (want.x, want.y)
 
@@ -527,7 +551,7 @@ def test_specialize_refuses_as_term_by_term(data, point):
     with pytest.raises(ValueError, match=kind):
         specialize_oracle(point, poly)
     with pytest.raises(ValueError, match=kind):
-        point.specialize_poly(poly)
+        point.specialize(poly)
 
 
 def pairing_oracle(f, g, spec):

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 from itertools import combinations, product
@@ -170,13 +171,13 @@ def ordered_set_partitions(elems):
     return out
 
 
-def apply_operator_nested(spec, f, check_invariance=True):
+def apply_operator_nested(spec, f):
     """Independent evaluation of the hyperoctahedral operators through the
     nested-chain form (sum over cells, sign configurations and ordered block
     chains, with the translator acting on the first block only)."""
     if spec.kind != "koornwinder":
         raise ValueError("nested form exists for the hyperoctahedral family")
-    if check_invariance and not is_invariant(f, spec.group, spec.n):
+    if not is_invariant(f, spec.group, spec.n):
         raise NotInvariant("input not invariant under %s" % spec.group)
     n, r = spec.n, spec.r
     eng = _engine(n, spec.params)
@@ -529,13 +530,29 @@ def test_zero_parameter_image_is_refused(value):
         ParamMap({"th": value})
 
 
+def test_parameter_map_refusals_and_json_round_trip():
+    for mapping, error, match in (
+            ({"qh": "1"}, ValueError, "scale parameter"),
+            ({"gb": 1.5}, TypeError, "bad parameter image"),
+            ({"gb": "ga+1"}, ValueError, "plain monomials"),
+            ({"gb": "qh^(1/2)"}, ValueError, "plain monomials")):
+        with pytest.raises(error, match=match):
+            ParamMap(mapping)
+    spec = OperatorSpec("koornwinder", 2, 1,
+                        ParamMap({"gb": "5/3", "gc": "ga", "th": "th"}))
+    data = spec.to_json()
+    assert data["params"] == {"gb": "5/3", "gc": "ga"}
+    back = OperatorSpec.from_json(json.loads(json.dumps(data)))
+    assert back.key == spec.key and back.params == spec.params
+    assert back.params.image("gb") == ((0,) * 6, QQ(5, 3))
+
+
 def test_staged_path_refuses_non_permutation_invariant_input():
     # z_1 + 1/z_1 is invariant under z_1 -> 1/z_1, not under z_1 <-> z_2
     one = ParamPoly.one(KOORN_VARS)
     f = LaurentPoly(3, {(1, 0, 0): one, (-1, 0, 0): one})
     with pytest.raises(NotInvariant):
-        apply_operator(OperatorSpec("koornwinder", 3, 1), f,
-                       check_invariance=False)
+        apply_operator(OperatorSpec("koornwinder", 3, 1), f)
 
 
 def test_staged_path_refuses_non_flip_invariant_input():
@@ -543,8 +560,7 @@ def test_staged_path_refuses_non_flip_invariant_input():
     one = ParamPoly.one(KOORN_VARS)
     f = LaurentPoly(3, {(1, 0, 0): one, (0, 1, 0): one, (0, 0, 1): one})
     with pytest.raises(NotInvariant):
-        apply_operator(OperatorSpec("koornwinder", 3, 1), f,
-                       check_invariance=False)
+        apply_operator(OperatorSpec("koornwinder", 3, 1), f)
 
 
 def test_output_invariance_and_polynomiality():
@@ -565,8 +581,7 @@ def test_a_type_top_order_is_pure_translation():
     # variable: the image of a degree-d leading polynomial is q^d times it
     for n, lam in ((2, (2, 1)), (3, (1, 1, 0))):
         f = monomial_leading(lam)
-        img = apply_operator(OperatorSpec("a_type", n, n), f,
-                             check_invariance=False)
+        img = apply_operator(OperatorSpec("a_type", n, n), f)
         q_d = ParamPoly.variable(KOORN_VARS, "qh", 2 * sum(lam))
         assert img == f.map_coeff(lambda c: c * q_d)
 

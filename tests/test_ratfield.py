@@ -121,16 +121,6 @@ def test_render_deterministic():
     assert f.render() == f.render()
 
 
-def test_divide_linear_exact():
-    V6 = KOORN_VARS
-    qh = ParamPoly.variable(V6, "qh")
-    th = ParamPoly.variable(V6, "th")
-    poly = (qh - 2) * (qh * th + 1)
-    assert poly.divide_linear("qh", 2) == qh * th + 1
-    with pytest.raises(DenominatorVanishes):
-        (qh * th + 1).divide_linear("qh", 2)
-
-
 def test_parse_reads_render():
     rng = random.Random(29)
     V6 = KOORN_VARS
