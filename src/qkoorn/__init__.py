@@ -10,7 +10,7 @@ specializations, all in exact arithmetic.
 from .errors import (DegenerateNorm, DenominatorVanishes, NotDivisible,
                      NotEigenfunction, NotInvariant, QKoornError,
                      ZeroDenominator)
-from .laurent import LaurentPoly, LaurentRat, exact_divide
+from .laurent import LaurentRat, exact_divide, torus_vars
 from .operators import (IDENTITY, OperatorSpec, ParamMap, apply_operator,
                         commutator_on_basis, operator_matrix)
 from .ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat

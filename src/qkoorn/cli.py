@@ -26,8 +26,8 @@ from .operators import (OperatorSpec, ParamMap, apply_operator,
 from .ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
 from .spectra import (cp_check, eigenvalue_Ern, eigenvalue_core,
                       eigenvalue_core_recursive, linear_system_residual)
-from .weights import (dominance_leq, expand_in_monomials, is_invariant,
-                      monomial_symmetric, weights_below)
+from .weights import (dominance_leq, expand_in_monomials, monomial_symmetric,
+                      weights_below)
 from . import weightfn
 
 USAGE_ERROR = 2
@@ -208,10 +208,11 @@ def cmd_apply(args):
     if spec.kind == "a_type_centered" and \
             len({sum(e) for e in f.terms}) > 1:
         _usage("the centered operator needs a homogeneous input")
-    if not is_invariant(f, spec.group, spec.n):
+    try:
+        img = apply_operator(spec, f)
+    except NotInvariant:
         _usage("the input is not invariant under the operator's group %s"
                % spec.group)
-    img = apply_operator(spec, f)
     coeffs = expand_in_monomials(img, spec.group)
     out = OrthoPoly(p.weight, coeffs, spec.group, p.scale)
     _emit(out.to_json(), args)
@@ -296,16 +297,17 @@ def _suite_checks(args):
         M = args.trunc
         spec = weightfn.WeightFunctionSpec(n, M=M, point=point)
         lams = _all_weights(n, maxdeg)
+        monomials = {la: weightfn.monomial_numeric(la) for la in lams}
         for r in range(1, n + 1):
             op = OperatorSpec("koornwinder", n, r)
+            images = {la: weightfn.numeric_apply_to_monomial(op, la, point)
+                      for la in lams}
             for la in lams:
                 for mu in lams:
-                    aa = weightfn.numeric_apply_to_monomial(op, la, point)
-                    bb = weightfn.numeric_apply_to_monomial(op, mu, point)
-                    lhs = weightfn.inner_product(
-                        aa, weightfn.monomial_numeric(mu), spec)
-                    rhs = weightfn.inner_product(
-                        weightfn.monomial_numeric(la), bb, spec)
+                    lhs = weightfn.inner_product(images[la], monomials[mu],
+                                                 spec)
+                    rhs = weightfn.inner_product(monomials[la], images[mu],
+                                                 spec)
                     bound = weightfn.tol(point, M, sum(la) + sum(mu))
                     diff = lhs - rhs
                     if not isinstance(diff, weightfn.QuadExt):

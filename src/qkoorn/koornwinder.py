@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 
 from .errors import NotEigenfunction, ZeroDenominator
+from .laurent import _clear_coeffs
 from .operators import (IDENTITY, OperatorSpec, ParamMap, apply_operator,
                         operator_matrix)
 from .ratfield import (JACOBI_VARS, KOORN_VARS, ParamPoly, ParamRat, _common,
-                       _over_common_den, _qq, _qq_text)
+                       _qq, _qq_text)
 from .spectra import (ch_of_monomial, eigenvalue_An_leading, eigenvalue_Ern,
                       eigenvalue_jacobi, rho_monomials)
 from .weights import (HYPEROCTAHEDRAL, PERMUTATIONS_ONLY, linear_refinement,
@@ -152,7 +153,7 @@ def _eigen_check(spec, p, ev):
     common multiple keeps the check exact), entirely in the polynomial
     ring."""
     matrix = operator_matrix(spec, p.weight)
-    nums, _ = _over_common_den(p.coeffs)
+    _, nums = _clear_coeffs(p.coeffs)
     zero = ParamPoly.zero(ev.vars)
     for mu in matrix:
         lhs = zero

@@ -1,9 +1,10 @@
-"""Sparse Laurent polynomials in the torus variables z_1..z_n.
+"""Laurent polynomials and rational functions in the torus variables.
 
-Coefficients are arbitrary exact ring elements (usually ``ParamPoly`` /
-``ParamRat``, rationals in numeric mode); zero coefficients are never stored.
-A poly carries an integer ``scale``: stored exponents are multiplied by it,
-so half-integer (spin) weights live on scale 2 with exact integer arithmetic.
+A Laurent polynomial in z_1..z_n is a ``ratfield.ParamPoly`` over the names
+z1..zn (``torus_vars``), whose coefficients are exact ring elements (usually
+``ParamPoly`` / ``ParamRat``, rationals in numeric mode).  Its integer
+``scale`` puts half-integer (spin) weights on scale 2 with exact integer
+arithmetic.
 
 Rational functions of the torus variables are kept with their denominators in
 factored form (``LaurentRat``): the only denominators produced by the
@@ -30,96 +31,19 @@ from operator import lshift
 from struct import Struct
 
 from .errors import NotDivisible
-from .ratfield import (QQ, ParamPoly, _coarsened, _lifted, _qq, _reduced,
-                       _sparse_add, _sparse_eq, _sparse_mul,
-                       _sparse_mul_monomial, _sparse_neg)
+from .ratfield import QQ, ParamPoly, _lifted, _qq
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial; ``terms`` maps scaled exponent tuples to
-    nonzero coefficients."""
-
-    __slots__ = ("n", "scale", "terms")
-
-    def __init__(self, n, terms, scale=1):
-        self.n = n
-        self.terms, self.scale = _reduced(terms, scale)
-
-    @classmethod
-    def _of(cls, n, terms, scale):
-        """A poly on a kernel's term dict, which holds no zero coefficient."""
-        self = object.__new__(cls)
-        self.n = n
-        self.terms, self.scale = _coarsened(terms, scale)
-        return self
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n, {})
-
-    @classmethod
-    def const(cls, n, c):
-        return cls(n, {(0,) * n: c})
-
-    @classmethod
-    def monomial(cls, n, exps, coeff, scale=1):
-        return cls(n, {tuple(exps): coeff}, scale)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        return LaurentPoly._of(self.n, *_sparse_add(self, other))
-
-    def __neg__(self):
-        return LaurentPoly._of(self.n, _sparse_neg(self), self.scale)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return LaurentPoly._of(self.n, *_sparse_mul(self, other))
-
-    def scalar_mul(self, c):
-        if not c:
-            return LaurentPoly.zero(self.n)
-        return LaurentPoly(self.n, {e: v * c for e, v in self.terms.items()},
-                           self.scale)
-
-    def mul_monomial(self, exps, coeff, scale=1):
-        return LaurentPoly(self.n,
-                           *_sparse_mul_monomial(self, exps, coeff, scale))
-
-    def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return not self.terms
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return _sparse_eq(self, other)
-
-    def map_coeff(self, fn):
-        out = {}
-        for e, c in self.terms.items():
-            v = fn(c)
-            if v:
-                out[e] = v
-        return LaurentPoly._of(self.n, out, self.scale)
-
-    def __repr__(self):
-        items = sorted(self.terms)[:6]
-        body = ", ".join("%s: %r" % (e, self.terms[e]) for e in items)
-        more = "..." if len(self.terms) > 6 else ""
-        return "LaurentPoly<%d;%d>{%s%s}" % (self.n, self.scale, body, more)
+def torus_vars(n):
+    """The names z1..zn of the torus variables of a ``ParamPoly``."""
+    return tuple("z%d" % i for i in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
 # canonical binomial factors and exact division
 
 
-def canonical_binomial(n, t1, t2, scale=1):
+def canonical_binomial(vars_, t1, t2, scale=1):
     """Normalize c1*z^e1 + c2*z^e2 to unit leading coefficient and
     componentwise-minimal exponent zero.
 
@@ -146,15 +70,9 @@ def canonical_binomial(n, t1, t2, scale=1):
         one = 1
         trail = _qq(c2, c1)
     unit_coeff = c1
-    binom = LaurentPoly(n, {e1: one, e2: trail}, scale)
-    key = (n, binom.scale, e1, e2, _freeze_coeff(trail))
+    binom = ParamPoly(vars_, {e1: one, e2: trail}, scale)
+    key = (binom.scale, e1, e2, trail)
     return key, binom, m, unit_coeff, scale
-
-
-def _freeze_coeff(c):
-    if isinstance(c, ParamPoly):
-        return (c.vars, c.scale, frozenset(c.terms.items()))
-    return c
 
 
 def divide_binomial(f, binom):
@@ -205,7 +123,7 @@ def exact_divide(numer, denom_factors):
     for eL, d, i0, cS in steps:
         quo = _divide_packed(quo, cS, pack(d) - zero, pack(eL) - zero, d[i0],
                              width * (numer.n - 1 - i0), width, where)
-    return LaurentPoly._of(numer.n, {unpack(u): c for u, c in quo.items()}, s)
+    return ParamPoly._of(numer.vars, {unpack(u): c for u, c in quo.items()}, s)
 
 
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -394,6 +312,23 @@ def _grouped_sum(signed):
                    for key, t in sums.items()}
 
 
+def _clear_coeffs(coeffs):
+    """Clear a dict of ParamPoly / ParamRat values over one denominator,
+    each non-unit denominator being one factor keyed by itself: returns
+    (union, {key: ParamPoly numerator}) as ``_grouped_sum`` does, each value
+    being its numerator over the product of the union's factors."""
+    signed = []
+    for key, c in coeffs.items():
+        if isinstance(c, ParamPoly):
+            rat = LaurentRat(c)
+        elif c.den.is_one():
+            rat = LaurentRat(c.num)
+        else:
+            rat = LaurentRat(c.num, {c.den: (c.den, 1)})
+        signed.append((key, 1, rat))
+    return _grouped_sum(signed)
+
+
 def divide_factors(num, den):
     """Exact division by a factored denominator, factors in key order."""
     return exact_divide(num, (bm for _, bm in sorted(den.items())))
@@ -404,7 +339,8 @@ class LaurentRat:
 
     den maps a canonical-binomial key to (binom, multiplicity).  Numerator
     units absorbed during canonicalization keep the denominator entries
-    monic, so division never needs coefficient inverses.
+    monic, so division never needs coefficient inverses.  A fraction of
+    parameter polys (``_clear_coeffs``) keys each denominator by itself.
     """
 
     __slots__ = ("num", "den")
@@ -428,10 +364,11 @@ class LaurentRat:
     def mul_poly(self, p):
         return LaurentRat(self.num * p, dict(self.den))
 
-    def with_binomial_factor(self, n, t1, t2, scale=1):
+    def with_binomial_factor(self, t1, t2, scale=1):
         """Multiply by 1/(c1 z^e1 + c2 z^e2), keeping the den factored; the
         numerator and both binomial coefficients are rational."""
-        key, binom, m, cu, su = canonical_binomial(n, t1, t2, scale)
+        key, binom, m, cu, su = canonical_binomial(self.num.vars, t1, t2,
+                                                   scale)
         num = self.num.scalar_mul(_qq(1, cu))
         num = num.mul_monomial(tuple(-x for x in m), 1, su)
         den = dict(self.den)
@@ -460,28 +397,30 @@ class LaurentRat:
 
 
 def flatten(f, pvars):
-    """Layered poly (ParamPoly coefficients over pvars) -> flat poly."""
+    """Torus poly with ParamPoly coefficients over pvars -> flat poly over
+    the torus variables followed by pvars."""
     scale = f.scale
     for c in f.terms.values():
         scale = scale * c.scale // gcd(scale, c.scale)
-    width = f.n + len(pvars)
     out = {}
     fz = scale // f.scale
     for e, c in f.terms.items():
         base = tuple(x * fz for x in e)
         for pe, q in _lifted(c, scale).items():
             out[base + pe] = q
-    return LaurentPoly._of(width, out, scale)
+    return ParamPoly._of(f.vars + pvars, out, scale)
 
 
-def unflatten(flat, n, pvars):
-    """Flat poly -> layered poly with ParamPoly coefficients."""
+def unflatten(flat, n):
+    """Flat poly -> torus poly over its first n variables, with ParamPoly
+    coefficients over the rest."""
+    tvars, pvars = flat.vars[:n], flat.vars[n:]
     split = {}
     for e, q in flat.terms.items():
         split.setdefault(e[:n], {})[e[n:]] = q
     terms = {te: ParamPoly._of(pvars, pt, flat.scale)
              for te, pt in split.items()}
-    return LaurentPoly._of(n, terms, flat.scale)
+    return ParamPoly._of(tvars, terms, flat.scale)
 
 
 def flat_shift(f, steps, qh_slot):
@@ -502,4 +441,4 @@ def flat_shift(f, steps, qh_slot):
         if d:
             e = e[:qh_slot] + (e[qh_slot] + d,) + e[qh_slot + 1:]
         out[e] = c
-    return LaurentPoly._of(f.n, out, f.scale)
+    return ParamPoly._of(f.vars, out, f.scale)

@@ -35,11 +35,11 @@ from math import gcd
 from operator import add, itemgetter
 
 from .errors import NotInvariant
-from .laurent import (LaurentPoly, LaurentRat, _grouped_sum, canonical_binomial,
-                      divide_factors, flat_shift, flatten, lift_to, merge_max,
-                      unflatten)
-from .ratfield import (JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat,
-                       _lifted, _monomial_image, _over_common_den, _qq)
+from .laurent import (LaurentRat, _clear_coeffs, _grouped_sum,
+                      canonical_binomial, divide_factors, flat_shift, flatten,
+                      lift_to, merge_max, torus_vars, unflatten)
+from .ratfield import (JACOBI_VARS, KOORN_VARS, ParamPoly, ParamRat, _lifted,
+                       _monomial_image, _qq)
 from .weights import (EVEN_SIGNS, HYPEROCTAHEDRAL, PERMUTATIONS_ONLY,
                       expand_in_monomials, is_invariant, monomial_symmetric,
                       weights_below)
@@ -66,8 +66,6 @@ class ParamMap(dict):
                 raise ValueError("qh is the scale parameter; not substitutable")
             if isinstance(val, str):
                 val = ParamRat.parse(KOORN_VARS, val)
-            elif not isinstance(val, (int, QQ, ParamRat, ParamPoly)):
-                raise TypeError("bad parameter image %r" % (val,))
             e, c, s = _monomial_image(KOORN_VARS, val)
             if s != 1:
                 raise ValueError("parameter images must be plain monomials")
@@ -93,51 +91,51 @@ IDENTITY = ParamMap()
 # flat coefficient factors
 
 
-def _flat_rat_one(width):
-    return LaurentRat(LaurentPoly.const(width, 1))
+def _flat_rat_one(vars_):
+    return LaurentRat(ParamPoly.one(vars_))
 
 
-def _ratio(width, n, w, image, sigma):
+def _ratio(vars_, n, w, image, sigma):
     """(g^2 w + sigma) / (g (w + sigma)) at the flat exponent tuple w, for
     g the parameter monomial ``image`` (exponent vector, coefficient), with
     the 1/g unit folded into the numerator; None when g is 1."""
     ge, gc = image
     if not any(ge) and gc == 1:
         return None
-    zero = (0,) * width
+    zero = (0,) * len(vars_)
     gpad = zero[:n] + ge
-    num = LaurentPoly(width, {tuple(x + y for x, y in zip(w, gpad)): gc,
-                              tuple(-x for x in gpad): _qq(sigma, gc)})
-    return LaurentRat(num).with_binomial_factor(width, (w, 1), (zero, sigma))
+    num = ParamPoly(vars_, {tuple(x + y for x, y in zip(w, gpad)): gc,
+                            tuple(-x for x in gpad): _qq(sigma, gc)})
+    return LaurentRat(num).with_binomial_factor((w, 1), (zero, sigma))
 
 
-def va_factor(width, n, w_exps, qpow, params):
+def va_factor(vars_, n, w_exps, qpow, params):
     """v_a at the composite variable w = q^qpow * z^w_exps: the v_b-shape
     ratio (th^2 w - 1) / (th (w - 1)) = (th w - 1/th) / (w - 1), that is
     ``_ratio`` at g = th and sigma = -1.
 
     Collapses to 1 when the substituted th is 1.
     """
-    w = list(w_exps) + [0] * (width - n)
+    w = list(w_exps) + [0] * (len(vars_) - n)
     w[n + _QH] += 2 * qpow
-    rat = _ratio(width, n, tuple(w), params.image("th"), -1)
-    return _flat_rat_one(width) if rat is None else rat
+    rat = _ratio(vars_, n, tuple(w), params.image("th"), -1)
+    return _flat_rat_one(vars_) if rat is None else rat
 
 
 _VB_SHAPES = (("ga", 0, -1), ("gb", 0, 1), ("gc", 1, -1), ("gd", 1, 1))
 
 
-def vb_factor(width, n, j, eps, params, shapes=_VB_SHAPES):
+def vb_factor(vars_, n, j, eps, params, shapes=_VB_SHAPES):
     """v_b at w = z_j^eps: the product of four ``_ratio`` factors
     (g^2 q^s w + sigma) / (g (q^s w + sigma)) with (g, s, sigma) running over
     (ga,0,-1), (gb,0,+1), (gc,1/2,-1), (gd,1/2,+1).  Factors with g = 1
     collapse."""
-    out = _flat_rat_one(width)
+    out = _flat_rat_one(vars_)
     for name, qh_pow, sigma in shapes:
-        w = [0] * width
+        w = [0] * len(vars_)
         w[j] = eps
         w[n + _QH] += qh_pow
-        rat = _ratio(width, n, tuple(w), params.image(name), sigma)
+        rat = _ratio(vars_, n, tuple(w), params.image(name), sigma)
         if rat is not None:
             out = out * rat
     return out
@@ -148,7 +146,7 @@ class _Engine:
 
     def __init__(self, n, params):
         self.n = n
-        self.width = n + _NP
+        self.vars = torus_vars(n) + KOORN_VARS
         self.params = params
         self._v = {}
         self._w = {}
@@ -162,7 +160,7 @@ class _Engine:
         key = (tuple(w_exps), qpow)
         got = self._va.get(key)
         if got is None:
-            got = self._va[key] = va_factor(self.width, self.n, w_exps,
+            got = self._va[key] = va_factor(self.vars, self.n, w_exps,
                                             qpow, self.params)
         return got
 
@@ -170,7 +168,7 @@ class _Engine:
         """v_b(z_j) as (numerator, z-unit factors, qh-unit factors)."""
         got = self._vb.get(j)
         if got is None:
-            rat = vb_factor(self.width, self.n, j, 1, self.params)
+            rat = vb_factor(self.vars, self.n, j, 1, self.params)
             zunit, qhunit = {}, {}
             for k, bm in rat.den.items():
                 (qhunit if _support(k, self.n)[1] else zunit)[k] = bm
@@ -181,7 +179,7 @@ class _Engine:
         key = (j, eps, K)
         got = self._couple.get(key)
         if got is None:
-            out = _flat_rat_one(self.width)
+            out = _flat_rat_one(self.vars)
             for k in K:
                 for sk in (1, -1):
                     w = [0] * self.n
@@ -198,7 +196,7 @@ class _Engine:
         key = (J, eps, shift)
         got = self._inner.get(key)
         if got is None:
-            out = _flat_rat_one(self.width)
+            out = _flat_rat_one(self.vars)
             for (j1, e1), (j2, e2) in combinations(zip(J, eps), 2):
                 w = [0] * self.n
                 w[j1] += e1
@@ -238,9 +236,9 @@ class _Engine:
         got = self._v.get(key)
         if got is not None:
             return got
-        out = _flat_rat_one(self.width)
+        out = _flat_rat_one(self.vars)
         for j, e in zip(J, eps):
-            out = out * vb_factor(self.width, self.n, j, e, self.params)
+            out = out * vb_factor(self.vars, self.n, j, e, self.params)
         out = out * self.inner(J, eps, shift)
         for j, e in zip(J, eps):
             out = out * self.couplings(j, e, K)
@@ -263,7 +261,7 @@ class _Engine:
             den, total = _grouped_sum(terms)
             out = LaurentRat(total[None], den)
         else:
-            out = LaurentRat(LaurentPoly.zero(self.width))
+            out = LaurentRat(ParamPoly.zero(self.vars))
         self._w[key] = out
         return out
 
@@ -362,7 +360,6 @@ def _normal_form(spec):
         return got
     n = spec.n
     eng = _engine(n, spec.params)
-    width = eng.width
     terms = []
     if spec.kind == "koornwinder":
         r = spec.r
@@ -382,7 +379,7 @@ def _normal_form(spec):
         r = spec.r
         for J in combinations(range(n), r):
             Jc = tuple(x for x in range(n) if x not in J)
-            coeff = _flat_rat_one(width)
+            coeff = _flat_rat_one(eng.vars)
             for j in J:
                 for k in Jc:
                     w = [0] * n
@@ -399,11 +396,12 @@ def _normal_form(spec):
                 par *= e
             if want is not None and par != want:
                 continue
-            coeff = _flat_rat_one(width)
+            coeff = _flat_rat_one(eng.vars)
             if spec.kind == "c_spin":
                 # v_b without the half-period-shifted pair
                 for j in range(n):
-                    coeff = coeff * vb_factor(width, n, j, eps[j], spec.params,
+                    coeff = coeff * vb_factor(eng.vars, n, j, eps[j],
+                                              spec.params,
                                               shapes=_VB_SHAPES[:2])
             for j1, j2 in combinations(range(n), 2):
                 w = [0] * n
@@ -457,7 +455,7 @@ def _support(key, n):
     """The torus variables of a canonical binomial, and whether qh is one of
     its variables: a z-unit or pair factor, or a qh-unit or q-shifted pair
     factor."""
-    _, _, e1, e2, _ = key
+    _, e1, e2, _ = key
     return (tuple(i for i in range(n) if e1[i] or e2[i]),
             bool(e1[n + _QH] or e2[n + _QH]))
 
@@ -467,12 +465,12 @@ def _mapped(rat, emap):
     variables, ``emap`` taking an exponent tuple to its image.  Each mapped
     factor is re-canonicalised; the units that split off are folded into
     the map of the numerator, which passes over its terms once."""
-    width = rat.num.n
-    shift, scale, unit = (0,) * width, 1, 1
+    vars_ = rat.num.vars
+    shift, scale, unit = (0,) * rat.num.n, 1, 1
     den = {}
     for b, m in rat.den.values():
         key, binom, mm, cu, su = canonical_binomial(
-            width, *((emap(e), c) for e, c in b.terms.items()), b.scale)
+            vars_, *((emap(e), c) for e, c in b.terms.items()), b.scale)
         den[key] = (binom, m)
         s = scale * su // gcd(scale, su)
         shift = tuple(x * (s // scale) - m * y * (s // su)
@@ -488,8 +486,8 @@ def _mapped(rat, emap):
     else:
         out = {emap(e): v * c for e, v in terms}
     # a unit coefficient +-1 leaves every coefficient in its canonical form
-    build = LaurentPoly._of if c in (1, -1) else LaurentPoly
-    return LaurentRat(build(width, out, s), den)
+    build = ParamPoly._of if c in (1, -1) else ParamPoly
+    return LaurentRat(build(vars_, out, s), den)
 
 
 def _staged_cell(eng, J, f_flat):
@@ -545,11 +543,11 @@ def _apply_staged(spec, f_flat):
     cell = _staged_cell(eng, tuple(range(r)), f_flat)
     images = []
     for J in combinations(range(n), r):
-        perm = list(range(eng.width))
+        perm = list(range(len(eng.vars)))
         for i, j in enumerate(J + tuple(x for x in range(n) if x not in J)):
             perm[j] = i
         images.append(itemgetter(*perm))
-    factors = LaurentRat(LaurentPoly.const(eng.width, 1), cell.den)
+    factors = LaurentRat(ParamPoly.one(eng.vars), cell.den)
     union = {}
     for image in images:
         merge_max(union, _mapped(factors, image).den)
@@ -577,8 +575,8 @@ def apply_operator(spec, f):
     are cleared up front and restored on the result).
     """
     pvars = JACOBI_VARS if spec.kind == "jacobi" else KOORN_VARS
-    nums, dens = _over_common_den(f.terms)
-    flat = flatten(LaurentPoly(f.n, nums, f.scale), pvars)
+    dens, nums = _clear_coeffs(f.terms)
+    flat = flatten(ParamPoly(f.vars, nums, f.scale), pvars)
     if not is_invariant(flat, spec.group, spec.n):
         raise NotInvariant("input not invariant under %s" % spec.group)
     if spec.kind == "jacobi":
@@ -587,10 +585,10 @@ def apply_operator(spec, f):
         quot = _apply_staged(spec, flat)
     else:
         quot = _apply_normal_form(spec, flat)
-    out = unflatten(quot, spec.n, pvars)
+    out = unflatten(quot, spec.n)
     if dens:
         inv = ParamRat.one(pvars)
-        for d in dens:
+        for d, _ in dens.values():
             inv = inv / ParamRat.from_poly(d)
         out = out.map_coeff(lambda c: ParamRat.from_poly(c) * inv)
     return out
@@ -606,7 +604,7 @@ def apply_operator_grouped(spec, f):
     if not is_invariant(f, spec.group, spec.n):
         raise NotInvariant("input not invariant under %s" % spec.group)
     quot = _apply_normal_form(spec, flatten(f, KOORN_VARS))
-    return unflatten(quot, spec.n, KOORN_VARS)
+    return unflatten(quot, spec.n)
 
 
 def _center_prefactor(total, spec, flat_input):
@@ -634,12 +632,12 @@ def apply_one_var(f, j, params=None):
     flat = flatten(f, KOORN_VARS)
     signed = []
     for eps in (1, -1):
-        coeff = vb_factor(eng.width, n, j, eps, params)
+        coeff = vb_factor(eng.vars, n, j, eps, params)
         steps = tuple(2 * eps if i == j else 0 for i in range(n))
         moved = flat_shift(flat, steps, n + _QH) + (-flat)
         signed.append((None, 1, coeff.mul_poly(moved)))
     den, total = _grouped_sum(signed)
-    return unflatten(divide_factors(total[None], den), n, KOORN_VARS)
+    return unflatten(divide_factors(total[None], den), n)
 
 
 def elementary_symmetric_apply(r, f, params=None):
@@ -651,7 +649,7 @@ def elementary_symmetric_apply(r, f, params=None):
         for j in J:
             g = apply_one_var(g, j, params)
         total = g if total is None else total + g
-    return total if total is not None else LaurentPoly.zero(n)
+    return total if total is not None else ParamPoly.zero(f.vars)
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +663,7 @@ def _apply_jacobi(spec, flat):
     if flat.scale != 1:
         raise ValueError("the differential branch lives on the integer lattice")
     n = spec.n
+    vars_ = flat.vars
     width = flat.n
     g_e = tuple(1 if i == n else 0 for i in range(width))
     t0_e = tuple(1 if i == n + 1 else 0 for i in range(width))
@@ -672,16 +671,16 @@ def _apply_jacobi(spec, flat):
     zero = (0,) * width
 
     def euler(p, j):
-        return LaurentPoly(p.n, {e: c * e[j] for e, c in p.terms.items()
-                                 if e[j]}, p.scale)
+        return ParamPoly(p.vars, {e: c * e[j] for e, c in p.terms.items()
+                                  if e[j]}, p.scale)
 
     signed = []
     # sum_j theta_j^2
-    acc = LaurentPoly.zero(width)
+    acc = ParamPoly.zero(vars_)
     for e, c in flat.terms.items():
         v = c * sum(x * x for x in e[:n])
         if v:
-            acc = acc + LaurentPoly(width, {e: v})
+            acc = acc + ParamPoly(vars_, {e: v})
     signed.append((None, 1, LaurentRat(acc)))
     # pair terms: g (z_j z_k + 1)/(z_j z_k - 1) (theta_j + theta_k)
     #           + g (z_j + z_k)/(z_j - z_k)     (theta_j - theta_k)
@@ -692,29 +691,29 @@ def _apply_jacobi(spec, flat):
         tp = euler(flat, j) + euler(flat, k)
         tm = euler(flat, j) + (-euler(flat, k))
         if tp:
-            num = (LaurentPoly(width, {ejk: 1, zero: 1})
+            num = (ParamPoly(vars_, {ejk: 1, zero: 1})
                    .mul_monomial(g_e, 1) * tp)
             signed.append((None, 1, LaurentRat(num).with_binomial_factor(
-                width, (ejk, 1), (zero, -1))))
+                (ejk, 1), (zero, -1))))
         if tm:
-            num = (LaurentPoly(width, {ej: 1, ek: 1})
+            num = (ParamPoly(vars_, {ej: 1, ek: 1})
                    .mul_monomial(g_e, 1) * tm)
             signed.append((None, 1, LaurentRat(num).with_binomial_factor(
-                width, (ej, 1), (ek, -1))))
+                (ej, 1), (ek, -1))))
     # one-body terms: [tg0 (z+1)/(z-1) + tg1 (z-1)/(z+1)] theta_j
     for j in range(n):
         ej = tuple((1 if i == j else 0) for i in range(width))
         tj = euler(flat, j)
         if not tj:
             continue
-        num0 = (LaurentPoly(width, {ej: 1, zero: 1})
+        num0 = (ParamPoly(vars_, {ej: 1, zero: 1})
                 .mul_monomial(t0_e, 1) * tj)
         signed.append((None, 1, LaurentRat(num0).with_binomial_factor(
-            width, (ej, 1), (zero, -1))))
-        num1 = (LaurentPoly(width, {ej: 1, zero: -1})
+            (ej, 1), (zero, -1))))
+        num1 = (ParamPoly(vars_, {ej: 1, zero: -1})
                 .mul_monomial(t1_e, 1) * tj)
         signed.append((None, 1, LaurentRat(num1).with_binomial_factor(
-            width, (ej, 1), (zero, 1))))
+            (ej, 1), (zero, 1))))
     den, total = _grouped_sum(signed)
     return divide_factors(total[None], den)
 
@@ -726,26 +725,15 @@ def _apply_jacobi(spec, flat):
 _MONO_CACHE = {}
 
 
-def apply_to_monomial(spec, lam, scale=1):
-    key = (spec.key, tuple(lam), scale)
+def apply_to_monomial(spec, lam):
+    key = (spec.key, tuple(lam))
     got = _MONO_CACHE.get(key)
     if got is None:
         one = (ParamPoly.one(JACOBI_VARS) if spec.kind == "jacobi"
                else ParamPoly.one(KOORN_VARS))
-        if spec.kind in ("a_type", "a_type_centered"):
-            m = monomial_leading(lam, one)
-        else:
-            m = monomial_symmetric(lam, spec.group, one, scale)
-        got = apply_operator(spec, m)
+        got = apply_operator(spec, monomial_symmetric(lam, spec.group, one))
         _MONO_CACHE[key] = got
     return got
-
-
-def monomial_leading(lam, one=None):
-    """Permutation-orbit sum only (the top-degree part of m_lam)."""
-    if one is None:
-        one = ParamPoly.one(KOORN_VARS)
-    return monomial_symmetric(lam, PERMUTATIONS_ONLY, one)
 
 
 def operator_matrix(spec, lam):
@@ -768,7 +756,7 @@ def _apply_by_linearity(spec, coeffs):
         img = apply_to_monomial(spec, mu).scalar_mul(c)
         total = img if total is None else total + img
     if total is None:
-        total = LaurentPoly.zero(spec.n)
+        total = ParamPoly.zero(torus_vars(spec.n))
     return total
 
 
@@ -778,10 +766,8 @@ def commutator_on_basis(spec_a, spec_b, lam):
     Both compositions expand the inner image in the monomial basis and
     reuse cached single applications (the operators are linear over the
     coefficient field)."""
-    base = PERMUTATIONS_ONLY if spec_a.kind in ("a_type", "a_type_centered") \
-        else spec_a.group
-    a_lam = expand_in_monomials(apply_to_monomial(spec_a, lam), base)
-    b_lam = expand_in_monomials(apply_to_monomial(spec_b, lam), base)
+    a_lam = expand_in_monomials(apply_to_monomial(spec_a, lam), spec_a.group)
+    b_lam = expand_in_monomials(apply_to_monomial(spec_b, lam), spec_a.group)
     ab = _apply_by_linearity(spec_a, b_lam)
     ba = _apply_by_linearity(spec_b, a_lam)
     return ab + (-ba)

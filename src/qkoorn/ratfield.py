@@ -8,24 +8,26 @@ The default tuple ``KOORN_VARS`` holds the six half-parameters
 
 every trigonometric coefficient ratio of the difference operators becomes an
 honest rational function, so no root extensions are ever needed.  ``ParamPoly``
-also serves other coefficient rings (symbolic t/p vectors for eigenvalue
-identities, the additive (g, tg0, tg1) ring of the differential-operator
-branch) by passing a different variable tuple.
+is the one sparse polynomial class: other tuples give the symbolic t/p
+vectors of the eigenvalue identities, the additive (g, tg0, tg1) ring of the
+differential-operator branch, the torus variables z1..zn (whose polys carry
+ParamPoly or ParamRat coefficients) and the flat polys of the operator
+engine (torus names followed by parameter names).
 
 Exponents may be negative (Laurent) and may sit on a refined lattice: a poly
 carries an integer ``scale`` and stores exponents multiplied by it, so e.g.
-qh^(1/3) is representable exactly.  All arithmetic is exact rational.
+qh^(1/3) is representable exactly.  All arithmetic is exact.
 
 A parameter substitution (a classical family, th = qh^g before q -> 1) is a
 dict name -> nonzero monomial (``operators.ParamMap``), one exponent map per
-term (``ParamPoly.substitute``).  Pinning one variable to a rational value
+term (``ParamPoly.substitute``).  Pinning variables to rational values
 (``ParamRat.substitute``) differentiates numerator and denominator while
 both vanish there, so removable poles cancel and nothing is divided.
 
 An exact rational coefficient has one representation: a Python ``int`` when
 it is integral and a ``Fraction`` (``QQ``) otherwise, never a float.  The
-public constructors write an integral ``Fraction`` as its ``int``; kernel
-results are not rescanned, so ``int * int`` stays an ``int`` while a true
+public constructors write an integral ``Fraction`` as its ``int``; sums and
+products are not rescanned, so ``int * int`` stays an ``int`` while a true
 ``Fraction`` operand may leave an integral ``Fraction`` behind, which is just
 as exact.  Since ``int / int`` is a float, every exact division goes through
 ``_qq(a, b)``.
@@ -80,17 +82,15 @@ def _qq_text(c):
 
 
 # ---------------------------------------------------------------------------
-# sparse-term kernels: the arithmetic of ParamPoly and LaurentPoly, written
-# once.  A polynomial is its ``terms`` dict (exponent tuples in units of
-# 1/scale -> nonzero coefficients) and its integer ``scale``; the kernels
-# read those two attributes and return plain term dicts, so they serve any
-# exact coefficient ring and run one loop on the coefficients as they are
-# (integral rationals are ints, so that loop is integer arithmetic wherever
-# the data allow).  Add, negate and multiply never leave a zero coefficient
-# (nor does a rational monomial multiply), so the classes build their
-# results through a private constructor that only coarsens the lattice
-# (``_coarsened``); the public constructors drop zeros and write integral
-# rationals as ints (``_reduced``).
+# sparse polynomials.  A polynomial is its ``terms`` dict (exponent tuples in
+# units of 1/scale -> nonzero coefficients) and its integer ``scale``; the
+# arithmetic runs one loop on the coefficients as they are, so it serves any
+# exact coefficient ring (integral rationals are ints, so that loop is
+# integer arithmetic wherever the data allow).  Add, negate and multiply
+# never leave a zero coefficient (nor does a rational monomial multiply), so
+# their results go through a private constructor that only coarsens the
+# lattice (``_coarsened``); the public constructor drops zeros and writes
+# integral rationals as ints (``_reduced``).
 
 
 def _reduced(terms, scale):
@@ -101,7 +101,7 @@ def _reduced(terms, scale):
 
 
 def _coarsened(clean, scale):
-    """Move a term dict that holds no zero coefficient (every kernel result)
+    """Move a term dict that holds no zero coefficient (every sum or product)
     to the coarsest lattice holding every exponent: returns (terms, scale)."""
     if scale > 1 and clean:
         g = scale
@@ -132,68 +132,15 @@ def _common(p, q):
     return s, _lifted(p, s), _lifted(q, s)
 
 
-def _sparse_add(p, q):
-    s, a, b = _common(p, q)
-    out = dict(a)
-    for e, c in b.items():
-        if e in out:
-            v = out[e] + c
-            if v:
-                out[e] = v
-            else:
-                del out[e]
-        else:
-            out[e] = c
-    return out, s
-
-
-def _sparse_neg(p):
-    return {e: -c for e, c in p.terms.items()}
-
-
-def _sparse_mul(p, q):
-    s, a, b = _common(p, q)
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    get = out.get
-    bitems = list(b.items())
-    for e1, c1 in a.items():
-        for e2, c2 in bitems:
-            e = tuple(map(_add, e1, e2))
-            v = get(e)
-            if v is None:
-                out[e] = c1 * c2
-            else:
-                v = v + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-    # a ring with zero divisors (QuadExt at a square H) can make a first
-    # product vanish
-    return {e: v for e, v in out.items() if v}, s
-
-
-def _sparse_mul_monomial(p, exps, coeff, scale):
-    """p times coeff * x^exps (exps in units of 1/scale)."""
-    s = p.scale * scale // gcd(p.scale, scale)
-    f = s // scale
-    e0 = tuple(x * f for x in exps)
-    return {tuple(map(_add, e, e0)): c * coeff
-            for e, c in _lifted(p, s).items()}, s
-
-
-def _sparse_eq(p, q):
-    _, a, b = _common(p, q)
-    return a == b
-
-
 class ParamPoly:
-    """Sparse Laurent polynomial over ``QQ`` in named indeterminates.
+    """Sparse Laurent polynomial in a tuple of named indeterminates: the
+    parameters (``KOORN_VARS``, ``JACOBI_VARS``, ...), the torus variables
+    z1..zn (``laurent.torus_vars``), or the torus variables followed by the
+    parameters (a flat poly, ``laurent.flatten``).
 
     terms: dict mapping exponent tuples (ints, in units of 1/scale) to
-    nonzero rational coefficients.
+    nonzero coefficients: exact rationals, or the elements of another exact
+    ring (a torus poly may carry ParamPoly or ParamRat coefficients).
     """
 
     __slots__ = ("vars", "scale", "terms", "_hash")
@@ -205,7 +152,7 @@ class ParamPoly:
 
     @classmethod
     def _of(cls, vars_, terms, scale):
-        """A poly on a kernel's term dict, which holds no zero coefficient."""
+        """A poly on a term dict that holds no zero coefficient."""
         self = object.__new__(cls)
         self.vars = vars_
         self.terms, self.scale = _coarsened(terms, scale)
@@ -220,8 +167,7 @@ class ParamPoly:
 
     @classmethod
     def const(cls, vars_, c):
-        c = _qq(c)
-        return cls(vars_, {(0,) * len(vars_): c} if c else {})
+        return cls(vars_, {(0,) * len(vars_): c})
 
     @classmethod
     def one(cls, vars_):
@@ -229,7 +175,7 @@ class ParamPoly:
 
     @classmethod
     def monomial(cls, vars_, exps, coeff=1, scale=1):
-        return cls(vars_, {tuple(exps): _qq(coeff)}, scale)
+        return cls(vars_, {tuple(exps): coeff}, scale)
 
     @classmethod
     def variable(cls, vars_, name, power=1):
@@ -242,6 +188,11 @@ class ParamPoly:
         return cls(vars_, {tuple(e): 1}, den)
 
     # -- helpers -----------------------------------------------------------
+
+    @property
+    def n(self):
+        """The number of variables."""
+        return len(self.vars)
 
     def is_zero(self):
         return not self.terms
@@ -272,12 +223,25 @@ class ParamPoly:
             other = ParamPoly.const(self.vars, other)
         elif isinstance(other, ParamRat):
             return ParamRat.from_poly(self) + other
-        return ParamPoly._of(self.vars, *_sparse_add(self, other))
+        s, a, b = _common(self, other)
+        out = dict(a)
+        for e, c in b.items():
+            if e in out:
+                v = out[e] + c
+                if v:
+                    out[e] = v
+                else:
+                    del out[e]
+            else:
+                out[e] = c
+        return ParamPoly._of(self.vars, out, s)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly._of(self.vars, _sparse_neg(self), self.scale)
+        return ParamPoly._of(self.vars,
+                             {e: -c for e, c in self.terms.items()},
+                             self.scale)
 
     def __sub__(self, other):
         if isinstance(other, (int, QQ)):
@@ -288,26 +252,61 @@ class ParamPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, QQ)):
-            c = _qq(other)
-            if not c:
-                return ParamPoly.zero(self.vars)
-            # a rational factor can make a Fraction integral (2 * 1/2)
-            return ParamPoly(self.vars,
-                             {e: v * c for e, v in self.terms.items()},
-                             self.scale)
+            return self.scalar_mul(_qq(other))
         if isinstance(other, ParamRat):
             return ParamRat.from_poly(self) * other
-        return ParamPoly._of(self.vars, *_sparse_mul(self, other))
+        s, a, b = _common(self, other)
+        if len(a) > len(b):
+            a, b = b, a
+        out = {}
+        get = out.get
+        bitems = list(b.items())
+        for e1, c1 in a.items():
+            for e2, c2 in bitems:
+                e = tuple(map(_add, e1, e2))
+                v = get(e)
+                if v is None:
+                    out[e] = c1 * c2
+                else:
+                    v = v + c1 * c2
+                    if v:
+                        out[e] = v
+                    else:
+                        del out[e]
+        # a ring with zero divisors (QuadExt at a square H) can make a first
+        # product vanish
+        return ParamPoly._of(self.vars, {e: v for e, v in out.items() if v}, s)
 
     __rmul__ = __mul__
+
+    def scalar_mul(self, c):
+        """self times an element c of its coefficient ring."""
+        if not c:
+            return ParamPoly.zero(self.vars)
+        # a rational factor can make a Fraction integral (2 * 1/2)
+        return ParamPoly(self.vars, {e: v * c for e, v in self.terms.items()},
+                         self.scale)
 
     def mul_monomial(self, exps, coeff=1, scale=1):
         """Fast multiply by coeff * x^exps (exps in units of 1/scale)."""
         c = _qq(coeff)
         if not c:
             return ParamPoly.zero(self.vars)
+        s = self.scale * scale // gcd(self.scale, scale)
+        f = s // scale
+        e0 = tuple(x * f for x in exps)
         return ParamPoly._of(self.vars,
-                             *_sparse_mul_monomial(self, exps, c, scale))
+                             {tuple(map(_add, e, e0)): v * c
+                              for e, v in _lifted(self, s).items()}, s)
+
+    def map_coeff(self, fn):
+        """The poly whose coefficients are fn of self's (zeros dropped)."""
+        out = {}
+        for e, c in self.terms.items():
+            v = fn(c)
+            if v:
+                out[e] = v
+        return ParamPoly._of(self.vars, out, self.scale)
 
     def __pow__(self, k):
         if k < 0:
@@ -328,7 +327,8 @@ class ParamPoly:
             return ParamRat.from_poly(self) == other
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return _sparse_eq(self, other)
+        _, a, b = _common(self, other)
+        return a == b
 
     def __hash__(self):
         if self._hash is None:
@@ -433,13 +433,16 @@ def _monomial_image(vars_, val):
     """(exponents, coefficient, scale) of a substitution image: a nonzero
     rational, a nonzero ParamPoly monomial, or a ParamRat equal to one of
     these (its constructor moves a monomial denominator into the
-    numerator); the exponents are in units of 1/scale."""
+    numerator); the exponents are in units of 1/scale.  Any other type, a
+    float among them, is refused with TypeError."""
     if isinstance(val, ParamRat):
         if not val.den.is_one():
             raise ValueError("parameter images must be plain monomials")
         val = val.num
-    elif not isinstance(val, ParamPoly):
+    elif isinstance(val, (int, QQ)):
         val = ParamPoly.const(vars_, val)
+    elif not isinstance(val, ParamPoly):
+        raise TypeError("bad parameter image %r" % (val,))
     if not val:
         raise ValueError("parameter images must be invertible")
     if not val.is_monomial():
@@ -583,14 +586,16 @@ class ParamRat:
         ``ParamPoly.substitute``); raises DenominatorVanishes when the
         denominator's image is zero.
 
-        A single variable pinned to a plain rational (an ``int`` or ``QQ``)
-        takes the limit instead (``_pin``; this is how q->1 limits are
-        taken), which raises DenominatorVanishes only on a genuine pole.
+        Variables pinned to plain rationals (every value an ``int`` or
+        ``QQ``) take the limit instead, one entry at a time (``_pin``; this
+        is how q->1 limits are taken), which raises DenominatorVanishes only
+        on a genuine pole.
         """
-        if len(sigma) == 1:
-            (name, v), = sigma.items()
-            if isinstance(v, (int, QQ)):
-                return self._pin(name, _qq(v))
+        if all(isinstance(v, (int, QQ)) for v in sigma.values()):
+            out = self
+            for name, v in sigma.items():
+                out = out._pin(name, _qq(v))
+            return out
         return ParamRat(self.num.substitute(sigma), self.den.substitute(sigma))
 
     def _pin(self, name, value):
@@ -631,35 +636,6 @@ class ParamRat:
 
     def __repr__(self):
         return "ParamRat(%s)" % self.render()
-
-
-def _over_common_den(coeffs):
-    """Clear a dict of ParamPoly / ParamRat values over one denominator:
-    returns ({key: ParamPoly numerator}, [distinct non-unit denominators]),
-    each value being its numerator over the product of that list.
-
-    Each numerator is multiplied by every collected denominator except the
-    single copy of its own (no gcd reduction exists in the field, so the
-    cancellation is done by bookkeeping, not by division)."""
-    dens = []
-    for c in coeffs.values():
-        if isinstance(c, ParamRat) and not c.den.is_one():
-            if not any(c.den == d for d in dens):
-                dens.append(c.den)
-    nums = {}
-    for key, c in coeffs.items():
-        if isinstance(c, ParamPoly):
-            num, skip = c, None
-        else:
-            num = c.num
-            skip = None if c.den.is_one() else c.den
-        for d in dens:
-            if skip is not None and d == skip:
-                skip = None
-                continue
-            num = num * d
-        nums[key] = num
-    return nums, dens
 
 
 _NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?(?:/\d+)?"

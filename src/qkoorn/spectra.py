@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .laurent import LaurentPoly
+from .laurent import torus_vars
 from .ratfield import (JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat,
                        _qq)
 
@@ -184,6 +184,7 @@ def symmetric_to_elementary(S, n):
     """Rewrite a symmetric polynomial in c_1..c_n (dict exponent->coeff)
     in the elementary symmetric basis (dict e-exponent->coeff)."""
     one = ParamPoly.one(KOORN_VARS)
+    cs = torus_vars(n)
     # c-polynomials of the elementary symmetric functions e_1..e_n
     basis = []
     for k in range(1, n + 1):
@@ -193,8 +194,8 @@ def symmetric_to_elementary(S, n):
             for j in J:
                 e[j] = 1
             terms[tuple(e)] = one
-        basis.append(LaurentPoly(n, terms))
-    rem = LaurentPoly(n, S)
+        basis.append(ParamPoly(cs, terms))
+    rem = ParamPoly(cs, S)
     out = {}
     while rem:
         alpha = max(rem.terms)
@@ -204,7 +205,7 @@ def symmetric_to_elementary(S, n):
         mono = tuple(alpha[i] - (alpha[i + 1] if i + 1 < n else 0)
                      for i in range(n))
         out[mono] = coeff
-        prod = LaurentPoly.const(n, coeff)
+        prod = ParamPoly.const(cs, coeff)
         for i, m in enumerate(mono):
             for _ in range(m):
                 prod = prod * basis[i]
@@ -221,13 +222,14 @@ def generator_relations(n, params=None):
     """
     one = ParamPoly.one(KOORN_VARS)
     ps = ch_rho(n, params)
-    rel = [LaurentPoly.const(n, ParamRat.one(KOORN_VARS))]
+    xs = torus_vars(n)
+    rel = [ParamPoly.const(xs, ParamRat.one(KOORN_VARS))]
     for r in range(1, n + 1):
         # X_r = 2^r sum_{s<=r} (-1)^{r+s} K_{r,s} e_s  with K_{r,r} = 1
         xvec = [0] * n
         xvec[r - 1] = 1
-        acc = LaurentPoly.monomial(n, xvec,
-                                   ParamRat.const(KOORN_VARS, QQ(1, 2 ** r)))
+        acc = ParamPoly.monomial(xs, xvec,
+                                 ParamRat.const(KOORN_VARS, QQ(1, 2 ** r)))
         for s in range(0, r):
             K = complete_homogeneous(r - s, ps[r - 1:], one)
             c = ParamRat.from_poly(K)
@@ -244,10 +246,11 @@ def hc_lift(S, n, params=None):
     S = {k: (v if isinstance(v, ParamRat) else ParamRat.from_poly(v))
          for k, v in S.items() if v}
     ebasis = symmetric_to_elementary(S, n)
-    rel = [LaurentPoly(n, r) for r in generator_relations(n, params)]
-    out = LaurentPoly.zero(n)
+    xs = torus_vars(n)
+    rel = [ParamPoly(xs, r) for r in generator_relations(n, params)]
+    out = ParamPoly.zero(xs)
     for mono, coeff in ebasis.items():
-        prod = LaurentPoly.const(n, ParamRat.one(KOORN_VARS))
+        prod = ParamPoly.const(xs, ParamRat.one(KOORN_VARS))
         for i, m in enumerate(mono):
             for _ in range(m):
                 prod = prod * rel[i + 1]

@@ -13,7 +13,7 @@ from itertools import permutations
 from operator import itemgetter
 
 from .errors import NotInvariant
-from .laurent import LaurentPoly
+from .laurent import torus_vars
 from .ratfield import KOORN_VARS, ParamPoly
 
 HYPEROCTAHEDRAL = "BC"
@@ -104,7 +104,8 @@ def monomial_symmetric(lam, group=HYPEROCTAHEDRAL, one=None, scale=1):
     """m_lam: the orbit sum with unit coefficients."""
     if one is None:
         one = ParamPoly.one(KOORN_VARS)
-    return LaurentPoly(len(lam), {e: one for e in worbit(lam, group)}, scale)
+    return ParamPoly(torus_vars(len(lam)),
+                     {e: one for e in worbit(lam, group)}, scale)
 
 
 def _generators(n, group, width):
@@ -137,33 +138,21 @@ def is_invariant(f, group, n):
 def expand_in_monomials(f, group=HYPEROCTAHEDRAL):
     """Write an invariant polynomial as sum of c_lam * m_lam.
 
-    Peels the lexicographically maximal dominant weight of the support.
-    Raises NotInvariant if the support is not a union of equal-coefficient
-    orbits, which is exactly when f is not invariant: a peel subtracts a
-    whole orbit, so an unequal coefficient leaves an orbit member whose
-    dominant member is gone.
+    Peels the lexicographically maximal dominant weight of the support, with
+    its whole orbit.  Raises NotInvariant if the support is not a union of
+    equal-coefficient orbits, which is exactly when f is not invariant.
     """
-    rem = LaurentPoly(f.n, dict(f.terms), f.scale)
+    rem = dict(f.terms)
     coeffs = {}
-    while rem.terms:
-        e = max(rem.terms)
-        lam = dominant_rep(e, group)
-        c = rem.terms.get(lam)
-        if c is None:
-            raise NotInvariant("orbit of %s missing its dominant member" % (e,))
-        orbit = worbit(lam, group)
-        out = dict(rem.terms)
-        for o in orbit:
-            v = out.get(o)
-            if v is None:
-                raise NotInvariant("ragged orbit at %s" % (o,))
-            w = v - c
-            if w:
-                out[o] = w
-            else:
-                del out[o]
+    while rem:
+        lam = dominant_rep(max(rem), group)
+        c = rem.get(lam)
+        for o in worbit(lam, group):
+            v = rem.pop(o, None)
+            if c is None or v is None or v != c:
+                raise NotInvariant("orbit of %s has unequal coefficients"
+                                   % (lam,))
         coeffs[lam] = c
-        rem = LaurentPoly(f.n, out, rem.scale)
     return coeffs
 
 

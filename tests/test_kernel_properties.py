@@ -1,7 +1,7 @@
 """Algebraic laws of the sparse-term kernels on random inputs.
 
-Products and sums of ``ParamPoly`` and ``LaurentPoly`` against a Fraction
-reference, exact division by chains of canonical binomials, canonical
+Products and sums of ``ParamPoly`` over parameter and torus names against a
+Fraction reference, exact division by chains of canonical binomials, canonical
 binomials under a signed permutation of the torus variables, the grouped
 signed sum
 of factored fractions against the serial sum over one union, the q-shift of
@@ -21,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkoorn.errors import DenominatorVanishes, NotDivisible
-from qkoorn.laurent import (LaurentPoly, LaurentRat, _grouped_sum,
-                            canonical_binomial, divide_factors, exact_divide,
-                            flat_shift)
+from qkoorn.laurent import (LaurentRat, _grouped_sum, canonical_binomial,
+                            divide_factors, exact_divide, flat_shift,
+                            torus_vars)
 from qkoorn.operators import _mapped
 from qkoorn.ratfield import KOORN_VARS, QQ, ParamPoly, ParamRat
 from qkoorn.weightfn import (DEFAULT_POINT, NumericPoint, QuadExt,
@@ -105,19 +105,20 @@ def check_canonical(poly):
         assert type(c) is int or (type(c) is QQ and c.denominator != 1)
 
 
-def build(cls, n, terms, scale):
-    if cls is ParamPoly:
+def build(names, n, terms, scale):
+    """A poly over parameter names (``ParamPoly``) or torus names."""
+    if names == "ParamPoly":
         return ParamPoly(VARS[:n], terms, scale)
-    return LaurentPoly(n, terms, scale)
+    return ParamPoly(torus_vars(n), terms, scale)
 
 
-@pytest.mark.parametrize("cls", [ParamPoly, LaurentPoly])
+@pytest.mark.parametrize("names", ["ParamPoly", "torus"])
 @pytest.mark.parametrize("op", ["add", "mul"])
 @LAWS
 @given(data=operands())
-def test_add_and_mul_match_fraction_reference(cls, op, data):
+def test_add_and_mul_match_fraction_reference(names, op, data):
     n, ints_in, (a, b) = data
-    pa, pb = build(cls, n, *a), build(cls, n, *b)
+    pa, pb = build(names, n, *a), build(names, n, *b)
     check_canonical(pa)
     check_canonical(pb)
     got = pa + pb if op == "add" else pa * pb
@@ -130,7 +131,7 @@ def test_add_and_mul_match_fraction_reference(cls, op, data):
 def test_rational_scalar_multiple_is_canonical(data, k):
     # 1/k then k: every coefficient of the result is integral again
     n, _, [a] = data
-    p = build(ParamPoly, n, *a)
+    p = build("ParamPoly", n, *a)
     back = p * QQ(1, k) * k
     assert back == p
     check_canonical(back)
@@ -147,9 +148,9 @@ def chains(draw):
         d = draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
         trail = draw(coeffs(draw(st.sampled_from(KINDS))))
         e1 = tuple(x + y for x, y in zip(e2, d))
-        chain.append(canonical_binomial(n, (e1, 1), (e2, trail),
+        chain.append(canonical_binomial(torus_vars(n), (e1, 1), (e2, trail),
                                         draw(st.sampled_from([1, 2, 3])))[1])
-    return LaurentPoly(n, terms, scale), chain
+    return ParamPoly(torus_vars(n), terms, scale), chain
 
 
 @LAWS
@@ -174,7 +175,7 @@ def test_added_monomial_is_not_divisible(data, e, c):
     prod = p
     for b in chain:
         prod = prod * b
-    bad = prod + LaurentPoly.monomial(p.n, e[:p.n], c)
+    bad = prod + ParamPoly.monomial(p.vars, e[:p.n], c)
     with pytest.raises(NotDivisible):
         exact_divide(bad, [(b, 1) for b in chain])
 
@@ -196,7 +197,8 @@ def mapped_binomials(draw):
     e2 = draw(torus.filter(lambda t: t != t1)) + draw(
         st.one_of(st.just(p1), params))
     trail = draw(st.integers(-6, 6).filter(bool))
-    b = canonical_binomial(width, (max(e1, e2), 1), (min(e1, e2), trail),
+    b = canonical_binomial(torus_vars(n) + KOORN_VARS, (max(e1, e2), 1),
+                           (min(e1, e2), trail),
                            draw(st.sampled_from([1, 2])))[1]
     perm = tuple(draw(st.permutations(range(n)))) + tuple(range(n, width))
     flips = tuple(draw(st.sets(st.integers(0, n - 1))))
@@ -207,7 +209,7 @@ def mapped_binomials(draw):
 
 def mapped_poly(p, emap):
     """The flat poly p under the exponent map emap."""
-    return LaurentPoly(p.n, {emap(e): c for e, c in p.terms.items()}, p.scale)
+    return ParamPoly(p.vars, {emap(e): c for e, c in p.terms.items()}, p.scale)
 
 
 @LAWS
@@ -215,7 +217,7 @@ def mapped_poly(p, emap):
 def test_permuted_binomial_recanonicalises(data):
     b, m, emap = data
     pb = mapped_poly(b, emap)
-    key, binom, mm, cu, su = canonical_binomial(pb.n, *pb.terms.items(),
+    key, binom, mm, cu, su = canonical_binomial(pb.vars, *pb.terms.items(),
                                                 pb.scale)
     assert binom.mul_monomial(mm, cu, su) == pb
     assert _mapped(LaurentRat(b, {None: (b, m)}), emap).den == {
@@ -228,7 +230,7 @@ def test_permuted_cell_divides_to_permuted_quotient(data, draw):
     # sigma(p * b^m) over the re-canonicalised sigma(b)^m, with the unit
     # folded into the numerator, is sigma(p)
     b, m, emap = data
-    p = LaurentPoly(b.n, draw.draw(term_dicts(b.n, "mixed", span=2, size=4)),
+    p = ParamPoly(b.vars, draw.draw(term_dicts(b.n, "mixed", span=2, size=4)),
                     draw.draw(st.sampled_from([1, 2, 3])))
     num = p
     for _ in range(m):
@@ -246,7 +248,8 @@ def binomial_pool(n):
            (tuple(map(sum, zip(z[0], z[-1]))), zero, -2)]
     if n > 1:
         raw.append((z[0], z[1], -1))
-    return [canonical_binomial(n, (e1, 1), (e2, c))[:2] for e1, e2, c in raw]
+    return [canonical_binomial(torus_vars(n), (e1, 1), (e2, c))[:2]
+            for e1, e2, c in raw]
 
 
 @st.composite
@@ -257,7 +260,8 @@ def signed_fractions(draw):
     pool = binomial_pool(n)
     out = []
     for _ in range(draw(st.integers(1, 7))):
-        num = LaurentPoly(n, draw(term_dicts(n, "mixed", span=2, size=3)))
+        num = ParamPoly(torus_vars(n),
+                        draw(term_dicts(n, "mixed", span=2, size=3)))
         den = {}
         for i in sorted(draw(st.sets(st.integers(0, len(pool) - 1),
                                      max_size=3))):
@@ -303,7 +307,8 @@ def flat_polys(draw):
     n = draw(st.integers(1, 2))
     width = n + len(KOORN_VARS)
     terms = draw(term_dicts(width, "mixed", span=2, size=4))
-    return n, LaurentPoly(width, terms, draw(st.sampled_from([1, 2])))
+    return n, ParamPoly(torus_vars(n) + KOORN_VARS, terms,
+                        draw(st.sampled_from([1, 2])))
 
 
 @LAWS
@@ -578,11 +583,13 @@ SPECS = {1: WeightFunctionSpec(1, M=2, point=DEFAULT_POINT, zbox=6),
 def test_inner_product_matches_fraction_pairing(n, quad, draw):
     # rational f and g, or QuadExt f against a rational g; exponents reach
     # past the weight's box
-    f = LaurentPoly(n, draw.draw(term_dicts(n, "mixed", span=5, size=6)))
-    g = LaurentPoly(n, draw.draw(term_dicts(n, "mixed", span=5, size=6)))
+    f = ParamPoly(torus_vars(n),
+                  draw.draw(term_dicts(n, "mixed", span=5, size=6)))
+    g = ParamPoly(torus_vars(n),
+                  draw.draw(term_dicts(n, "mixed", span=5, size=6)))
     if quad:
         H = DEFAULT_POINT.H
-        f = LaurentPoly(n, {e: QuadExt(c, c / 3, H)
+        f = ParamPoly(torus_vars(n), {e: QuadExt(c, c / 3, H)
                             for e, c in f.terms.items()})
     got = inner_product(f, g, SPECS[n])
     assert got == pairing_oracle(f, g, SPECS[n])

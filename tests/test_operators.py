@@ -7,23 +7,23 @@ from itertools import combinations, product
 import pytest
 
 from qkoorn.errors import NotInvariant
-from qkoorn.laurent import (LaurentPoly, LaurentRat, _grouped_sum,
-                            divide_factors, flat_shift, flatten, merge_max,
+from qkoorn.laurent import (LaurentRat, _grouped_sum, divide_factors,
+                            flat_shift, flatten, merge_max, torus_vars,
                             unflatten)
 from qkoorn.operators import (IDENTITY, OperatorSpec, ParamMap,
                               apply_operator, apply_operator_grouped,
                               apply_one_var, apply_to_monomial,
                               commutator_on_basis, elementary_symmetric_apply,
-                              monomial_leading, operator_matrix, va_factor,
-                              vb_factor, _QH, _VB_SHAPES, _apply_staged,
-                              _engine, _flat_rat_one, _support)
+                              operator_matrix, va_factor, vb_factor, _QH,
+                              _VB_SHAPES, _apply_staged, _engine,
+                              _flat_rat_one, _support)
 from qkoorn.ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
 from qkoorn.spectra import eigenvalue_Ern, eigenvalue_jacobi
 from qkoorn.weights import (HYPEROCTAHEDRAL, PERMUTATIONS_ONLY, dominance_leq,
                             expand_in_monomials, is_invariant,
                             monomial_symmetric, weights_below)
 
-WIDTH1 = 1 + len(KOORN_VARS)
+FLAT1 = torus_vars(1) + KOORN_VARS
 
 
 def _rat_value(rat, zvals, pvals):
@@ -46,8 +46,8 @@ def _rat_value(rat, zvals, pvals):
 
 def test_va_trivial_and_closed_form():
     th1 = ParamMap({"th": "1"})
-    one = va_factor(WIDTH1, 1, (1,), 0, th1)
-    assert one.num == LaurentPoly.const(WIDTH1, QQ(1)) and not one.den
+    one = va_factor(FLAT1, 1, (1,), 0, th1)
+    assert one.num == ParamPoly.const(FLAT1, QQ(1)) and not one.den
     rng = random.Random(42)
     for _ in range(20):
         beta = rng.uniform(0.2, 1.2)
@@ -55,7 +55,7 @@ def test_va_trivial_and_closed_form():
         z = rng.uniform(0.2, 2.8)
         th = math.exp(-beta * g / 2)
         w = cmath.exp(1j * z)
-        va = va_factor(WIDTH1, 1, (1,), 0, IDENTITY)
+        va = va_factor(FLAT1, 1, (1,), 0, IDENTITY)
         got = _rat_value(va, [w], [math.exp(-beta / 2), th, 1, 1, 1, 1])
         want = cmath.sin((1j * beta * g + z) / 2) / cmath.sin(z / 2)
         assert abs(got - want) < 1e-9
@@ -63,8 +63,8 @@ def test_va_trivial_and_closed_form():
 
 def test_va_shifted_argument_is_q_times_w():
     # the half-period-shifted ratio equals the plain one at argument q*w
-    va0 = va_factor(WIDTH1, 1, (1,), 0, IDENTITY)
-    va1 = va_factor(WIDTH1, 1, (1,), 1, IDENTITY)
+    va0 = va_factor(FLAT1, 1, (1,), 0, IDENTITY)
+    va1 = va_factor(FLAT1, 1, (1,), 1, IDENTITY)
     rng = random.Random(3)
     for _ in range(10):
         beta, g, z = rng.uniform(0.2, 1.0), rng.uniform(0.1, 2.0), \
@@ -79,8 +79,8 @@ def test_va_shifted_argument_is_q_times_w():
 
 def test_vb_trivial_and_closed_form():
     triv = ParamMap({"ga": "1", "gb": "1", "gc": "1", "gd": "1"})
-    one = vb_factor(WIDTH1, 1, 0, 1, triv)
-    assert one.num == LaurentPoly.const(WIDTH1, QQ(1)) and not one.den
+    one = vb_factor(FLAT1, 1, 0, 1, triv)
+    assert one.num == ParamPoly.const(FLAT1, QQ(1)) and not one.den
     rng = random.Random(7)
     for _ in range(20):
         beta = rng.uniform(0.2, 1.0)
@@ -101,23 +101,23 @@ def test_vb_trivial_and_closed_form():
                  / cmath.cos((gamma + z) / 2)]
         # each of the four ratios on its own, then their product
         for shape, want in zip(_VB_SHAPES, wants):
-            got = _rat_value(vb_factor(WIDTH1, 1, 0, 1, IDENTITY,
+            got = _rat_value(vb_factor(FLAT1, 1, 0, 1, IDENTITY,
                                        shapes=(shape,)), w, pv)
             assert abs(got - want) < 1e-8
-        vb = vb_factor(WIDTH1, 1, 0, 1, IDENTITY)
+        vb = vb_factor(FLAT1, 1, 0, 1, IDENTITY)
         assert abs(_rat_value(vb, w, pv) - math.prod(wants)) < 1e-8
 
 
 def test_vb_half_period_covariance():
     # w -> -w is the swap ga<->gb, gc<->gd
-    vb = vb_factor(WIDTH1, 1, 0, 1, IDENTITY)
+    vb = vb_factor(FLAT1, 1, 0, 1, IDENTITY)
 
     def negate_odd(p):
         out = {}
         for e, c in p.terms.items():
             sign = -1 if e[0] % 2 else 1
             out[e] = c * sign
-        return LaurentPoly(p.n, out, p.scale)
+        return ParamPoly(p.vars, out, p.scale)
 
     def swap(p):
         # exchange the ga/gb and gc/gd exponent slots
@@ -125,7 +125,7 @@ def test_vb_half_period_covariance():
         for e, c in p.terms.items():
             e2 = (e[0], e[1], e[2], e[4], e[3], e[6], e[5])
             out[e2] = c
-        return LaurentPoly(p.n, out, p.scale)
+        return ParamPoly(p.vars, out, p.scale)
 
     lhs = LaurentRat(negate_odd(vb.num),
                      dict(vb.den))
@@ -133,7 +133,7 @@ def test_vb_half_period_covariance():
     # swapped denominators
     rhs_num = swap(vb.num)
     lhs_num = negate_odd(vb.num)
-    den_prod = LaurentPoly.const(WIDTH1, QQ(1))
+    den_prod = ParamPoly.const(FLAT1, QQ(1))
     for _, (b, m) in vb.den.items():
         for _ in range(m):
             den_prod = den_prod * b
@@ -188,7 +188,7 @@ def apply_operator_nested(spec, f):
             emap = dict(zip(J, eps))
             for chain in ordered_set_partitions(J):
                 sign = -1 if len(chain) % 2 == 0 else 1
-                coeff = _flat_rat_one(eng.width)
+                coeff = _flat_rat_one(eng.vars)
                 seen = []
                 for block in chain:
                     seen.extend(block)
@@ -201,7 +201,7 @@ def apply_operator_nested(spec, f):
                 moved = flat_shift(flat, tuple(steps), n + _QH) + (-flat)
                 signed.append((None, sign, coeff.mul_poly(moved)))
     den, total = _grouped_sum(signed)
-    return unflatten(divide_factors(total[None], den), n, KOORN_VARS)
+    return unflatten(divide_factors(total[None], den), n)
 
 
 def _random_point(rng, n):
@@ -237,7 +237,7 @@ def _factors_at(eng, point):
     """The engine's factors at the point, each evaluated once: a function
     of ("inner", J, eps, shift), ("vb", j, e) or ("couplings", j, e, K)."""
     build = {"inner": eng.inner, "couplings": eng.couplings,
-             "vb": lambda j, e: vb_factor(eng.width, eng.n, j, e, eng.params)}
+             "vb": lambda j, e: vb_factor(eng.vars, eng.n, j, e, eng.params)}
     memo = {}
 
     def at(*key):
@@ -316,7 +316,7 @@ def test_closed_forms_match_chain_sums(n, params):
             for eps in product((1, -1), repeat=size):
                 den, groups = eng.nucleus_groups(J, eps)
                 assert set(groups) == {B[0] for B in ordered_set_partitions(J)}
-                dval = _rat_at(LaurentRat(LaurentPoly.const(eng.width, 1),
+                dval = _rat_at(LaurentRat(ParamPoly.const(eng.vars, 1),
                                           den), point)
                 for I, num in groups.items():
                     assert _poly_at(num, point) * dval == -_chain_sum_at(
@@ -339,21 +339,21 @@ def test_ordered_set_partitions_counts():
 def test_V_building_block():
     eng = _engine(2, IDENTITY)
     v_empty = eng.V((), (), (0, 1))
-    assert v_empty.num == LaurentPoly.const(eng.width, QQ(1))
+    assert v_empty.num == ParamPoly.const(eng.vars, QQ(1))
     triv = ParamMap({"th": "1", "ga": "1", "gb": "1", "gc": "1", "gd": "1"})
     engt = _engine(2, triv)
     v = engt.V((0, 1), (1, -1), ())
-    assert v.num == LaurentPoly.const(engt.width, QQ(1)) and not v.den
+    assert v.num == ParamPoly.const(engt.vars, QQ(1)) and not v.den
     # n = 1: the cell block is the external factor itself
     eng1 = _engine(1, IDENTITY)
     assert eng1.V((0,), (1,), ()).num == vb_factor(
-        eng1.width, 1, 0, 1, IDENTITY).num
+        eng1.vars, 1, 0, 1, IDENTITY).num
 
 
 def test_W_base_cases():
     eng = _engine(2, IDENTITY)
     w0 = eng.W((0, 1), 0)
-    assert w0.num == LaurentPoly.const(eng.width, QQ(1)) and not w0.den
+    assert w0.num == ParamPoly.const(eng.vars, QQ(1)) and not w0.den
     wempty = eng.W((), 2)
     assert wempty.num.is_zero()
 
@@ -370,9 +370,9 @@ def test_W_reduction_at_trivial_internal_coupling():
             from itertools import combinations
             for P in combinations(I, p):
                 for eps in product((1, -1), repeat=p):
-                    term = LaurentRat(LaurentPoly.const(eng.width, QQ(1)))
+                    term = LaurentRat(ParamPoly.const(eng.vars, QQ(1)))
                     for j, e in zip(P, eps):
-                        term = term * vb_factor(eng.width, n, j, e, th1)
+                        term = term * vb_factor(eng.vars, n, j, e, th1)
                     want = term if want is None else want + term
             if p % 2:
                 want = LaurentRat(-want.num, want.den)
@@ -454,7 +454,7 @@ def _staged_cell_branches(eng, J, f_flat):
     Jc = tuple(x for x in range(n) if x not in J)
 
     def vb_split(j, e):
-        rat = vb_factor(eng.width, n, j, e, eng.params)
+        rat = vb_factor(eng.vars, n, j, e, eng.params)
         zunit, qhunit = {}, {}
         for k, bm in rat.den.items():
             (qhunit if _support(k, n)[1] else zunit)[k] = bm
@@ -550,7 +550,7 @@ def test_parameter_map_refusals_and_json_round_trip():
 def test_staged_path_refuses_non_permutation_invariant_input():
     # z_1 + 1/z_1 is invariant under z_1 -> 1/z_1, not under z_1 <-> z_2
     one = ParamPoly.one(KOORN_VARS)
-    f = LaurentPoly(3, {(1, 0, 0): one, (-1, 0, 0): one})
+    f = ParamPoly(torus_vars(3), {(1, 0, 0): one, (-1, 0, 0): one})
     with pytest.raises(NotInvariant):
         apply_operator(OperatorSpec("koornwinder", 3, 1), f)
 
@@ -558,7 +558,8 @@ def test_staged_path_refuses_non_permutation_invariant_input():
 def test_staged_path_refuses_non_flip_invariant_input():
     # z_1 + z_2 + z_3 is invariant under permutations, not under z_1 -> 1/z_1
     one = ParamPoly.one(KOORN_VARS)
-    f = LaurentPoly(3, {(1, 0, 0): one, (0, 1, 0): one, (0, 0, 1): one})
+    f = ParamPoly(torus_vars(3),
+                  {(1, 0, 0): one, (0, 1, 0): one, (0, 0, 1): one})
     with pytest.raises(NotInvariant):
         apply_operator(OperatorSpec("koornwinder", 3, 1), f)
 
@@ -571,7 +572,7 @@ def test_output_invariance_and_polynomiality():
 
 
 def test_rejects_non_invariant_input():
-    z1 = LaurentPoly(2, {(1, 0): ParamPoly.one(KOORN_VARS)})
+    z1 = ParamPoly(torus_vars(2), {(1, 0): ParamPoly.one(KOORN_VARS)})
     with pytest.raises(NotInvariant):
         apply_operator(OperatorSpec("koornwinder", 2, 1), z1)
 
@@ -580,7 +581,7 @@ def test_a_type_top_order_is_pure_translation():
     # the order-n operator of the permutation family translates every
     # variable: the image of a degree-d leading polynomial is q^d times it
     for n, lam in ((2, (2, 1)), (3, (1, 1, 0))):
-        f = monomial_leading(lam)
+        f = monomial_symmetric(lam, PERMUTATIONS_ONLY)
         img = apply_operator(OperatorSpec("a_type", n, n), f)
         q_d = ParamPoly.variable(KOORN_VARS, "qh", 2 * sum(lam))
         assert img == f.map_coeff(lambda c: c * q_d)

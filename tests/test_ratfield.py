@@ -5,7 +5,7 @@ import pytest
 
 from qkoorn.errors import DenominatorVanishes
 from qkoorn.koornwinder import _constant_value
-from qkoorn.laurent import LaurentPoly, LaurentRat, canonical_binomial
+from qkoorn.laurent import LaurentRat, canonical_binomial, torus_vars
 from qkoorn.operators import ParamMap, va_factor, vb_factor
 from qkoorn.ratfield import KOORN_VARS, QQ, ParamPoly, ParamRat
 from qkoorn.spectra import ch_of_monomial, eigenvalue_An_leading
@@ -94,6 +94,32 @@ def test_shift_unit_limit_with_cancellation():
     # univariate division oracle in the shift unit: ((qh^2-1)/(qh-1)) -> 2
     g = ParamRat(qh * qh - 1, qh - 1)
     assert g.substitute({"qh": 1}) == ParamRat.const(V6, 2)
+
+
+def test_rational_values_pin_one_entry_at_a_time():
+    # x = 1 cancels a removable factor that y = 2 alone would not
+    x = ParamPoly.variable(("x", "y"), "x")
+    y = ParamPoly.variable(("x", "y"), "y")
+    f = ParamRat((x - 1) * y, (x - 1) * (y + 1))
+    assert f.substitute({"x": 1, "y": 2}) == ParamRat.const(("x", "y"),
+                                                            QQ(2, 3))
+    assert f.substitute({"y": 2, "x": QQ(1)}) == QQ(2, 3)
+    with pytest.raises(DenominatorVanishes):
+        ParamRat(y, x - 1).substitute({"y": 2, "x": 1})
+
+
+@pytest.mark.parametrize("image", [0.1, 2.0, "x"])
+def test_substitution_refuses_an_image_of_another_type(image):
+    # an exact field takes no float, whose binary expansion is not the
+    # rational it was written as
+    x = ParamPoly.variable(("x", "y"), "x")
+    y = ParamPoly.variable(("x", "y"), "y")
+    with pytest.raises(TypeError):
+        (x * y + 1).substitute({"x": image})
+    with pytest.raises(TypeError):
+        ParamRat(x * y + 1, y + 2).substitute({"x": image})
+    with pytest.raises(TypeError):
+        ParamRat(x, y + 2).substitute({"x": image, "y": 1})
 
 
 def test_genuine_pole_raises():
@@ -248,7 +274,7 @@ def coeff_types(x):
         return {type(x)}
     if isinstance(x, ParamRat):
         return coeff_types(x.num) | coeff_types(x.den)
-    if isinstance(x, (ParamPoly, LaurentPoly)):
+    if isinstance(x, ParamPoly):
         return set().union(*map(coeff_types, x.terms.values()))
     if isinstance(x, LaurentRat):
         return coeff_types(x.num)
@@ -268,21 +294,21 @@ def test_exact_division_sites_take_ints():
     assert got[0].num.terms == {(-1, 0, 0, 0, 0, 0): QQ(1, 3)}
     assert got[1].num.terms == {zero: QQ(1, 3)}
     assert got[1].den == qh + 2
-    _, b, _, cu, _ = canonical_binomial(1, ((1,), 3), ((0,), 2))
+    _, b, _, cu, _ = canonical_binomial(torus_vars(1), ((1,), 3), ((0,), 2))
     assert b.terms == {(1,): 1, (0,): QQ(2, 3)} and cu == 3
-    pb = canonical_binomial(1, ((1,), 3 * qh),
+    pb = canonical_binomial(torus_vars(1), ((1,), 3 * qh),
                             ((0,), ParamPoly.const(K, 2)))[1]
     assert pb.terms[(0,)].terms == {(-1, 0, 0, 0, 0, 0): QQ(2, 3)}
-    r = LaurentRat(LaurentPoly.const(1, 1)).with_binomial_factor(
-        1, ((1,), 3), ((0,), 2))
+    r = LaurentRat(ParamPoly.const(torus_vars(1), 1)).with_binomial_factor(
+        ((1,), 3), ((0,), 2))
     assert r.num.terms == {(0,): QQ(1, 3)}
     got += [b, pb, r]
     pm = ParamMap({"th": "3*th", "gb": "5/3", "gc": "5"})
     assert pm.image("gc") == (zero, 5) and pm.image("th")[1] == 3
     assert pm.image("gb") == (zero, QQ(5, 3))
     assert type(ParamMap({"gd": QQ(7)}).image("gd")[1]) is int
-    va = va_factor(1 + len(K), 1, (1,), 0, pm)
-    vb = vb_factor(1 + len(K), 1, 0, 1, pm, shapes=(("gc", 1, -1),))
+    va = va_factor(torus_vars(1) + K, 1, (1,), 0, pm)
+    vb = vb_factor(torus_vars(1) + K, 1, 0, 1, pm, shapes=(("gc", 1, -1),))
     assert set(va.num.terms.values()) == {3, QQ(-1, 3)}
     assert set(vb.num.terms.values()) == {5, QQ(-1, 5)}
     ev = eigenvalue_An_leading(1, (1, 0, 0), {"th": 3 * th})

@@ -4,7 +4,6 @@ import pytest
 
 from qkoorn.errors import ZeroDenominator
 from qkoorn.koornwinder import koornwinder_triangular
-from qkoorn.laurent import LaurentPoly
 from qkoorn.operators import OperatorSpec
 from qkoorn.ratfield import QQ
 from qkoorn.weightfn import (DEFAULT_POINT, NumericPoint, QuadExt,
