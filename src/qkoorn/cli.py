@@ -449,8 +449,15 @@ def build_parser():
     return ap
 
 
+_PARSER = None
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    # the parser is built on the first call, not at import, and kept
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ZeroDenominator, DegenerateNorm, DenominatorVanishes,

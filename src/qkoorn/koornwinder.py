@@ -6,6 +6,14 @@ matrix), fully symbolically over the half-parameter field.  The same solver
 drives the differential branch over the additive (g, tg0, tg1) ring, the
 q -> 1 limit for integer exponent specializations, the A-type extraction and
 the classical-family parameter specializations.
+
+Each coefficient is a numerator over a factored product of eigenvalue gaps.
+Every gap is split into binomials z^d - 1, z^d + 1 and one cofactor, and
+every binomial factor and cofactor of a coefficient's denominator is divided
+out of its numerator wherever it divides.  So no binomial factor is left that
+divides its numerator, nor the cofactor of a gap where it divides; a product
+of cofactors, or a factor of a cofactor, may still be shared (the
+coefficients are not reduced by a multivariate gcd).
 """
 
 from __future__ import annotations
@@ -13,7 +21,8 @@ from __future__ import annotations
 import json
 
 from .errors import NotEigenfunction, ZeroDenominator
-from .laurent import _clear_coeffs
+from .laurent import (LaurentRat, _clear_coeffs, cancel_factors, lift_to,
+                      merge_max, over_unit, split_binomials)
 from .operators import (IDENTITY, OperatorSpec, ParamMap, apply_operator,
                         operator_matrix)
 from .ratfield import (JACOBI_VARS, KOORN_VARS, ParamPoly, ParamRat, _common,
@@ -70,27 +79,20 @@ class OrthoPoly:
         return "OrthoPoly(%s; %d terms)" % (self.weight, len(self.coeffs))
 
 
-def _back_substitute(matrix, lam, evalue, one):
-    """Back-substitute the unitriangular eigenproblem for the given matrix
-    and target eigenvalue, holding every coefficient over one shared
-    denominator: returns (numerators, denominator), both in the ring of the
-    matrix entries.  Avoids compounding unreduced fraction denominators."""
+def _back_substitute(matrix, lam, evalue, one, step):
+    """Back-substitute the unitriangular eigenproblem of ``matrix`` for the
+    target eigenvalue: c_lam = ``one`` and, down the dominance order,
+    c_mu = sum_nu c_nu M[nu][mu] / (evalue - M[mu][mu]), each quotient being
+    ``step(couplings, gap)`` on the (c_nu, M[nu][mu]) of the nonzero c_nu
+    coupled to mu.  Returns {mu: c_mu} without the zeros."""
     order = linear_refinement(list(matrix), "lex")[::-1]
-    zero = evalue - evalue
-    nums = {lam: one}
-    den = one
+    coeffs = {lam: one}
     for mu in order:
         if mu == lam:
             continue
-        acc = None
-        for nu, nval in nums.items():
-            entry = matrix[nu].get(mu)
-            if entry is None or not nval:
-                continue
-            term = nval * entry
-            acc = term if acc is None else acc + term
-        if acc is None:
-            nums[mu] = zero
+        couplings = [(c, matrix[nu][mu]) for nu, c in coeffs.items()
+                     if mu in matrix[nu]]
+        if not couplings:
             continue
         # a coupled weight with the target eigenvalue leaves the expansion
         # undetermined even when the coupling sums to zero
@@ -98,25 +100,44 @@ def _back_substitute(matrix, lam, evalue, one):
         if not gap:
             raise ZeroDenominator(
                 "eigenvalue collision between %s and %s" % (lam, mu))
-        if not acc:
-            nums[mu] = zero
-            continue
-        for nu in nums:
-            nums[nu] = nums[nu] * gap
-        nums[mu] = acc
-        den = den * gap
-    return nums, den
+        c = step(couplings, gap)
+        if c:
+            coeffs[mu] = c
+    return coeffs
+
+
+def _factored_step(couplings, gap):
+    """One step of the symbolic solve over factored denominators: the
+    couplings are lifted to the union of their factors (``merge_max``,
+    ``lift_to``), the gap is split into binomials z^d -+ 1 and one cofactor
+    (``split_binomials``), and every factor of the step's denominator, the
+    gap's and the union's, is divided out of the numerator as often as it
+    divides (``cancel_factors``): every binomial factor, and the cofactor
+    wherever it divides.  Returns a LaurentRat, or None for 0."""
+    union = {}
+    for c, _ in couplings:
+        merge_max(union, c.den)
+    num = None
+    for c, entry in couplings:
+        t = lift_to(c.num * entry, c.den, union)
+        num = t if num is None else num + t
+    if not num:
+        return None
+    unit, factors = split_binomials(gap)
+    for k, (b, m) in factors.items():
+        union[k] = (b, union[k][1] + m) if k in union else (b, m)
+    return LaurentRat(*cancel_factors(over_unit(num, unit), union))
 
 
 def _triangular(spec, lam, evalue, vars_):
     """The unitriangular expansion of lam against the matrix of ``spec`` and
-    its target eigenvalue, solved over one shared denominator in the
-    ParamPoly ring over ``vars_``."""
-    matrix = operator_matrix(spec, lam)
-    nums, den = _back_substitute(matrix, lam, evalue, ParamPoly.one(vars_))
-    coeffs = {mu: ParamRat(nval, den) for mu, nval in nums.items()
-              if nval or mu == lam}
-    return OrthoPoly(lam, coeffs)
+    its target eigenvalue, each coefficient a ParamRat over ``vars_`` whose
+    denominator is the product of the factors ``_factored_step`` left."""
+    one = ParamPoly.one(vars_)
+    coeffs = _back_substitute(operator_matrix(spec, lam), lam, evalue,
+                              LaurentRat(one), _factored_step)
+    return OrthoPoly(lam, {mu: ParamRat(c.num, lift_to(one, {}, c.den))
+                           for mu, c in coeffs.items()})
 
 
 def koornwinder_triangular(lam, params=None, verify=False):

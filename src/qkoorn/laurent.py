@@ -26,12 +26,13 @@ q-shift of a torus variable is then an exponent shift on the qh slot
 
 from __future__ import annotations
 
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, isqrt
 from operator import lshift
 from struct import Struct
 
 from .errors import NotDivisible
-from .ratfield import QQ, ParamPoly, _lifted, _qq
+from .ratfield import QQ, ParamPoly, _common, _lifted, _qq, _unit_part
 
 
 def torus_vars(n):
@@ -89,41 +90,54 @@ def exact_divide(numer, denom_factors):
     which inside operator application signals a violated pole-cancellation
     claim (an implementation bug, never expected input).
 
-    The numerator is converted once for the whole chain: lifted to the
-    lattice of every factor and each exponent tuple packed into one int
-    (``_packing``).  Every binomial is divided out in turn on the packed
-    terms, whatever their coefficient ring, and the quotient is unpacked
-    once at the end.
+    The numerator is converted once for the whole chain (``_packed_chain``)
+    and every binomial is divided out in turn on the packed terms, whatever
+    their coefficient ring; the quotient is unpacked once at the end.
     """
     chain = [b for b, mult in denom_factors for _ in range(mult)]
     if not chain or numer.is_zero():
         return numer
-    s = numer.scale
-    for b in chain:
-        s = s * b.scale // gcd(s, b.scale)
-    terms = _lifted(numer, s)
-    steps = []
-    for b in chain:
-        bt = _lifted(b, s)
-        eL, eS = sorted(bt, reverse=True)
-        d = tuple(x - y for x, y in zip(eL, eS))
-        steps.append((eL, d, next(i for i, x in enumerate(d) if x), bt[eS]))
-    # every exponent the chain meets lies in the numerator's box, and the
-    # line key e - (e[i0] // d[i0]) * d of a point e within ``bound``
-    top = max(max(map(max, terms)), -min(map(min, terms)))
-    bound = top
-    for _, d, i0, _ in steps:
-        bound = max(bound, top + (top // d[i0] + 1) * max(map(abs, d)))
-    width, zero, pack, unpack = _packing(numer.n, bound)
+    s, unpack, quo, steps = _packed_chain(numer, chain)
 
     def where(u):
         return _exponent_text(unpack(u), s)
 
-    quo = {pack(e): c for e, c in terms.items()}
-    for eL, d, i0, cS in steps:
-        quo = _divide_packed(quo, cS, pack(d) - zero, pack(eL) - zero, d[i0],
-                             width * (numer.n - 1 - i0), width, where)
+    for step in steps:
+        quo = _divide_packed(quo, *step, where)
     return ParamPoly._of(numer.vars, {unpack(u): c for u, c in quo.items()}, s)
+
+
+def _packed_chain(numer, binoms):
+    """Put a nonzero numerator and canonical binomials on one lattice and
+    one packing: returns (scale, unpack, packed terms of numer, steps), a
+    step being the arguments of ``_divide_packed`` after the terms and
+    before ``where``, one per binomial.
+
+    The numerator is lifted to the lattice of every binomial and each
+    exponent tuple packed into one int (``_packing``), wide enough for
+    every exponent and line key that dividing by the binomials in any
+    order and number meets."""
+    s = numer.scale
+    for b in binoms:
+        s = s * b.scale // gcd(s, b.scale)
+    terms = _lifted(numer, s)
+    raw = []
+    for b in binoms:
+        bt = _lifted(b, s)
+        eL, eS = sorted(bt, reverse=True)
+        d = tuple(x - y for x, y in zip(eL, eS))
+        raw.append((eL, d, next(i for i, x in enumerate(d) if x), bt[eS]))
+    # every exponent a quotient meets lies in the numerator's box, and the
+    # line key e - (e[i0] // d[i0]) * d of a point e within ``bound``
+    top = max(max(map(max, terms)), -min(map(min, terms)))
+    bound = top
+    for _, d, i0, _ in raw:
+        bound = max(bound, top + (top // d[i0] + 1) * max(map(abs, d)))
+    n = numer.n
+    width, zero, pack, unpack = _packing(n, bound)
+    steps = [(cS, pack(d) - zero, pack(eL) - zero, d[i0],
+              width * (n - 1 - i0), width) for eL, d, i0, cS in raw]
+    return s, unpack, {pack(e): c for e, c in terms.items()}, steps
 
 
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -254,6 +268,168 @@ def _divide_packed(terms, cS, D, EL, di, shift, width, where):
     return quo
 
 
+def _trial_divide(numer, binoms, limits):
+    """Divide a nonzero numer by each canonical binomial of ``binoms`` in
+    turn, as often as it divides and at most ``limits[i]`` times (None: no
+    limit), on one packed copy (``_packed_chain``): returns (quotient,
+    [times each binomial divided])."""
+    s, unpack, quo, steps = _packed_chain(numer, binoms)
+    counts = []
+    for step, limit in zip(steps, limits):
+        k = 0
+        while k != limit and len(quo) > 1:
+            try:
+                # a failed trial is no error: name its line by the packed int
+                quo = _divide_packed(quo, *step, str)
+            except NotDivisible:
+                break
+            k += 1
+        counts.append(k)
+    return ParamPoly._of(numer.vars, {unpack(u): c for u, c in quo.items()},
+                         s), counts
+
+
+def sparse_divide(numer, denom):
+    """The exact quotient numer / denom of two polys over one tuple of
+    names with rational coefficients; NotDivisible when denom does not
+    divide numer.  An integral quotient coefficient is an int.
+
+    Sparse division on packed exponents with a heap of the remainder's
+    exponents (Monagan & Pearce, "Sparse polynomial division using a heap",
+    J. Symbolic Comput. 46, 2011): the remainder's lex-leading term over
+    denom's gives the next quotient term, highest first.  Every exponent
+    vector of a Laurent ring is a unit, so the stop is a box: in each
+    variable the degree range of a product is the sum of its factors', so
+    every quotient exponent lies in numer's range less denom's, and a
+    quotient term outside that box shows that denom does not divide.  Every
+    remainder exponent then stays in numer's box."""
+    if numer.is_zero():
+        return numer
+    s, a, b = _common(numer, denom)
+    alo, ahi = [list(map(f, zip(*a))) for f in (min, max)]
+    blo, bhi = [list(map(f, zip(*b))) for f in (min, max)]
+    qlo = [x - y for x, y in zip(alo, blo)]
+    qhi = [x - y for x, y in zip(ahi, bhi)]
+    bound = max(max(ahi), -min(alo)) + max(max(bhi), -min(blo))
+    _, zero, pack, unpack = _packing(numer.n, bound)
+    (eL, lc), *rest = sorted(b.items(), reverse=True)
+    L = pack(eL) - zero
+    rest = [(pack(e) - zero, -c) for e, c in rest]
+    rem = {pack(e): c for e, c in a.items()}
+    heap = [-u for u in rem]
+    heapify(heap)
+    quo = {}
+    while heap:
+        u = -heappop(heap)
+        c = rem.pop(u, None)
+        if c is None:
+            continue        # cancelled, or pushed twice
+        t = u - L
+        e = unpack(t)
+        if not all(x <= y <= z for x, y, z in zip(qlo, e, qhi)):
+            raise NotDivisible("quotient term z^%s outside the degree box"
+                               % _exponent_text(e, s))
+        q = quo[t] = _qq(c, lc)
+        for v, negc in rest:
+            w = t + v
+            old = rem.get(w)
+            if old is None:
+                rem[w] = q * negc
+                heappush(heap, -w)
+            else:
+                old = old + q * negc
+                if old:
+                    rem[w] = old
+                else:
+                    del rem[w]
+    return ParamPoly._of(numer.vars, {unpack(t): c for t, c in quo.items()},
+                         s)
+
+
+def split_binomials(p):
+    """Split a nonzero poly into binomial factors z^d - 1 and z^d + 1 and
+    one cofactor: returns (unit, factors), p being the monomial ``unit``
+    times the product of b^m over (b, m) in ``factors.values()``.
+
+    ``factors`` is a factored denominator (``LaurentRat.den``): each
+    binomial keyed by ``canonical_binomial``, and the cofactor, unless it is
+    a monomial, by itself (monomial-free, content 1, positive lex-leading
+    coefficient).  z^d - c divides p only if some line along d holds two
+    terms of p, so the candidates d are the pairwise differences of p's
+    exponents and their integer divisors.  They are tried smallest first on
+    one packed copy of p (``_trial_divide``), so z^(2d) - 1 comes out as
+    (z^d - 1)(z^d + 1), each as often as it divides."""
+    zero = (0,) * p.n
+    cands = set()
+    exps = list(p.terms)
+    for i, a in enumerate(exps):
+        for b in exps[:i]:
+            v = tuple(x - y for x, y in zip(a, b))
+            if v < zero:
+                v = tuple(-x for x in v)
+            g = gcd(*v)
+            for k in range(1, isqrt(g) + 1):
+                if not g % k:
+                    cands.add(tuple(x // k for x in v))
+                    cands.add(tuple(x * k // g for x in v))
+    binoms = []
+    for d in sorted(cands, key=lambda d: (sum(map(abs, d)), d)):
+        # on the coarsest lattice holding d, so that equal binomials get
+        # equal keys
+        h = gcd(p.scale, *d)
+        d = tuple(x // h for x in d)
+        for c in (-1, 1):
+            binoms.append(canonical_binomial(p.vars, (d, 1), (zero, c),
+                                             p.scale // h)[:2])
+    quo, counts = _trial_divide(p, [b for _, b in binoms],
+                                [None] * len(binoms))
+    factors = {key: (b, k) for (key, b), k in zip(binoms, counts) if k}
+    if len(quo) == 1:
+        return quo, factors
+    m, c = _unit_part(quo)
+    unit = ParamPoly.monomial(p.vars, m, c, quo.scale)
+    quo = over_unit(quo, unit)
+    factors[quo] = (quo, 1)
+    return unit, factors
+
+
+def over_unit(num, unit):
+    """num divided by the monomial ``unit``."""
+    e, c, s = unit.monomial_parts()
+    return num.mul_monomial(tuple(-x for x in e), _qq(1, c), s)
+
+
+def cancel_factors(num, den):
+    """num over the factored denominator den in lower terms: returns
+    (quotient, the factors left), each factor divided out of num as often as
+    it divides and its multiplicity allows.  The binomials are tried on one
+    packed copy of num (``_trial_divide``), a cofactor keyed by itself by
+    ``sparse_divide``."""
+    if num.is_zero():
+        return num, {}
+    left = {}
+    keys = [k for k in den if isinstance(k, tuple)]
+    if keys:
+        num, counts = _trial_divide(num, [den[k][0] for k in keys],
+                                    [den[k][1] for k in keys])
+        for k, c in zip(keys, counts):
+            b, m = den[k]
+            if m > c:
+                left[k] = (b, m - c)
+    for k, (f, m) in den.items():
+        if isinstance(k, tuple):
+            continue
+        while m:
+            try:
+                num = sparse_divide(num, f)
+            except NotDivisible:
+                break
+            m -= 1
+        if m:
+            left[k] = (f, m)
+    return num, left
+
+
 # A factored denominator is a dict mapping canonical-binomial keys to
 # (binom, multiplicity).  ``merge_max`` and ``lift_to`` put two fractions over
 # one denominator, ``_grouped_sum`` is the one signed sum and
@@ -313,18 +489,26 @@ def _grouped_sum(signed):
 
 
 def _clear_coeffs(coeffs):
-    """Clear a dict of ParamPoly / ParamRat values over one denominator,
-    each non-unit denominator being one factor keyed by itself: returns
-    (union, {key: ParamPoly numerator}) as ``_grouped_sum`` does, each value
-    being its numerator over the product of the union's factors."""
+    """Clear a dict of ParamPoly / ParamRat values over one denominator:
+    returns (union, {key: ParamPoly numerator}) as ``_grouped_sum`` does,
+    each value being its numerator over the product of the union's factors.
+    Each denominator is split into binomials and a cofactor
+    (``split_binomials``, once per distinct denominator) and its unit moved
+    to the numerator, so the union is the least common multiple of the
+    factored denominators."""
     signed = []
+    splits = {}
     for key, c in coeffs.items():
         if isinstance(c, ParamPoly):
             rat = LaurentRat(c)
         elif c.den.is_one():
             rat = LaurentRat(c.num)
         else:
-            rat = LaurentRat(c.num, {c.den: (c.den, 1)})
+            split = splits.get(c.den)
+            if split is None:
+                split = splits[c.den] = split_binomials(c.den)
+            unit, factors = split
+            rat = LaurentRat(over_unit(c.num, unit), factors)
         signed.append((key, 1, rat))
     return _grouped_sum(signed)
 
@@ -340,7 +524,9 @@ class LaurentRat:
     den maps a canonical-binomial key to (binom, multiplicity).  Numerator
     units absorbed during canonicalization keep the denominator entries
     monic, so division never needs coefficient inverses.  A fraction of
-    parameter polys (``_clear_coeffs``) keys each denominator by itself.
+    parameter polys (``_clear_coeffs``, the Koornwinder solve) keys its
+    binomial factors the same way and a cofactor by itself
+    (``split_binomials``).
     """
 
     __slots__ = ("num", "den")

@@ -36,8 +36,9 @@ from operator import add, itemgetter
 
 from .errors import NotInvariant
 from .laurent import (LaurentRat, _clear_coeffs, _grouped_sum,
-                      canonical_binomial, divide_factors, flat_shift, flatten,
-                      lift_to, merge_max, torus_vars, unflatten)
+                      canonical_binomial, cancel_factors, divide_factors,
+                      flat_shift, flatten, lift_to, merge_max, torus_vars,
+                      unflatten)
 from .ratfield import (JACOBI_VARS, KOORN_VARS, ParamPoly, ParamRat, _lifted,
                        _monomial_image, _qq)
 from .weights import (EVEN_SIGNS, HYPEROCTAHEDRAL, PERMUTATIONS_ONLY,
@@ -572,7 +573,8 @@ def apply_operator(spec, f):
     pole-cancellation claim).  Coefficients of f may be ParamPoly or
     ParamRat over the operator's parameter field, ``JACOBI_VARS`` for the
     differential branch and ``KOORN_VARS`` otherwise (ParamRat denominators
-    are cleared up front and restored on the result).
+    are cleared up front over their least common multiple, and each image
+    coefficient is then divided by every factor of it that divides).
     """
     pvars = JACOBI_VARS if spec.kind == "jacobi" else KOORN_VARS
     dens, nums = _clear_coeffs(f.terms)
@@ -587,10 +589,12 @@ def apply_operator(spec, f):
         quot = _apply_normal_form(spec, flat)
     out = unflatten(quot, spec.n)
     if dens:
-        inv = ParamRat.one(pvars)
-        for d, _ in dens.values():
-            inv = inv / ParamRat.from_poly(d)
-        out = out.map_coeff(lambda c: ParamRat.from_poly(c) * inv)
+        one = ParamPoly.one(pvars)
+
+        def restored(c):
+            num, left = cancel_factors(c, dens)
+            return ParamRat(num, lift_to(one, {}, left))
+        out = out.map_coeff(restored)
     return out
 
 

@@ -26,11 +26,10 @@ both vanish there, so removable poles cancel and nothing is divided.
 
 An exact rational coefficient has one representation: a Python ``int`` when
 it is integral and a ``Fraction`` (``QQ``) otherwise, never a float.  The
-public constructors write an integral ``Fraction`` as its ``int``; sums and
-products are not rescanned, so ``int * int`` stays an ``int`` while a true
-``Fraction`` operand may leave an integral ``Fraction`` behind, which is just
-as exact.  Since ``int / int`` is a float, every exact division goes through
-``_qq(a, b)``.
+public constructors and the product write an integral ``Fraction`` as its
+``int``; sums are not rescanned, so a sum of true ``Fraction`` operands may
+leave an integral ``Fraction`` behind, which is just as exact.  Since
+``int / int`` is a float, every exact division goes through ``_qq(a, b)``.
 """
 
 from __future__ import annotations
@@ -274,8 +273,10 @@ class ParamPoly:
                     else:
                         del out[e]
         # a ring with zero divisors (QuadExt at a square H) can make a first
-        # product vanish
-        return ParamPoly._of(self.vars, {e: v for e, v in out.items() if v}, s)
+        # product vanish, and a Fraction operand an integral product
+        return ParamPoly._of(self.vars, {
+            e: v.numerator if type(v) is QQ and v.denominator == 1 else v
+            for e, v in out.items() if v}, s)
 
     __rmul__ = __mul__
 
@@ -451,6 +452,15 @@ def _monomial_image(vars_, val):
     return e, _qq(c), s
 
 
+def _unit_part(p):
+    """(exponents, coefficient) of the monomial unit u of a nonzero poly p
+    such that p / u is monomial-free, of content 1 and with a positive
+    lex-leading coefficient; the exponents are on p's lattice."""
+    mins = tuple(map(min, zip(*p.terms)))
+    c = _content(p.terms.values())
+    return mins, (-c if p.terms[max(p.terms)] < 0 else c)
+
+
 def _as_rat(vars_, v):
     if isinstance(v, ParamRat):
         return v
@@ -465,8 +475,12 @@ class ParamRat:
     Normalization keeps a monomial-free denominator with content 1 and a
     positive lex-leading coefficient; a monomial denominator is folded into
     the numerator (monomials are units of the Laurent ring).  Full
-    multivariate gcd reduction is out of scope, so equality is decided by
-    cross-multiplication instead of by canonical forms.
+    multivariate gcd reduction is out of scope, so a fraction is not in a
+    canonical form.  Equality compares numerators when the two normalized
+    denominators are equal, and otherwise still cross-multiplies: the
+    Koornwinder coefficients of one expansion have distinct denominators
+    (``koornwinder._factored_step``), and a parsed or substituted value need
+    not be in lowest terms.  Sums over different denominators multiply them.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -489,17 +503,11 @@ class ParamRat:
             den = ParamPoly.one(num.vars)
         else:
             # pull the monomial unit out of the denominator
-            mins = None
-            for e in den.terms:
-                mins = e if mins is None else tuple(map(min, mins, e))
-            lead = max(den.terms)
-            c = _content(den.terms.values())
-            if den.terms[lead] < 0:
-                c = -c
+            mins, c = _unit_part(den)
             if any(mins) or c != 1:
                 inv, c = tuple(-x for x in mins), _qq(1, c)
-                den = den.mul_monomial(inv, c, den.scale)
                 num = num.mul_monomial(inv, c, den.scale)
+                den = den.mul_monomial(inv, c, den.scale)
             if num == den:
                 num = ParamPoly.one(num.vars)
                 den = ParamPoly.one(num.vars)

@@ -513,9 +513,17 @@ def koornwinder_numeric(lam, point):
     spec_op = OperatorSpec("koornwinder", n, 1)
     matrix = numeric_matrix(spec_op, lam, point)
     ev = point.specialize(eigenvalue_Ern(1, n, lam))
-    nums, den = _back_substitute(matrix, lam, ev, QuadExt.rational(1, point.H))
-    return OrthoPoly(lam, {mu: nval / den for mu, nval in nums.items()
-                           if nval or mu == lam})
+    return OrthoPoly(lam, _back_substitute(
+        matrix, lam, ev, QuadExt.rational(1, point.H), _field_step))
+
+
+def _field_step(couplings, gap):
+    """One step of the back-substitution in the field QuadExt."""
+    acc = None
+    for c, entry in couplings:
+        t = c * entry
+        acc = t if acc is None else acc + t
+    return acc / gap
 
 
 def numeric_apply_to_monomial(spec_op, lam, point):

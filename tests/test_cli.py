@@ -6,6 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
+from qkoorn import cli
 from qkoorn.cli import main
 from qkoorn.ratfield import JACOBI_VARS, KOORN_VARS, ParamRat
 from qkoorn.spectra import eigenvalue_Ern, eigenvalue_jacobi
@@ -48,6 +49,28 @@ def test_apply_reads_jacobi_output(tmp_path):
     assert set(got) == set(p)
     for mu, c in p.items():
         assert got[mu] == c * ev
+
+
+def test_apply_cancels_the_input_denominators(tmp_path):
+    # the image of p_(1,0) is E p_(1,0); E = 2g+tg0+tg1+1 is the
+    # denominator of the (0,0) coefficient, which the image cancels
+    run(tmp_path, ["poly", "--n", "2", "--weight", "1,0", "--method",
+                   "jacobi"], "p.json")
+    img = run(tmp_path, ["apply", "--op", '{"kind":"Jacobi_D10","n":2}',
+                         "--in", str(tmp_path / "p.json")])
+    text = {tuple(c["weight"]): c["value"] for c in img["coeffs"]}
+    assert text == {(1, 0): "2*g+tg0+tg1+1", (0, 0): "4*tg0-4*tg1"}
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    for w in ("1", "2"):
+        run(tmp_path, ["poly", "--n", "1", "--weight", w])
+    assert built == [1]
 
 
 def _signed_orbit(lam, even):

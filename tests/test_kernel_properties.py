@@ -1,29 +1,30 @@
 """Algebraic laws of the sparse-term kernels on random inputs.
 
 Products and sums of ``ParamPoly`` over parameter and torus names against a
-Fraction reference, exact division by chains of canonical binomials, canonical
-binomials under a signed permutation of the torus variables, the grouped
-signed sum
-of factored fractions against the serial sum over one union, the q-shift of
-a flat poly, the coefficient parser against the renderer, parameter
-substitution by monomial images against multiplication and evaluation, the
-pin of one variable against cancelling a shared factor by hand, and the one
-representation of a rational coefficient: an int when integral, a
-Fraction otherwise; the numeric route's specialisation at a rational point
-and its constant-term pairing against their term-by-term Fraction forms.
+Fraction reference, exact division by chains of canonical binomials, the
+general sparse exact division, the split of a poly into binomials z^d -+ 1
+and one cofactor, canonical binomials under a signed permutation of the torus
+variables, the grouped signed sum of factored fractions against the serial
+sum over one union, the q-shift of a flat poly, the coefficient parser
+against the renderer, parameter substitution by monomial images against
+multiplication and evaluation, the pin of one variable against cancelling a
+shared factor by hand, and the one representation of a rational coefficient:
+an int when integral, a Fraction otherwise; the numeric route's
+specialisation at a rational point and its constant-term pairing against
+their term-by-term Fraction forms.
 """
 
 from fractions import Fraction
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qkoorn.errors import DenominatorVanishes, NotDivisible
 from qkoorn.laurent import (LaurentRat, _grouped_sum, canonical_binomial,
                             divide_factors, exact_divide, flat_shift,
-                            torus_vars)
+                            sparse_divide, split_binomials, torus_vars)
 from qkoorn.operators import _mapped
 from qkoorn.ratfield import KOORN_VARS, QQ, ParamPoly, ParamRat
 from qkoorn.weightfn import (DEFAULT_POINT, NumericPoint, QuadExt,
@@ -124,6 +125,9 @@ def test_add_and_mul_match_fraction_reference(names, op, data):
     got = pa + pb if op == "add" else pa * pb
     assert exact(got.terms, got.scale) == reference(op, a, b)
     check_representation(got, ints_in)
+    if op == "mul":
+        # an integral product is an int, whatever its factors were
+        check_canonical(got)
 
 
 @LAWS
@@ -178,6 +182,77 @@ def test_added_monomial_is_not_divisible(data, e, c):
     bad = prod + ParamPoly.monomial(p.vars, e[:p.n], c)
     with pytest.raises(NotDivisible):
         exact_divide(bad, [(b, 1) for b in chain])
+
+
+@st.composite
+def divisions(draw):
+    """(p, g): a poly and a divisor of two terms or more over one name
+    tuple, on lattices 1, 2, 3."""
+    n, _, [(pt, ps), (gt, gs)] = draw(operands(2))
+    g = build("ParamPoly", n, gt, gs)
+    assume(len(g) > 1)
+    return build("ParamPoly", n, pt, ps), g
+
+
+@LAWS
+@given(data=divisions())
+def test_sparse_divide_undoes_the_product(data):
+    p, g = data
+    q = sparse_divide(p * g, g)
+    assert q == p
+    check_canonical(q)
+
+
+@LAWS
+@given(data=divisions(), e=st.tuples(*[st.integers(-4, 4)] * 3),
+       c=coeffs("mixed"))
+def test_sparse_divide_refuses_an_added_monomial(data, e, c):
+    # a poly of two terms or more is no unit, so it divides no monomial
+    p, g = data
+    with pytest.raises(NotDivisible):
+        sparse_divide(p * g + ParamPoly.monomial(p.vars, e[:p.n], c), g)
+
+
+@st.composite
+def gaps(draw):
+    """A poly built as a product of binomials z^d -+ 1, of z^d - c for a
+    rational c other than +-1, and of a random poly, on lattice 1 or 2."""
+    n = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1, 2]))
+    vars_ = VARS[:n]
+    zero = (0,) * n
+    p = build("ParamPoly", n, draw(term_dicts(n, "mixed", span=2, size=3)),
+              scale)
+    assume(p)
+    for _ in range(draw(st.integers(0, 4))):
+        d = draw(st.tuples(*[st.integers(-3, 3)] * n).filter(any))
+        c = draw(st.sampled_from([1, -1, 2, QQ(-1, 3)]))
+        p = p * ParamPoly(vars_, {d: 1, zero: c}, scale)
+    return p
+
+
+@LAWS
+@given(p=gaps())
+def test_split_multiplies_back_to_the_gap(p):
+    unit, factors = split_binomials(p)
+    assert unit.is_monomial()
+    prod = unit
+    cofactors = 0
+    for key, (f, m) in factors.items():
+        assert m >= 1
+        prod = prod * f ** m
+        if isinstance(key, tuple):
+            # z^d -+ 1, keyed by its canonical form
+            assert canonical_binomial(f.vars, *f.terms.items(),
+                                      f.scale)[0] == key
+            assert sorted(f.terms.values()) in ([-1, 1], [1, 1])
+        else:
+            cofactors += 1
+            assert key == f and m == 1 and len(f) > 1
+            assert all(min(col) == 0 for col in zip(*f.terms))
+            assert f.terms[max(f.terms)] > 0
+    assert cofactors <= 1
+    assert prod == p
 
 
 @st.composite

@@ -13,11 +13,13 @@ from qkoorn.koornwinder import (FAMILY_PAIRS, OrthoPoly, a_type_eigen_check,
                                 qh1_limit, relm_constant, spin_monomial,
                                 verify_joint_eigen)
 from qkoorn.operators import (IDENTITY, OperatorSpec, ParamMap,
-                              apply_operator)
+                              apply_operator, operator_matrix)
 from qkoorn.ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
-from qkoorn.spectra import (ch_rho, eigenvalue_An, eigenvalue_Ern, hc_lift,
-                            evaluate_generator_poly)
-from qkoorn.weights import monomial_symmetric, weights_below
+from qkoorn.spectra import (ch_rho, eigenvalue_An, eigenvalue_Ern,
+                            eigenvalue_jacobi, evaluate_generator_poly,
+                            hc_lift)
+from qkoorn.weights import (linear_refinement, monomial_symmetric,
+                            weights_below)
 
 toR = lambda c: c if isinstance(c, ParamRat) else ParamRat.from_poly(c)
 
@@ -294,3 +296,87 @@ def test_ortho_poly_json():
     assert data["half_lattice"] is False
     assert data["coeffs"][-1]["value"] == "1"
     assert p.dumps() == p.dumps()
+
+
+# ---------------------------------------------------------------------------
+# the factored solve against the fraction-free one
+
+
+def fraction_free_solve(matrix, lam, evalue, one):
+    """The oracle: back-substitution over one shared denominator, every
+    numerator multiplied by every later gap and nothing cancelled; returns
+    ({mu: numerator}, denominator)."""
+    order = linear_refinement(list(matrix), "lex")[::-1]
+    zero = evalue - evalue
+    nums = {lam: one}
+    den = one
+    for mu in order:
+        if mu == lam:
+            continue
+        acc = None
+        for nu, nval in nums.items():
+            entry = matrix[nu].get(mu)
+            if entry is None or not nval:
+                continue
+            term = nval * entry
+            acc = term if acc is None else acc + term
+        if acc is None or not acc:
+            nums[mu] = zero
+            continue
+        gap = evalue - matrix[mu].get(mu, 0)
+        for nu in nums:
+            nums[nu] = nums[nu] * gap
+        nums[mu] = acc
+        den = den * gap
+    return nums, den
+
+
+# the classical-family maps of the benchmark's symbolic workload
+FAMILY_MAPS = {
+    "Bn:Bn": {"gb": "1", "gc": "1", "gd": "1"},
+    "BCn:Cn": {"gc": "ga", "gd": "gb"},
+    "Cn:Cn": {"ga": "gb", "gc": "gb", "gd": "gb"},
+}
+SOLVE_WEIGHTS = [(1,), (2,), (3,), (1, 0), (1, 1), (2, 0), (2, 1)]
+
+
+def assert_same_rational_functions(p, nums, den):
+    assert set(p.coeffs) == {mu for mu, v in nums.items() if v}
+    for mu, c in p.coeffs.items():
+        assert c == ParamRat(nums[mu], den)
+
+
+@pytest.mark.parametrize("family", [None] + sorted(FAMILY_MAPS))
+@pytest.mark.parametrize("lam", SOLVE_WEIGHTS)
+def test_factored_solve_matches_fraction_free_solve(family, lam):
+    params = ParamMap(FAMILY_MAPS[family]) if family else IDENTITY
+    n = len(lam)
+    evalue = eigenvalue_Ern(1, n, lam, params)
+    matrix = operator_matrix(OperatorSpec("koornwinder", n, 1, params), lam)
+    nums, den = fraction_free_solve(matrix, lam, evalue,
+                                    ParamPoly.one(KOORN_VARS))
+    assert_same_rational_functions(koornwinder_triangular(lam, params),
+                                   nums, den)
+
+
+@pytest.mark.parametrize("lam", SOLVE_WEIGHTS + [(4,)])
+def test_factored_solve_matches_fraction_free_solve_jacobi(lam):
+    n = len(lam)
+    evalue = eigenvalue_jacobi(1, n, lam)
+    matrix = operator_matrix(OperatorSpec("jacobi", n), lam)
+    nums, den = fraction_free_solve(matrix, lam, evalue,
+                                    ParamPoly.one(JACOBI_VARS))
+    assert_same_rational_functions(jacobi_triangular(lam), nums, den)
+
+
+def test_factored_solve_sizes():
+    # terms of numerator and denominator summed over the coefficients; the
+    # shared-denominator solve gave 1662, 29274, 425, 6083 and 3904, and
+    # lowest terms (a multivariate gcd) are 547, 8823, 77, 293 and 289
+    cases = [((3,), None, 548), ((5,), None, 8824), ((1, 1), None, 78),
+             ((2, 1), "BCn:Cn", 294), ((2, 2), "Bn:Bn", 290)]
+    for lam, family, most in cases:
+        params = ParamMap(FAMILY_MAPS[family]) if family else None
+        p = koornwinder_triangular(lam, params)
+        assert sum(len(c.num) + len(c.den)
+                   for c in p.coeffs.values()) <= most, (lam, family)

@@ -11,8 +11,9 @@ import pytest
 
 import qkoorn
 from qkoorn.errors import NotDivisible
-from qkoorn.laurent import (_packing, canonical_binomial, divide_binomial,
-                            exact_divide, flat_shift, flatten, torus_vars,
+from qkoorn.laurent import (_clear_coeffs, _packing, cancel_factors,
+                            canonical_binomial, divide_binomial, exact_divide,
+                            flat_shift, flatten, split_binomials, torus_vars,
                             unflatten)
 from qkoorn.ratfield import KOORN_VARS, QQ, ParamPoly, ParamRat
 from qkoorn.weightfn import QuadExt
@@ -553,3 +554,68 @@ def test_chain_generic_paths():
             exact_divide(prod + ParamPoly.monomial(
                 torus_vars(n), (9,) * n, QuadExt(1, 1, H)),
                 [(b, 1) for b in chain])
+
+
+def test_split_finds_the_binomials_of_a_gap():
+    # the gap E(3) - E(0) of the n = 1 rank-one operator, with A = ga*gb*gc*gd:
+    # (qh^6 - 1)(A + qh^-6/A) = qh^-6/A (qh-1)(qh+1)(qh^6 A^2 + 1)(qh^4+qh^2+1)
+    v = {name: ParamPoly.variable(KOORN_VARS, name) for name in KOORN_VARS}
+    qh = v["qh"]
+    A = v["ga"] * v["gb"] * v["gc"] * v["gd"]
+    gap = (qh ** 6 - 1) * (A + ParamRat(ParamPoly.one(KOORN_VARS),
+                                        qh ** 6 * A).num)
+    unit, factors = split_binomials(gap)
+    got = sorted(f.render() for f, m in factors.values() for _ in range(m))
+    assert got == sorted(["qh-1", "qh+1", "qh^6*ga^2*gb^2*gc^2*gd^2+1",
+                          "qh^4+qh^2+1"])
+    assert unit.render() == "qh^-6*ga^-1*gb^-1*gc^-1*gd^-1"
+
+
+def test_split_keeps_multiplicities_and_smallest_binomials():
+    x = ParamPoly.variable(("x", "y"), "x")
+    y = ParamPoly.variable(("x", "y"), "y")
+    # (x^2 - 1)^2 (x y - 1) * 3 x: x^2 - 1 comes out as (x - 1)(x + 1)
+    p = (x * x - 1) ** 2 * (x * y - 1) * x * 3
+    unit, factors = split_binomials(p)
+    assert unit == x * 3
+    assert sorted((f.render(), m) for f, m in factors.values()) == [
+        ("x*y-1", 1), ("x+1", 2), ("x-1", 2)]
+
+
+def test_split_keys_equal_binomials_alike_on_any_lattice():
+    # x + 1 times x^(1/2) is stored on lattice 2; neither x^(1/2) - 1 nor
+    # x^(1/2) + 1 divides it, and x + 1 gets the key it has on lattice 1
+    x = ParamPoly.variable(("x",), "x")
+    h = ParamPoly.variable(("x",), "x", (1, 2))
+    whole_unit, whole = split_binomials(x + 1)
+    half_unit, half = split_binomials((x + 1) * h)
+    assert whole.keys() == half.keys()
+    assert (whole_unit, half_unit) == (1, h)
+    # on lattice 2, x - 1 = (x^(1/2) - 1)(x^(1/2) + 1)
+    _, half = split_binomials((x - 1) * h)
+    assert sorted(f.render() for f, _ in half.values()) == [
+        "x^(1/2)+1", "x^(1/2)-1"]
+
+
+def test_cancel_divides_each_factor_that_divides():
+    x = ParamPoly.variable(("x", "y"), "x")
+    y = ParamPoly.variable(("x", "y"), "y")
+    cof = x * x + x * y + y * y
+    _, den = split_binomials((x - 1) ** 2 * (x + 1) * cof)
+    num = (x - 1) * cof * (y + 2)
+    q, left = cancel_factors(num, den)
+    assert q == y + 2
+    assert sorted((f.render(), m) for f, m in left.values()) == [
+        ("x+1", 1), ("x-1", 1)]
+    assert cancel_factors(ParamPoly.zero(("x", "y")), den)[1] == {}
+
+
+def test_clear_coeffs_clears_over_the_lcm():
+    qh = ParamPoly.variable(KOORN_VARS, "qh")
+    one = ParamPoly.one(KOORN_VARS)
+    coeffs = {"a": ParamRat(one, qh * qh - 1), "b": ParamRat(one, qh - 1),
+              "c": qh}
+    union, nums = _clear_coeffs(coeffs)
+    assert sorted((f.render(), m) for f, m in union.values()) == [
+        ("qh+1", 1), ("qh-1", 1)]
+    assert nums == {"a": one, "b": qh + 1, "c": qh * (qh * qh - 1)}

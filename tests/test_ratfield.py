@@ -330,3 +330,13 @@ def test_exact_division_sites_take_ints():
     assert gs.coeffs == {(2,): 1}
     got.append(list(gs.coeffs.values()))
     assert float not in coeff_types(got)
+
+
+def test_denominator_unit_on_a_coarser_lattice():
+    # x^(1/2) + x^(3/2) = x^(1/2) (1 + x): the unit comes out at its own
+    # exponent although the rest of the denominator is on lattice 1
+    x = ParamPoly.variable(("x",), "x")
+    h = ParamPoly.variable(("x",), "x", (1, 2))
+    r = ParamRat(ParamPoly.one(("x",)), h + h * x)
+    assert r.render() == "x^(-1/2)/(x+1)"
+    assert r * (h + h * x) == 1
