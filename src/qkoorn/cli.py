@@ -22,7 +22,8 @@ from .koornwinder import (OrthoPoly, evaluate_jacobi_coeffs, family_specialize,
                           jacobi_triangular, koornwinder_triangular,
                           macdonald_An_extract, qh1_limit)
 from .operators import (OperatorSpec, ParamMap, apply_operator,
-                        apply_to_monomial, commutator_on_basis)
+                        apply_to_monomial, commutator_on_basis,
+                        half_lattice_poles)
 from .ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
 from .spectra import (cp_check, eigenvalue_Ern, eigenvalue_core,
                       eigenvalue_core_recursive, linear_system_residual)
@@ -208,6 +209,11 @@ def cmd_apply(args):
     if spec.kind == "a_type_centered" and \
             len({sum(e) for e in f.terms}) > 1:
         _usage("the centered operator needs a homogeneous input")
+    poles = half_lattice_poles(spec) if f.scale > 1 else ()
+    if poles:
+        _usage("a half-lattice input needs %s mapped to 1: the v_b shape "
+               "(g^2 w + 1)/(g (w + 1)) keeps its pole at w = -1 for g = %s"
+               % (" and ".join(poles), ", ".join(poles)))
     try:
         img = apply_operator(spec, f)
     except NotInvariant:

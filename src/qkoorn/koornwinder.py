@@ -108,8 +108,9 @@ def _back_substitute(matrix, lam, evalue, one, step):
 
 def _factored_step(couplings, gap):
     """One step of the symbolic solve over factored denominators: the
-    couplings are lifted to the union of their factors (``merge_max``,
-    ``lift_to``), the gap is split into binomials z^d -+ 1 and one cofactor
+    couplings are multiplied by their matrix entries and lifted to the union
+    of their factors in one packed chain each (``merge_max``, ``lift_to``),
+    the gap is split into binomials z^d -+ 1 and one cofactor
     (``split_binomials``), and every factor of the step's denominator, the
     gap's and the union's, is divided out of the numerator as often as it
     divides (``cancel_factors``): every binomial factor, and the cofactor
@@ -119,7 +120,7 @@ def _factored_step(couplings, gap):
         merge_max(union, c.den)
     num = None
     for c, entry in couplings:
-        t = lift_to(c.num * entry, c.den, union)
+        t = lift_to(c.num, c.den, union, entry)
         num = t if num is None else num + t
     if not num:
         return None

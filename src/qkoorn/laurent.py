@@ -11,12 +11,17 @@ factored form (``LaurentRat``): the only denominators produced by the
 difference operators are products of known binomials, so exact division needs
 no multivariate gcd.  A signed sum of such fractions is ``_grouped_sum`` and
 the division of its numerator is ``divide_factors``, one function each.
-``exact_divide`` takes a whole factored denominator in one pass: the
-numerator is lifted to the chain's lattice and its exponent tuples are packed
-into single ints; each binomial is then divided out on those packed terms,
-with the coefficients as they are (integral rationals are ints, so rational
-data mostly divide in integer arithmetic), and the quotient is unpacked once
-at the end.
+
+Exponents are packed into single ints (``ratfield._packing``) wherever a
+numerator meets a chain of factors.  ``lift_to`` packs a numerator once,
+multiplies in every factor it is missing on the packed terms
+(``ratfield._product``) and unpacks once.  ``exact_divide`` and the trial
+divisions (``_trial_divide``) lift the numerator to the chain's lattice and
+pack it once (``_packed_chain``); each binomial is then divided out on those
+packed terms, with the coefficients as they are (integral rationals are
+ints, so rational data mostly divide in integer arithmetic), and the
+quotient is unpacked once at the end.  ``sparse_divide`` packs both of its
+operands.
 
 The operator engine works on flat polys, whose exponent tuples hold the torus
 exponents followed by the parameter exponents (``flatten``, ``unflatten``); a
@@ -28,11 +33,10 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
-from operator import lshift
-from struct import Struct
 
 from .errors import NotDivisible
-from .ratfield import QQ, ParamPoly, _common, _lifted, _qq, _unit_part
+from .ratfield import (QQ, ParamPoly, _common, _lifted, _packing, _product,
+                       _qq, _top, _unit_part)
 
 
 def torus_vars(n):
@@ -70,10 +74,13 @@ def canonical_binomial(vars_, t1, t2, scale=1):
     else:
         one = 1
         trail = _qq(c2, c1)
-    unit_coeff = c1
     binom = ParamPoly(vars_, {e1: one, e2: trail}, scale)
-    key = (binom.scale, e1, e2, trail)
-    return key, binom, m, unit_coeff, scale
+    # keyed on the binomial's own lattice, so that equal binomials built on
+    # different lattices get one key
+    f = scale // binom.scale
+    key = (binom.scale, tuple(x // f for x in e1), tuple(x // f for x in e2),
+           trail)
+    return key, binom, m, c1, scale
 
 
 def divide_binomial(f, binom):
@@ -129,7 +136,7 @@ def _packed_chain(numer, binoms):
         raw.append((eL, d, next(i for i, x in enumerate(d) if x), bt[eS]))
     # every exponent a quotient meets lies in the numerator's box, and the
     # line key e - (e[i0] // d[i0]) * d of a point e within ``bound``
-    top = max(max(map(max, terms)), -min(map(min, terms)))
+    top = _top(terms, numer.n)
     bound = top
     for _, d, i0, _ in raw:
         bound = max(bound, top + (top // d[i0] + 1) * max(map(abs, d)))
@@ -138,54 +145,6 @@ def _packed_chain(numer, binoms):
     steps = [(cS, pack(d) - zero, pack(eL) - zero, d[i0],
               width * (n - 1 - i0), width) for eL, d, i0, cS in raw]
     return s, unpack, {pack(e): c for e, c in terms.items()}, steps
-
-
-_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
-
-
-def _packing(n, bound):
-    """Pack exponent vectors of length n with entries in [-bound, bound]
-    into one int each: (width, zero, pack, unpack).
-
-    pack(e) is the sum over i of (e[i] + half) * 2^(width*(n-1-i)), with
-    width a whole number of bytes and half = 2^(width-1) > bound: balanced
-    digits, as in Monagan & Pearce, "Polynomial division using dynamic
-    arrays, heaps, and packed exponent vectors" (CASC 2007).  Every field
-    stays in [0, 2^width), so lex order of the vectors is integer order,
-    pack(a) + pack(b) - zero = pack(a + b) while a + b stays in range
-    (zero = pack of the zero vector), and a packed difference drops zero.
-
-    Fields of up to 8 bytes are written and read whole by ``struct`` (XOR
-    with zero flips each field's top bit, turning e[i] + half into the two's
-    complement of e[i]); it unpacks three times as fast as shifts and masks,
-    which wider fields use.
-    """
-    nbytes = 1
-    while bound >= 1 << (8 * nbytes - 1):
-        nbytes *= 2
-    width = 8 * nbytes
-    half = 1 << (width - 1)
-    shifts = tuple(range(width * (n - 1), -1, -width))
-    zero = sum(half << t for t in shifts)
-    code = _STRUCT_CODES.get(nbytes)
-    if code is None:
-        mask = (1 << width) - 1
-
-        def pack(e):
-            return sum(map(lshift, e, shifts), zero)
-
-        def unpack(u):
-            return tuple([((u >> t) & mask) - half for t in shifts])
-    else:
-        fmt = Struct(">%d%s" % (n, code))
-        fpack, funpack, size = fmt.pack, fmt.unpack, fmt.size
-
-        def pack(e):
-            return int.from_bytes(fpack(*e), "big") ^ zero
-
-        def unpack(u):
-            return funpack((u ^ zero).to_bytes(size, "big"))
-    return width, zero, pack, unpack
 
 
 def _exponent_text(e, scale):
@@ -452,14 +411,15 @@ def merge_max(den, extra):
             den[k] = (b, m)
 
 
-def lift_to(num, own, union):
-    """Rewrite num/own over the larger denominator union: multiply num by
-    every factor own is missing."""
+def lift_to(num, own, union, first=None):
+    """Rewrite num/own over the larger denominator union: num times
+    ``first``, when given, and every factor own is missing, on one packed
+    copy of num (``ratfield._product``)."""
+    factors = [] if first is None else [first]
     for k, (b, m) in union.items():
         have = own[k][1] if k in own else 0
-        for _ in range(m - have):
-            num = num * b
-    return num
+        factors += [b] * (m - have)
+    return _product(num, factors)
 
 
 def _grouped_sum(signed):

@@ -124,6 +124,9 @@ def va_factor(vars_, n, w_exps, qpow, params):
 
 
 _VB_SHAPES = (("ga", 0, -1), ("gb", 0, 1), ("gc", 1, -1), ("gd", 1, 1))
+# the v_b shapes of each kind whose operator holds v_b; C_spin drops the
+# half-period-shifted pair
+_KIND_SHAPES = {"koornwinder": _VB_SHAPES, "c_spin": _VB_SHAPES[:2]}
 
 
 def vb_factor(vars_, n, j, eps, params, shapes=_VB_SHAPES):
@@ -140,6 +143,17 @@ def vb_factor(vars_, n, j, eps, params, shapes=_VB_SHAPES):
         if rat is not None:
             out = out * rat
     return out
+
+
+def half_lattice_poles(spec):
+    """The names of the sigma = +1 v_b shapes of ``spec`` that do not
+    collapse (their g does not map to 1).  Such a shape's ``_ratio`` has a
+    pole at w = -1 (z_j = -1 for gb, z_j = -q^(-1/2) for gd) that invariance
+    under z -> 1/z cancels on the integer lattice and not on the half
+    lattice, so a half-lattice input is admissible exactly when there is
+    none."""
+    return [name for name, _, sigma in _KIND_SHAPES.get(spec.kind, ())
+            if sigma > 0 and spec.params.get(name) != 1]
 
 
 class _Engine:
@@ -403,7 +417,7 @@ def _normal_form(spec):
                 for j in range(n):
                     coeff = coeff * vb_factor(eng.vars, n, j, eps[j],
                                               spec.params,
-                                              shapes=_VB_SHAPES[:2])
+                                              shapes=_KIND_SHAPES["c_spin"])
             for j1, j2 in combinations(range(n), 2):
                 w = [0] * n
                 w[j1] += eps[j1]

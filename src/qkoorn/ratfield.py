@@ -18,6 +18,14 @@ Exponents may be negative (Laurent) and may sit on a refined lattice: a poly
 carries an integer ``scale`` and stores exponents multiplied by it, so e.g.
 qh^(1/3) is representable exactly.  All arithmetic is exact.
 
+A poly keys its terms on exponent tuples; the hot kernels run on packed
+exponents instead, each exponent tuple packed into one int (``_packing``).
+The product (``_product``: ``ParamPoly.__mul__``, and the lift of a
+numerator by every factor it is missing, ``laurent.lift_to``) packs its
+operands once, keys each term product on the sum of two packed ints and
+unpacks once.  The divisions of ``laurent`` (``exact_divide``, the trial
+divisions of the solve's cancel step, ``sparse_divide``) pack the same way.
+
 A parameter substitution (a classical family, th = qh^g before q -> 1) is a
 dict name -> nonzero monomial (``operators.ParamMap``), one exponent map per
 term (``ParamPoly.substitute``).  Pinning variables to rational values
@@ -39,6 +47,8 @@ from decimal import Decimal
 from fractions import Fraction as QQ
 from math import gcd
 from operator import add as _add
+from operator import lshift
+from struct import Struct
 
 from .errors import DenominatorVanishes
 
@@ -129,6 +139,107 @@ def _common(p, q):
     """(scale, terms of p, terms of q) on the lattice holding both."""
     s = p.scale * q.scale // gcd(p.scale, q.scale)
     return s, _lifted(p, s), _lifted(q, s)
+
+
+_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _packing(n, bound):
+    """Pack exponent vectors of length n with entries in [-bound, bound]
+    into one int each: (width, zero, pack, unpack).
+
+    pack(e) is the sum over i of (e[i] + half) * 2^(width*(n-1-i)), with
+    width a whole number of bytes and half = 2^(width-1) > bound: balanced
+    digits, as in Monagan & Pearce, "Polynomial division using dynamic
+    arrays, heaps, and packed exponent vectors" (CASC 2007).  Every field
+    stays in [0, 2^width), so lex order of the vectors is integer order,
+    pack(a) + pack(b) - zero = pack(a + b) while a + b stays in range
+    (zero = pack of the zero vector), and a packed difference drops zero.
+
+    Fields of up to 8 bytes are written and read whole by ``struct`` (XOR
+    with zero flips each field's top bit, turning e[i] + half into the two's
+    complement of e[i]); it unpacks three times as fast as shifts and masks,
+    which wider fields use.
+    """
+    nbytes = 1
+    while bound >= 1 << (8 * nbytes - 1):
+        nbytes *= 2
+    width = 8 * nbytes
+    half = 1 << (width - 1)
+    shifts = tuple(range(width * (n - 1), -1, -width))
+    zero = sum(half << t for t in shifts)
+    code = _STRUCT_CODES.get(nbytes)
+    if code is None:
+        mask = (1 << width) - 1
+
+        def pack(e):
+            return sum(map(lshift, e, shifts), zero)
+
+        def unpack(u):
+            return tuple([((u >> t) & mask) - half for t in shifts])
+    else:
+        fmt = Struct(">%d%s" % (n, code))
+        fpack, funpack, size = fmt.pack, fmt.unpack, fmt.size
+
+        def pack(e):
+            return int.from_bytes(fpack(*e), "big") ^ zero
+
+        def unpack(u):
+            return funpack((u ^ zero).to_bytes(size, "big"))
+    return width, zero, pack, unpack
+
+
+def _top(terms, n):
+    """The largest absolute exponent of a nonzero term dict over n names."""
+    return max(max(map(max, terms)), -min(map(min, terms))) if n else 0
+
+
+def _product(p, factors):
+    """p times every poly of ``factors`` (over p's names), on one packed
+    copy: the operands are lifted to one lattice and every exponent tuple
+    is packed into one int (``_packing``), with fields as wide as the sum
+    of the operands' largest absolute exponents, so that no partial
+    product's exponent leaves its field.  Each product keys its terms on
+    the sum of two packed ints, and the result is unpacked once.  Zeros are
+    dropped and an integral QQ is written as its int; the coefficients may
+    lie in any exact ring."""
+    if not factors:
+        return p
+    if not p or not all(factors):
+        return ParamPoly.zero(p.vars)
+    s = p.scale
+    for f in factors:
+        s = s * f.scale // gcd(s, f.scale)
+    n = p.n
+    terms = _lifted(p, s)
+    lifted = [_lifted(f, s) for f in factors]
+    bound = _top(terms, n)
+    for t in lifted:
+        bound += _top(t, n)
+    _, zero, pack, unpack = _packing(n, bound)
+    acc = {pack(e): c for e, c in terms.items()}
+    for t in lifted:
+        items = list(acc.items())
+        acc = {}
+        get = acc.get
+        for e2, c2 in t.items():
+            u2 = pack(e2) - zero
+            for u1, c1 in items:
+                u = u1 + u2
+                v = get(u)
+                if v is None:
+                    acc[u] = c1 * c2
+                else:
+                    v = v + c1 * c2
+                    if v:
+                        acc[u] = v
+                    else:
+                        del acc[u]
+    # a ring with zero divisors (QuadExt at a square H) can make a first
+    # product vanish, and a Fraction operand an integral product
+    return ParamPoly._of(p.vars, {
+        unpack(u): v.numerator if type(v) is QQ and v.denominator == 1 else v
+        for u, v in acc.items() if v}, s)
 
 
 class ParamPoly:
@@ -254,29 +365,9 @@ class ParamPoly:
             return self.scalar_mul(_qq(other))
         if isinstance(other, ParamRat):
             return ParamRat.from_poly(self) * other
-        s, a, b = _common(self, other)
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        get = out.get
-        bitems = list(b.items())
-        for e1, c1 in a.items():
-            for e2, c2 in bitems:
-                e = tuple(map(_add, e1, e2))
-                v = get(e)
-                if v is None:
-                    out[e] = c1 * c2
-                else:
-                    v = v + c1 * c2
-                    if v:
-                        out[e] = v
-                    else:
-                        del out[e]
-        # a ring with zero divisors (QuadExt at a square H) can make a first
-        # product vanish, and a Fraction operand an integral product
-        return ParamPoly._of(self.vars, {
-            e: v.numerator if type(v) is QQ and v.denominator == 1 else v
-            for e, v in out.items() if v}, s)
+        if len(self.terms) < len(other.terms):
+            return _product(other, (self,))
+        return _product(self, (other,))
 
     __rmul__ = __mul__
 

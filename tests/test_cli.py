@@ -8,6 +8,7 @@ import pytest
 
 from qkoorn import cli
 from qkoorn.cli import main
+from qkoorn.errors import NotDivisible
 from qkoorn.ratfield import JACOBI_VARS, KOORN_VARS, ParamRat
 from qkoorn.spectra import eigenvalue_Ern, eigenvalue_jacobi
 from qkoorn.weightfn import (DEFAULT_POINT, WeightFunctionSpec,
@@ -274,6 +275,71 @@ def test_bad_input_exits_with_one_error_line(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# apply to m_(1/2,1/2) at n = 2: a half-lattice input is admissible exactly
+# when every sigma = +1 v_b shape of the kind (gb, and gd for Dr) maps to 1;
+# the kinds without v_b take any map
+BN_BN = {"gb": "1", "gc": "1", "gd": "1"}
+HALF_LATTICE = [
+    ("Dr", 1, {}, "gb and gd"),
+    ("Dr", 1, {"gb": "1"}, "gd"),
+    ("Dr", 1, {"gd": "1"}, "gb"),
+    ("Dr", 1, {"ga": "1", "gc": "1"}, "gb and gd"),
+    ("Dr", 1, {"gb": "1", "gd": "1"}, None),
+    ("Dr", 1, BN_BN, None),
+    ("Dr", 2, BN_BN, None),
+    ("C_spin", None, {}, "gb"),
+    ("C_spin", None, {"ga": "1"}, "gb"),
+    ("C_spin", None, {"gd": "1"}, "gb"),
+    ("C_spin", None, {"gb": "1"}, None),
+    ("C_spin", None, BN_BN, None),
+    ("Dn_plus", None, {}, None),
+    ("Dn_plus", None, {"ga": "1"}, None),
+    ("Dn_plus", None, {"gb": "1"}, None),
+    ("Dn_plus", None, {"gd": "1"}, None),
+    ("Dn_minus", None, {}, None),
+]
+
+
+def _half_lattice_apply(tmp_path, kind, r, params):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps({"n": 2, "weight": [1, 1], "half_lattice": True,
+                               "coeffs": [{"weight": [1, 1], "value": "1"}]}))
+    op = {"kind": kind, "n": 2, "params": params,
+          "group": "D" if kind.startswith("Dn") else "BC"}
+    if r is not None:
+        op["r"] = r
+    return ["apply", "--op", json.dumps(op), "--in", str(src),
+            "--out", str(tmp_path / "out.json")]
+
+
+@pytest.mark.parametrize("kind,r,params,needs", HALF_LATTICE, ids=[
+    "%s-r%s-%s" % (k, r, "-".join("%s=1" % g for g in p) or "none")
+    for k, r, p, _ in HALF_LATTICE])
+def test_half_lattice_input_is_refused_unless_admissible(
+        tmp_path, capsys, kind, r, params, needs):
+    argv = _half_lattice_apply(tmp_path, kind, r, params)
+    assert exit_code(argv) == (0 if needs is None else 2)
+    err = capsys.readouterr().err
+    if needs is None:
+        assert err == ""
+        assert json.loads((tmp_path / "out.json").read_text())["half_lattice"]
+    else:
+        assert err.count("\n") == 1
+        assert err.startswith("error: a half-lattice input needs %s mapped "
+                              "to 1" % needs)
+
+
+def test_not_divisible_on_an_admissible_input_stays_a_contract_fault(
+        tmp_path, capsys, monkeypatch):
+    def fail(spec, f):
+        raise NotDivisible("line through z^(1/2, 1/2)")
+    monkeypatch.setattr(cli, "apply_operator", fail)
+    argv = _half_lattice_apply(tmp_path, "Dr", 1, BN_BN)
+    assert exit_code(argv) == 4
+    assert capsys.readouterr().err.startswith(
+        "error: internal contract violation")
 
 
 SUITES = (

@@ -1,7 +1,9 @@
 """Algebraic laws of the sparse-term kernels on random inputs.
 
 Products and sums of ``ParamPoly`` over parameter and torus names against a
-Fraction reference, exact division by chains of canonical binomials, the
+Fraction reference, the packed product against the tuple-keyed product on
+every field width and on any coefficient ring, the packed lift chain against
+one product per factor, exact division by chains of canonical binomials, the
 general sparse exact division, the split of a poly into binomials z^d -+ 1
 and one cofactor, canonical binomials under a signed permutation of the torus
 variables, the grouped signed sum of factored fractions against the serial
@@ -15,6 +17,7 @@ their term-by-term Fraction forms.
 """
 
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 
 import pytest
@@ -24,7 +27,8 @@ from hypothesis import strategies as st
 from qkoorn.errors import DenominatorVanishes, NotDivisible
 from qkoorn.laurent import (LaurentRat, _grouped_sum, canonical_binomial,
                             divide_factors, exact_divide, flat_shift,
-                            sparse_divide, split_binomials, torus_vars)
+                            lift_to, merge_max, sparse_divide,
+                            split_binomials, torus_vars)
 from qkoorn.operators import _mapped
 from qkoorn.ratfield import KOORN_VARS, QQ, ParamPoly, ParamRat
 from qkoorn.weightfn import (DEFAULT_POINT, NumericPoint, QuadExt,
@@ -128,6 +132,122 @@ def test_add_and_mul_match_fraction_reference(names, op, data):
     if op == "mul":
         # an integral product is an int, whatever its factors were
         check_canonical(got)
+
+
+def tuple_product(p, q):
+    """The product keyed on exponent tuples, one term pair at a time, on the
+    lattice holding both operands: the reference of the packed product,
+    over any coefficient ring."""
+    s = p.scale * q.scale // gcd(p.scale, q.scale)
+    fp, fq = s // p.scale, s // q.scale
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(x * fp + y * fq for x, y in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return ParamPoly(p.vars, out, s)
+
+
+def same(got, want):
+    assert (got.vars, got.scale, got.terms) == \
+        (want.vars, want.scale, want.terms)
+
+
+# the largest absolute exponent of each operand: products that need the
+# next field width (1 byte up to 127, then 2, 4, 8 bytes, and shifts and
+# masks past 2^63), and operands that need it by themselves
+TOPS = (100, 200, 2 ** 15 - 1, 2 ** 15 + 1, 2 ** 31 - 1, 2 ** 31 + 1,
+        2 ** 63 - 1, 2 ** 63 + 1)
+
+
+def wide_terms(n, top, ring):
+    edge = st.sampled_from([top, -top, top - 1, 1 - top, 0, 1, -1])
+    exps = st.tuples(*[st.one_of(edge, st.integers(-top, top))] * n)
+    return st.dictionaries(exps, ring, min_size=1, max_size=5)
+
+
+@pytest.mark.parametrize("top", TOPS)
+@LAWS
+@given(data=st.data())
+def test_packed_product_matches_tuple_product(top, data):
+    n = data.draw(st.integers(1, 3))
+    a, b = (ParamPoly(VARS[:n], data.draw(wide_terms(n, top,
+                                                     coeffs("mixed"))),
+                      data.draw(st.sampled_from([1, 2, 3])))
+            for _ in range(2))
+    same(a * b, tuple_product(a, b))
+    same(b * a, tuple_product(a, b))
+
+
+def test_packed_product_on_lattices_two_and_three():
+    a = ParamPoly(VARS[:2], {(2 ** 40, -1): 3, (-5, 7): QQ(1, 2)}, 2)
+    b = ParamPoly(VARS[:2], {(1, 2 ** 40): -2, (0, 0): 5}, 3)
+    got = a * b
+    assert got.scale == 6
+    same(got, tuple_product(a, b))
+
+
+@LAWS
+@given(data=st.data())
+def test_packed_product_of_torus_polys_over_parampoly(data):
+    n = data.draw(st.integers(1, 3))
+    ring = st.builds(lambda t, s: ParamPoly(VARS[:2], t, s),
+                     term_dicts(2, "mixed", size=3),
+                     st.sampled_from([1, 2])).filter(bool)
+    a, b = (ParamPoly(torus_vars(n), data.draw(wide_terms(n, 200, ring)),
+                      data.draw(st.sampled_from([1, 2, 3])))
+            for _ in range(2))
+    same(a * b, tuple_product(a, b))
+
+
+def test_packed_product_cancels_to_zero():
+    # QuadExt at a square H has zero divisors: (2 + sqrt 4)(2 - sqrt 4) = 0
+    # term by term, so the product is the zero poly
+    H = 4
+    a = ParamPoly(VARS, {(1, 0, 0): QuadExt(2, 1, H),
+                         (0, 300, 0): QuadExt(4, 2, H)})
+    b = ParamPoly(VARS, {(0, 0, 1): QuadExt(2, -1, H),
+                         (-2 ** 20, 0, 0): QuadExt(-6, 3, H)})
+    assert (a * b).is_zero() and tuple_product(a, b).is_zero()
+    assert (a * b).scale == 1
+    assert (a * ParamPoly.zero(VARS)).is_zero()
+
+
+@st.composite
+def lifts(draw):
+    """(num, own, union, first): a numerator, two factored denominators of
+    canonical binomials z^d - c (c one of +-1, 2, -1/3) on lattices 1, 2, 3,
+    own and union = lcm(own, the other), and a first factor or None."""
+    n, _, [(terms, scale), (ft, fs)] = draw(operands(2))
+    vars_ = VARS[:n]
+    zero = (0,) * n
+    dens = []
+    for _ in range(2):
+        den = {}
+        for _ in range(draw(st.integers(0, 3))):
+            d = draw(st.tuples(*[st.integers(-3, 3)] * n).filter(any))
+            c = draw(st.sampled_from([1, -1, 2, QQ(-1, 3)]))
+            key, b = canonical_binomial(vars_, (d, 1), (zero, c),
+                                        draw(st.sampled_from([1, 2, 3])))[:2]
+            m = draw(st.integers(1, 2))
+            den[key] = (b, den[key][1] + m) if key in den else (b, m)
+        dens.append(den)
+    own, other = dens
+    union = dict(own)
+    merge_max(union, other)
+    first = draw(st.sampled_from([None, ParamPoly(vars_, ft, fs)]))
+    return ParamPoly(vars_, terms, scale), own, union, first
+
+
+@LAWS
+@given(data=lifts())
+def test_lift_chain_matches_one_product_per_factor(data):
+    num, own, union, first = data
+    want = num if first is None else num * first
+    for k, (b, m) in union.items():
+        for _ in range(m - (own[k][1] if k in own else 0)):
+            want = want * b
+    same(lift_to(num, own, union, first), want)
 
 
 @LAWS

@@ -13,8 +13,8 @@ import qkoorn
 from qkoorn.errors import NotDivisible
 from qkoorn.laurent import (_clear_coeffs, _packing, cancel_factors,
                             canonical_binomial, divide_binomial, exact_divide,
-                            flat_shift, flatten, split_binomials, torus_vars,
-                            unflatten)
+                            flat_shift, flatten, merge_max, split_binomials,
+                            torus_vars, unflatten)
 from qkoorn.ratfield import KOORN_VARS, QQ, ParamPoly, ParamRat
 from qkoorn.weightfn import QuadExt
 
@@ -595,6 +595,16 @@ def test_split_keys_equal_binomials_alike_on_any_lattice():
     _, half = split_binomials((x - 1) * h)
     assert sorted(f.render() for f, _ in half.values()) == [
         "x^(1/2)+1", "x^(1/2)-1"]
+
+
+def test_canonical_binomial_keys_on_its_own_lattice():
+    # x^(2/2) - 1 built on lattice 2 is x - 1: one key, one union factor
+    k2, b2 = canonical_binomial(("x",), ((2,), 1), ((0,), -1), 2)[:2]
+    k1, b1 = canonical_binomial(("x",), ((1,), 1), ((0,), -1), 1)[:2]
+    assert k2 == k1 and b2 == b1
+    union = {k2: (b2, 1)}
+    merge_max(union, {k1: (b1, 1)})
+    assert [(b.render(), m) for b, m in union.values()] == [("x-1", 1)]
 
 
 def test_cancel_divides_each_factor_that_divides():
