@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 
 from .errors import (DegenerateNorm, DenominatorVanishes, DivergentSeries,
@@ -23,7 +24,7 @@ from .koornwinder import (OrthoPoly, evaluate_jacobi_coeffs, family_specialize,
                           macdonald_An_extract, qh1_limit)
 from .operators import (OperatorSpec, ParamMap, apply_operator,
                         apply_to_monomial, commutator_on_basis,
-                        half_lattice_poles)
+                        half_lattice_poles, point_value, pointwise_apply)
 from .ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
 from .spectra import (cp_check, eigenvalue_Ern, eigenvalue_core,
                       eigenvalue_core_recursive, linear_system_residual)
@@ -40,6 +41,14 @@ def _usage(message):
     """Refuse a bad input: one error line and the usage exit code."""
     print("error: %s" % message, file=sys.stderr)
     raise SystemExit(USAGE_ERROR)
+
+
+def _check_sizes(args, *lows):
+    """Refuse an option given below its least value (name, least)."""
+    for name, low in lows:
+        value = getattr(args, name)
+        if value is not None and value < low:
+            _usage("--%s must be at least %d" % (name, low))
 
 
 def _parse_weight(text, n):
@@ -110,6 +119,7 @@ def _as_text(payload):
 
 
 def cmd_poly(args):
+    _check_sizes(args, ("trunc", 0))
     n = args.n
     lam = _parse_weight(args.weight, n)
     # only the symbolic eigen and an routes take a parameter substitution
@@ -229,20 +239,21 @@ def cmd_apply(args):
 # verification suites
 
 
-def _suite_checks(args):
-    suite = args.suite
-    n = args.n or 2
-    if n < 1:
-        _usage("--n must be at least 1")
-    maxdeg = args.maxdeg or 3
+def _suite_checks(args, maxdeg):
+    suite, n = args.suite, args.n
     checks = []
 
     def add(cid, ok, detail=""):
         checks.append({"id": cid, "pass": bool(ok), "detail": detail})
 
+    if suite in ("symmetry", "orthogonality"):
+        point = _parse_numeric(args.numeric) if args.numeric \
+            else weightfn.DEFAULT_POINT
+        M = args.trunc
+        spec = weightfn.WeightFunctionSpec(n, M=M, point=point)
+
     if suite == "appendixB":
-        top = args.max or 6
-        for nn in range(1, top + 1):
+        for nn in range(1, args.max + 1):
             tvars = tuple("t%d" % i for i in range(1, nn + 1))
             ts = [ParamPoly.variable(tvars, v) for v in tvars]
             one = ParamPoly.one(tvars)
@@ -250,7 +261,7 @@ def _suite_checks(args):
                 res = linear_system_residual(r, nn, ts, one)
                 add("linear-system n=%d r=%d" % (nn, r), res.is_zero(),
                     "the triangular system for the translator-free limits")
-        for nn in range(1, min(top, 5) + 1):
+        for nn in range(1, min(args.max, 5) + 1):
             allvars = tuple("t%d" % i for i in range(1, nn + 1)) + \
                 tuple("p%d" % i for i in range(1, nn + 1))
             ts = [ParamPoly.variable(allvars, "t%d" % i)
@@ -279,29 +290,22 @@ def _suite_checks(args):
                                             lam)
                     add("commutator D%d,D%d lam=%s" % (ra, rb, lam),
                         c.is_zero(), "the operators mutually commute")
-    elif suite == "triangularity":
+    elif suite in ("triangularity", "eigenvalues"):
         for lam in _all_weights(n, maxdeg):
             for r in range(1, n + 1):
                 img = apply_to_monomial(OperatorSpec("koornwinder", n, r), lam)
                 exp = expand_in_monomials(img)
-                ok = all(dominance_leq(nu, lam) for nu in exp)
-                add("triangular r=%d lam=%s" % (r, lam), ok,
-                    "image supported below the input weight")
-    elif suite == "eigenvalues":
-        for lam in _all_weights(n, maxdeg):
-            for r in range(1, n + 1):
-                img = apply_to_monomial(OperatorSpec("koornwinder", n, r), lam)
-                exp = expand_in_monomials(img)
-                diag = exp.get(lam)
-                ev = eigenvalue_Ern(r, n, lam)
-                ok = (diag == ev) if diag is not None else ev.is_zero()
-                add("spectrum r=%d lam=%s" % (r, lam), ok,
-                    "diagonal entry equals the closed-form eigenvalue")
+                if suite == "triangularity":
+                    add("triangular r=%d lam=%s" % (r, lam),
+                        all(dominance_leq(nu, lam) for nu in exp),
+                        "image supported below the input weight")
+                else:
+                    diag = exp.get(lam)
+                    ev = eigenvalue_Ern(r, n, lam)
+                    add("spectrum r=%d lam=%s" % (r, lam),
+                        diag == ev if diag is not None else ev.is_zero(),
+                        "diagonal entry equals the closed-form eigenvalue")
     elif suite == "symmetry":
-        point = _parse_numeric(args.numeric) if args.numeric \
-            else weightfn.DEFAULT_POINT
-        M = args.trunc
-        spec = weightfn.WeightFunctionSpec(n, M=M, point=point)
         lams = _all_weights(n, maxdeg)
         monomials = {la: weightfn.monomial_numeric(la) for la in lams}
         for r in range(1, n + 1):
@@ -322,10 +326,6 @@ def _suite_checks(args):
                     add("symmetry r=%d %s|%s" % (r, la, mu),
                         diff.abs_leq(bound))
     elif suite == "orthogonality":
-        point = _parse_numeric(args.numeric) if args.numeric \
-            else weightfn.DEFAULT_POINT
-        M = args.trunc
-        spec = weightfn.WeightFunctionSpec(n, M=M, point=point)
         cache = {}
         lams = _all_weights(n, maxdeg)
         ps = {lam: weightfn.gram_schmidt_oracle(lam, spec, cache)
@@ -354,8 +354,7 @@ def _suite_checks(args):
         for p in range(0, 9):
             add("sign-sum c_%d" % p, cp_check(p) == (-1) ** p)
     elif suite == "limits":
-        # degree 2 unless asked: every check solves a full-field polynomial
-        for lam in _all_weights(n, args.maxdeg or 2):
+        for lam in _all_weights(n, maxdeg):
             psym = koornwinder_triangular(lam)
             jac = jacobi_triangular(lam)
             for exps in ((0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, 1, 0, 1),
@@ -382,18 +381,44 @@ def _suite_checks(args):
                 add("family %s:%s joint eigenfunctions" % pair, False,
                     str(exc))
     elif suite == "forms":
-        from .operators import apply_operator_grouped
         for lam in _all_weights(n, maxdeg):
             m = monomial_symmetric(lam)
             for r in range(1, n + 1):
                 sp = OperatorSpec("koornwinder", n, r)
-                a = apply_operator(sp, m)
-                b = apply_operator_grouped(sp, m)
-                add("form-equivalence r=%d lam=%s" % (r, lam), a == b,
-                    "staged and translator-grouped evaluations agree")
+                cid = "form-equivalence r=%d lam=%s" % (r, lam)
+                add(cid, _agrees_at_points(sp, m, apply_operator(sp, m),
+                                           random.Random(cid)),
+                    "the staged image equals pointwise_apply at %d random "
+                    "points, z_j and half-parameters +-a/b with "
+                    "1 <= a, b <= %d, seeded by this id" % _FORMS_DRAW)
     else:
         _usage("unknown suite %r" % suite)
     return checks
+
+
+# points per check, and the bound on the numerators and denominators drawn
+_FORMS_DRAW = (3, 97)
+
+
+def _agrees_at_points(spec, f, image, rng):
+    """Whether ``image`` equals D_r f by ``pointwise_apply`` at random
+    rational points (Schwartz-Zippel: a nonzero difference vanishes at few
+    of them).  A point on a pole of some term is drawn again."""
+    k, box = _FORMS_DRAW
+    for _ in range(10 * k):
+        z, h = ([QQ(rng.choice((1, -1)) * rng.randint(1, box),
+                    rng.randint(1, box)) for _ in range(size)]
+                for size in (spec.n, len(KOORN_VARS)))
+        try:
+            want = pointwise_apply(spec, f, z, h)
+        except ZeroDivisionError:
+            continue
+        if point_value(image, z, h) != want:
+            return False
+        k -= 1
+        if not k:
+            return True
+    return False
 
 
 def _all_weights(n, maxdeg):
@@ -403,7 +428,14 @@ def _all_weights(n, maxdeg):
 
 
 def cmd_verify(args):
-    checks = _suite_checks(args)
+    _check_sizes(args, ("n", 1), ("maxdeg", 0), ("max", 1), ("trunc", 0))
+    # limits solves a full-field polynomial per check: degree 2 unless asked
+    maxdeg = args.maxdeg if args.maxdeg is not None else \
+        2 if args.suite == "limits" else 3
+    checks = _suite_checks(args, maxdeg)
+    if not checks:
+        _usage("suite %s has no checks at n=%d, maxdeg=%d"
+               % (args.suite, args.n, maxdeg))
     checks.sort(key=lambda c: c["id"])
     passed = sum(1 for c in checks if c["pass"])
     payload = {"suite": args.suite, "checks": checks, "passed": passed,
@@ -444,9 +476,9 @@ def build_parser():
                    choices=["triangularity", "eigenvalues", "commute",
                             "symmetry", "orthogonality", "decouple",
                             "limits", "families", "appendixB", "forms"])
-    v.add_argument("--n", type=int)
+    v.add_argument("--n", type=int, default=2)
     v.add_argument("--maxdeg", type=int)
-    v.add_argument("--max", type=int)
+    v.add_argument("--max", type=int, default=6)
     v.add_argument("--numeric")
     v.add_argument("--trunc", type=int, default=16)
     v.add_argument("--out")

@@ -495,9 +495,6 @@ class LaurentRat:
         self.num = num
         self.den = den or {}
 
-    def is_zero(self):
-        return self.num.is_zero()
-
     def __mul__(self, other):
         den = dict(self.den)
         for k, (b, m) in other.den.items():
@@ -529,11 +526,6 @@ class LaurentRat:
         merge_max(den, other.den)
         return LaurentRat(lift_to(self.num, self.den, den)
                           + lift_to(other.num, other.den, den), den)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentRat):
-            return NotImplemented
-        return (self + LaurentRat(-other.num, other.den)).num.is_zero()
 
 
 # ---------------------------------------------------------------------------

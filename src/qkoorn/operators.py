@@ -5,21 +5,20 @@ Coefficient building blocks: one elementary ratio
 (g^2 w + sigma) / (g (w + sigma)) (``_ratio``), of which the one-pair ratio
 v_a is one v_b-shape factor (g = th, sigma = -1) and the external ratio v_b
 the product of four (g = ga, gb, gc, gd); the in-cell pair products
-(``_Engine.inner``), q-shifted or reflected; the products V over index
-cells; and the translator-free coefficients, each a signed sum of such
-products: W over (subset, signs) and a cell's sums per nucleus.
+(``_Engine.inner``), q-shifted or reflected; and a cell's translator-free
+sums per nucleus, each a signed product of such factors.
 
 The hyperoctahedral operators are applied by the staged path
 (``_apply_staged``), which divides out poles cell by cell.  It builds one
 sign branch of one cell and maps the rest: each sign branch is the all-plus
 branch with some z_j inverted, and each cell the first one with the torus
 variables permuted (``_mapped``), so its input must be invariant under the
-whole hyperoctahedral group.
+whole hyperoctahedral group.  The staged path is checked against
+``pointwise_apply``, the paper's sum of U V T terms evaluated in rationals
+at one point, which shares none of its code.
 The A-type and spin operators go through their normal form
 (``_apply_normal_form``: the translates of the input against numerators over
-one shared denominator), and so does the translator-grouped form of the
-hyperoctahedral operators (``apply_operator_grouped``), the paper's sum of
-U V T terms; it is the independent cross-check of the staged path.
+one shared denominator).
 
 Internally everything runs on flat polynomials (torus and parameter exponents
 in one tuple, rational coefficients); every signed sum of coefficients is
@@ -31,7 +30,7 @@ factored common denominator.
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 from operator import add, itemgetter
 
 from .errors import NotInvariant
@@ -39,8 +38,8 @@ from .laurent import (LaurentRat, _clear_coeffs, _grouped_sum,
                       canonical_binomial, cancel_factors, divide_factors,
                       flat_shift, flatten, lift_to, merge_max, torus_vars,
                       unflatten)
-from .ratfield import (JACOBI_VARS, KOORN_VARS, ParamPoly, ParamRat, _lifted,
-                       _monomial_image, _qq)
+from .ratfield import (JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat,
+                       _lifted, _monomial_image, _qq)
 from .weights import (EVEN_SIGNS, HYPEROCTAHEDRAL, PERMUTATIONS_ONLY,
                       expand_in_monomials, is_invariant, monomial_symmetric,
                       weights_below)
@@ -163,20 +162,22 @@ class _Engine:
         self.n = n
         self.vars = torus_vars(n) + KOORN_VARS
         self.params = params
-        self._v = {}
-        self._w = {}
         self._va = {}
         self._vb = {}
         self._couple = {}
         self._inner = {}
         self._nucleus = {}
 
-    def va(self, w_exps, qpow):
-        key = (tuple(w_exps), qpow)
+    def va(self, j1, e1, j2, e2, qpow=0):
+        """v_a at w = q^qpow z_j1^e1 z_j2^e2."""
+        w = [0] * self.n
+        w[j1] += e1
+        w[j2] += e2
+        key = (tuple(w), qpow)
         got = self._va.get(key)
         if got is None:
-            got = self._va[key] = va_factor(self.vars, self.n, w_exps,
-                                            qpow, self.params)
+            got = self._va[key] = va_factor(self.vars, self.n, w, qpow,
+                                            self.params)
         return got
 
     def vb_split(self, j):
@@ -196,11 +197,7 @@ class _Engine:
         if got is None:
             out = _flat_rat_one(self.vars)
             for k in K:
-                for sk in (1, -1):
-                    w = [0] * self.n
-                    w[j] += eps
-                    w[k] += sk
-                    out = out * self.va(w, 0)
+                out = out * self.va(j, eps, k, 1) * self.va(j, eps, k, -1)
             got = self._couple[key] = out
         return got
 
@@ -213,11 +210,8 @@ class _Engine:
         if got is None:
             out = _flat_rat_one(self.vars)
             for (j1, e1), (j2, e2) in combinations(zip(J, eps), 2):
-                w = [0] * self.n
-                w[j1] += e1
-                w[j2] += e2
-                out = (out * self.va(w, 0)
-                       * self.va([shift * x for x in w], shift))
+                out = (out * self.va(j1, e1, j2, e2)
+                       * self.va(j1, shift * e1, j2, shift * e2, shift))
             got = self._inner[key] = out
         return got
 
@@ -243,42 +237,6 @@ class _Engine:
                 signed.append((I, (-1) ** len(R), coeff))
         got = self._nucleus[key] = _grouped_sum(signed)
         return got
-
-    def V(self, J, eps, K, shift=1):
-        """The cell building block: externals over J, internal pairs over J
-        (``inner`` with ``shift``), and couplings of J into K."""
-        key = (J, eps, K, shift)
-        got = self._v.get(key)
-        if got is not None:
-            return got
-        out = _flat_rat_one(self.vars)
-        for j, e in zip(J, eps):
-            out = out * vb_factor(self.vars, self.n, j, e, self.params)
-        out = out * self.inner(J, eps, shift)
-        for j, e in zip(J, eps):
-            out = out * self.couplings(j, e, K)
-        self._v[key] = out
-        return out
-
-    def W(self, K, p):
-        """Translator-free coefficient W_{K,p}: (-1)^p times the sum over
-        p-subsets L of K and signs eps on L of V(L, eps, K minus L) with the
-        reflected pairs."""
-        key = (K, p)
-        got = self._w.get(key)
-        if got is not None:
-            return got
-        terms = [(None, (-1) ** p,
-                  self.V(L, eps, tuple(x for x in K if x not in L), -1))
-                 for L in combinations(K, p)
-                 for eps in product((1, -1), repeat=p)]
-        if terms:
-            den, total = _grouped_sum(terms)
-            out = LaurentRat(total[None], den)
-        else:
-            out = LaurentRat(ParamPoly.zero(self.vars))
-        self._w[key] = out
-        return out
 
 
 _ENGINES = {}
@@ -376,40 +334,20 @@ def _normal_form(spec):
     n = spec.n
     eng = _engine(n, spec.params)
     terms = []
-    if spec.kind == "koornwinder":
-        r = spec.r
-        for s in range(0, r + 1):
-            for J in combinations(range(n), s):
-                Jc = tuple(x for x in range(n) if x not in J)
-                W = eng.W(Jc, r - s)
-                if W.is_zero():
-                    continue
-                for eps in product((1, -1), repeat=s):
-                    coeff = W * eng.V(J, eps, Jc)
-                    steps = [0] * n
-                    for j, e in zip(J, eps):
-                        steps[j] = 2 * e
-                    terms.append((tuple(steps), 1, coeff))
-    elif spec.kind in ("a_type", "a_type_centered"):
+    if spec.kind in ("a_type", "a_type_centered"):
         r = spec.r
         for J in combinations(range(n), r):
             Jc = tuple(x for x in range(n) if x not in J)
             coeff = _flat_rat_one(eng.vars)
             for j in J:
                 for k in Jc:
-                    w = [0] * n
-                    w[j] += 1
-                    w[k] -= 1
-                    coeff = coeff * eng.va(w, 0)
+                    coeff = coeff * eng.va(j, 1, k, -1)
             steps = tuple(2 if j in J else 0 for j in range(n))
             terms.append((steps, 1, coeff))
     elif spec.kind in ("c_spin", "dn_minus", "dn_plus"):
         want = {"c_spin": None, "dn_plus": 1, "dn_minus": -1}[spec.kind]
         for eps in product((1, -1), repeat=n):
-            par = 1
-            for e in eps:
-                par *= e
-            if want is not None and par != want:
+            if want is not None and prod(eps) != want:
                 continue
             coeff = _flat_rat_one(eng.vars)
             if spec.kind == "c_spin":
@@ -419,10 +357,7 @@ def _normal_form(spec):
                                               spec.params,
                                               shapes=_KIND_SHAPES["c_spin"])
             for j1, j2 in combinations(range(n), 2):
-                w = [0] * n
-                w[j1] += eps[j1]
-                w[j2] += eps[j2]
-                coeff = coeff * eng.va(w, 0)
+                coeff = coeff * eng.va(j1, eps[j1], j2, eps[j2])
             terms.append((eps, 1, coeff))
     else:
         raise ValueError("no difference normal form for %r" % spec.kind)
@@ -448,8 +383,8 @@ def _apply_normal_form(spec, flat):
 # ---------------------------------------------------------------------------
 # staged application for the hyperoctahedral family
 #
-# The grouped normal form clears every term over one global denominator,
-# which explodes combinatorially with n.  The staged path instead follows
+# Clearing every term of D_r over one global denominator explodes
+# combinatorially with n.  The staged path instead follows
 # the pole-cancellation structure, on one branch per hyperoctahedral orbit.
 # D_r commutes with the hyperoctahedral group, so on an invariant input the
 # sign branch eps of a cell is its all-plus branch with z_j inverted wherever
@@ -612,17 +547,84 @@ def apply_operator(spec, f):
     return out
 
 
-def apply_operator_grouped(spec, f):
-    """Evaluate a hyperoctahedral operator through the translator-grouped
-    form: coefficients assembled as V times the translator-free W sums,
-    everything cleared over one shared denominator.  An independent route
-    kept as a cross-check against the staged evaluation."""
+# ---------------------------------------------------------------------------
+# the pointwise reference for the hyperoctahedral family
+
+
+def point_value(p, z, halfparams):
+    """A torus poly with ParamPoly coefficients over ``KOORN_VARS`` at the
+    torus point z and the half-parameters (qh, th, ga, gb, gc, gd), by one
+    ``eval_var`` per variable."""
+    def at(c):
+        for name, x in zip(KOORN_VARS, halfparams):
+            c = c.eval_var(name, x)
+        return sum(c.terms.values(), QQ(0))
+    p = p.map_coeff(at)
+    for name, x in zip(p.vars, z):
+        p = p.eval_var(name, x)
+    return sum(p.terms.values(), QQ(0))
+
+
+def pointwise_apply(spec, f, z, halfparams):
+    """D_r f at one rational point, as the paper's sum of U V T terms: the
+    sum over J, |J| <= r, and signs eps on J of
+    W_{J^c, r-|J|} V_{eps J, J^c} f(q^{eps J} z).
+
+    V_{eps J, K} is the product of v_b(w_j) and v_a(w_j z_k^+-1) over j in
+    J, k in K (w_j = z_j^eps_j), and of v_a(w) v_a(q w) over the pairs
+    w = w_j1 w_j2 of J.  W_{K, p} is (-1)^p times the sum over p-subsets L
+    of K and signs on L of V_{eps L, K minus L}, each v_a(q w) reflected
+    to v_a(1/(q w)).  v_a and v_b are the scalar formulas of ``va_factor``
+    and ``vb_factor`` at ``spec.params``' images of the half-parameters.
+    Only rationals are multiplied and divided, so nothing is shared with
+    the staged path this checks; a pole of a term raises ZeroDivisionError.
+    """
     if spec.kind != "koornwinder":
-        raise ValueError("grouped form exists for the hyperoctahedral family")
-    if not is_invariant(f, spec.group, spec.n):
-        raise NotInvariant("input not invariant under %s" % spec.group)
-    quot = _apply_normal_form(spec, flatten(f, KOORN_VARS))
-    return unflatten(quot, spec.n)
+        raise ValueError("the pointwise form is that of D_r")
+    n, r = spec.n, spec.r
+    z = [QQ(x) for x in z]
+    halfparams = [QQ(x) for x in halfparams]
+
+    def image(name):
+        e, c = spec.params.image(name)
+        return c * prod(x ** k for x, k in zip(halfparams, e))
+    qh, th, ga, gb, gc, gd = map(image, KOORN_VARS)
+    q = qh * qh
+
+    def va(w):
+        return (th * w - 1 / th) / (w - 1)
+
+    def vb(w):
+        return prod((g * x + s / g) / (x + s) for g, x, s in (
+            (ga, w, -1), (gb, w, 1), (gc, qh * w, -1), (gd, qh * w, 1)))
+
+    def V(J, eps, K, reflect=False):
+        ws = [z[j] ** e for j, e in zip(J, eps)]
+        out = QQ(1)
+        for w in ws:
+            out *= vb(w)
+            for k in K:
+                out *= va(w * z[k]) * va(w / z[k])
+        for w1, w2 in combinations(ws, 2):
+            w = w1 * w2
+            out *= va(w) * va(1 / (q * w) if reflect else q * w)
+        return out
+
+    def W(K, p):
+        return (-1) ** p * sum(V(L, eps, [k for k in K if k not in L], True)
+                               for L in combinations(K, p)
+                               for eps in product((1, -1), repeat=p))
+
+    total = QQ(0)
+    for size in range(r + 1):
+        for J in combinations(range(n), size):
+            Jc = [k for k in range(n) if k not in J]
+            w = W(Jc, r - size)
+            for eps in product((1, -1), repeat=size):
+                emap = dict(zip(J, eps))
+                moved = [x * q ** emap.get(j, 0) for j, x in enumerate(z)]
+                total += w * V(J, eps, Jc) * point_value(f, moved, halfparams)
+    return total
 
 
 def _center_prefactor(total, spec, flat_input):
@@ -694,11 +696,8 @@ def _apply_jacobi(spec, flat):
 
     signed = []
     # sum_j theta_j^2
-    acc = ParamPoly.zero(vars_)
-    for e, c in flat.terms.items():
-        v = c * sum(x * x for x in e[:n])
-        if v:
-            acc = acc + ParamPoly(vars_, {e: v})
+    acc = ParamPoly(vars_, {e: c * sum(x * x for x in e[:n])
+                            for e, c in flat.terms.items()})
     signed.append((None, 1, LaurentRat(acc)))
     # pair terms: g (z_j z_k + 1)/(z_j z_k - 1) (theta_j + theta_k)
     #           + g (z_j + z_k)/(z_j - z_k)     (theta_j - theta_k)
@@ -747,8 +746,8 @@ def apply_to_monomial(spec, lam):
     key = (spec.key, tuple(lam))
     got = _MONO_CACHE.get(key)
     if got is None:
-        one = (ParamPoly.one(JACOBI_VARS) if spec.kind == "jacobi"
-               else ParamPoly.one(KOORN_VARS))
+        one = ParamPoly.one(JACOBI_VARS if spec.kind == "jacobi"
+                            else KOORN_VARS)
         got = apply_operator(spec, monomial_symmetric(lam, spec.group, one))
         _MONO_CACHE[key] = got
     return got

@@ -26,7 +26,7 @@ from math import isqrt, lcm
 from operator import sub
 
 from .errors import DegenerateNorm, DivergentSeries
-from .ratfield import JACOBI_VARS, QQ, ParamPoly, ParamRat, _qq_text
+from .ratfield import QQ, _qq_text
 from .weights import (HYPEROCTAHEDRAL, linear_refinement, monomial_symmetric,
                       weights_below)
 from .koornwinder import OrthoPoly, _back_substitute
@@ -531,53 +531,3 @@ def numeric_apply_to_monomial(spec_op, lam, point):
     from .operators import apply_to_monomial
     img = apply_to_monomial(spec_op, lam)
     return img.map_coeff(point.specialize)
-
-
-# ---------------------------------------------------------------------------
-# exact oracles for the differential branch
-
-
-def jacobi_moments(kmax):
-    """Symbolic one-variable moments of |sin(x/2)|^(2 tg0) |cos(x/2)|^(2 tg1)
-    normalized to M_0 = 1, over the rational function field in (tg0, tg1).
-
-    The recurrence (s+c+k+1) M_{k+1} + 2(s-c) M_k + (s+c-k+1) M_{k-1} = 0
-    follows from integrating the derivative of weight * z^k * (z^2-1)/z.
-    """
-    s = ParamPoly.variable(JACOBI_VARS, "tg0")
-    c = ParamPoly.variable(JACOBI_VARS, "tg1")
-    one = ParamPoly.one(JACOBI_VARS)
-    # with D_k = prod_{j<=k}(s+c+j) the numerators N_k = M_k D_k satisfy a
-    # polynomial two-term recurrence, keeping denominators in factored form
-    nums = [one, c - s]
-    for k in range(1, kmax):
-        nxt = -((s - c) * 2 * nums[k] + (s + c - k + 1) * (s + c + k)
-                * nums[k - 1])
-        nums.append(nxt)
-    moments = []
-    den = one
-    for k in range(kmax + 1):
-        if k:
-            den = den * (s + c + k)
-        moments.append(ParamRat(nums[k], den))
-    return moments
-
-
-def jacobi_moment_orthogonality(p, moments):
-    """Check a one-variable differential-branch expansion against the moment
-    oracle: the pairing with every lower monomial must vanish.
-
-    Together with unitriangularity this pins the polynomial down completely,
-    so it is a full independent characterization."""
-    m = p.weight[0]
-    zero = ParamRat.zero(JACOBI_VARS)
-    for k in range(0, m):
-        total = zero
-        for (j,), c in p.coeffs.items():
-            g_jk = moments[abs(j - k)] + moments[j + k]
-            if j:
-                g_jk = g_jk * 2
-            total = total + c * g_jk
-        if not total.is_zero():
-            return False
-    return True

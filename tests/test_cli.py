@@ -163,6 +163,26 @@ def test_limits_suite_honours_maxdeg(tmp_path):
     assert totals == [8, 12]
 
 
+@pytest.mark.parametrize("args,total", [
+    (["triangularity", "--n", "1", "--maxdeg", "0"], 1),
+    (["triangularity", "--n", "2", "--maxdeg", "0"], 2),
+    (["limits", "--n", "1", "--maxdeg", "0"], 4),
+    (["appendixB", "--max", "1"], 12),
+    (["orthogonality", "--n", "1", "--maxdeg", "1", "--trunc", "0"], 1),
+], ids=lambda v: "".join(v).replace("--", "-") if isinstance(v, list)
+   else str(v))
+def test_verify_honours_the_least_sizes(tmp_path, args, total):
+    # a size at its least value is run as given, not replaced by a default
+    data = run(tmp_path, ["verify", "--suite"] + args)
+    assert data["passed"] == data["total"] == total
+
+
+def test_empty_suite_names_the_suite_and_sizes(capsys):
+    assert exit_code(["verify", "--suite", "commute", "--n", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: suite commute has no checks at n=1, maxdeg=3\n")
+
+
 def test_symmetry_suite_pairs_the_zero_weight(tmp_path):
     # D_r m_0 = 0, so the pairings with the zero weight are plain rationals
     data = run(tmp_path, ["verify", "--suite", "symmetry", "--n", "1",
@@ -259,6 +279,15 @@ BAD_INPUTS = {
     "input-not-invariant-dr": (["apply", "--op",
                                 '{"kind":"Dr","n":3,"r":1,"group":"BC"}',
                                 "--in", "@m100 over A"], 2),
+    # sizes below their least value
+    "verify-n-0": (["verify", "--suite", "triangularity", "--n", "0"], 2),
+    "verify-maxdeg-negative": (["verify", "--suite", "triangularity",
+                                "--maxdeg", "-1"], 2),
+    "verify-max-0": (["verify", "--suite", "appendixB", "--max", "0"], 2),
+    "verify-trunc-negative": (["verify", "--suite", "orthogonality", "--n",
+                               "1", "--maxdeg", "1", "--trunc", "-3"], 2),
+    "poly-trunc-negative": (["poly", "--n", "1", "--weight", "1", "--method",
+                             "gs", "--trunc", "-1"], 2),
     "coefficient-sum-beside-quotient": (["apply", "--op",
                                          '{"kind":"Dr","n":2,"r":1}',
                                          "--in", "@sum-beside-quotient*m10"],
@@ -346,6 +375,7 @@ SUITES = (
     ["families", "--n", "1"],
     ["commute", "--n", "2", "--maxdeg", "1"],
     ["forms", "--n", "1", "--maxdeg", "2"],
+    ["forms", "--n", "3", "--maxdeg", "1"],
     ["appendixB", "--max", "2"],
     ["orthogonality", "--n", "1", "--maxdeg", "2", "--trunc", "4"],
     ["triangularity", "--n", "2", "--maxdeg", "2"],
@@ -355,8 +385,11 @@ SUITES = (
 )
 
 
-# symmetry runs in test_symmetry_suite_pairs_the_zero_weight
-@pytest.mark.parametrize("args", SUITES, ids=lambda args: args[0])
+# symmetry runs in test_symmetry_suite_pairs_the_zero_weight; a suite listed
+# again is told apart by its --n
+@pytest.mark.parametrize("args", SUITES, ids=[
+    args[0] if all(a[0] != args[0] for a in SUITES[:i])
+    else "%s-n%s" % (args[0], args[2]) for i, args in enumerate(SUITES)])
 def test_every_suite_passes(tmp_path, args):
     data = run(tmp_path, ["verify", "--suite"] + args)
     assert data["suite"] == args[0]

@@ -8,15 +8,13 @@ import pytest
 
 from qkoorn.errors import NotInvariant
 from qkoorn.laurent import (LaurentRat, _grouped_sum, divide_factors,
-                            flat_shift, flatten, merge_max, torus_vars,
-                            unflatten)
+                            flat_shift, flatten, merge_max, torus_vars)
 from qkoorn.operators import (IDENTITY, OperatorSpec, ParamMap,
-                              apply_operator, apply_operator_grouped,
-                              apply_one_var, apply_to_monomial,
+                              apply_operator, apply_one_var, apply_to_monomial,
                               commutator_on_basis, elementary_symmetric_apply,
-                              operator_matrix, va_factor, vb_factor, _QH,
-                              _VB_SHAPES, _apply_staged, _engine,
-                              _flat_rat_one, _support)
+                              operator_matrix, point_value, pointwise_apply,
+                              va_factor, vb_factor, _QH, _VB_SHAPES,
+                              _apply_staged, _engine, _support)
 from qkoorn.ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
 from qkoorn.spectra import eigenvalue_Ern, eigenvalue_jacobi
 from qkoorn.weights import (HYPEROCTAHEDRAL, PERMUTATIONS_ONLY, dominance_leq,
@@ -171,39 +169,6 @@ def ordered_set_partitions(elems):
     return out
 
 
-def apply_operator_nested(spec, f):
-    """Independent evaluation of the hyperoctahedral operators through the
-    nested-chain form (sum over cells, sign configurations and ordered block
-    chains, with the translator acting on the first block only)."""
-    if spec.kind != "koornwinder":
-        raise ValueError("nested form exists for the hyperoctahedral family")
-    if not is_invariant(f, spec.group, spec.n):
-        raise NotInvariant("input not invariant under %s" % spec.group)
-    n, r = spec.n, spec.r
-    eng = _engine(n, spec.params)
-    flat = flatten(f, KOORN_VARS)
-    signed = []
-    for J in combinations(range(n), r):
-        for eps in product((1, -1), repeat=r):
-            emap = dict(zip(J, eps))
-            for chain in ordered_set_partitions(J):
-                sign = -1 if len(chain) % 2 == 0 else 1
-                coeff = _flat_rat_one(eng.vars)
-                seen = []
-                for block in chain:
-                    seen.extend(block)
-                    comp = tuple(x for x in range(n) if x not in seen)
-                    coeff = coeff * eng.V(
-                        block, tuple(emap[b] for b in block), comp)
-                steps = [0] * n
-                for j in chain[0]:
-                    steps[j] = 2 * emap[j]
-                moved = flat_shift(flat, tuple(steps), n + _QH) + (-flat)
-                signed.append((None, sign, coeff.mul_poly(moved)))
-    den, total = _grouped_sum(signed)
-    return unflatten(divide_factors(total[None], den), n)
-
-
 def _random_point(rng, n):
     """Random nonzero rationals for z_1..z_n and the six half-parameters."""
     return tuple(QQ(rng.choice((1, -1)) * rng.randint(1, 97),
@@ -281,6 +246,34 @@ def _chain_sum_at(at, L, eps, K, nucleus=None, externals=True):
     return total
 
 
+def _nested_at(spec, f, point):
+    """D_r f at the point through the nested-chain form: the sum over cells
+    J, sign configurations eps and ordered block chains of J of the V
+    products along the chain, with the translator acting on the first block
+    only, each V evaluated factor by factor."""
+    n, r = spec.n, spec.r
+    z, halfparams = point[:n], point[n:]
+    q = halfparams[0] ** 2
+    at = _factors_at(_engine(n, spec.params), point)
+    f_at_z = point_value(f, z, halfparams)
+    total = QQ(0)
+    for J in combinations(range(n), r):
+        for eps in product((1, -1), repeat=r):
+            emap = dict(zip(J, eps))
+            for chain in ordered_set_partitions(J):
+                coeff = QQ(1 if len(chain) % 2 else -1)
+                seen = []
+                for block in chain:
+                    seen.extend(block)
+                    comp = tuple(x for x in range(n) if x not in seen)
+                    coeff *= _V_at(at, block, tuple(emap[b] for b in block),
+                                   comp)
+                moved = [x * q ** emap[j] if j in chain[0] else x
+                         for j, x in enumerate(z)]
+                total += coeff * (point_value(f, moved, halfparams) - f_at_z)
+    return total
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("params", [IDENTITY,
                                     ParamMap({"gc": "ga", "gd": "gb"})],
@@ -306,7 +299,7 @@ def test_chain_sum_is_one_closed_product(n, params):
                                     ParamMap({"gc": "ga", "gd": "gb"})],
                          ids=["identity", "BCn:Cn"])
 def test_closed_forms_match_chain_sums(n, params):
-    # the engine's nucleus sums and W, against the chain sums they replace
+    # the engine's nucleus sums, against the chain sums they replace
     eng = _engine(n, params)
     point = _random_point(random.Random(2000 + n), n)
     at = _factors_at(eng, point)
@@ -321,12 +314,6 @@ def test_closed_forms_match_chain_sums(n, params):
                 for I, num in groups.items():
                     assert _poly_at(num, point) * dval == -_chain_sum_at(
                         at, J, eps, J, nucleus=I, externals=False)
-    # W(K, p) at n = 3 only for p = 1: the larger p are slow symbolically
-    for p in range(1, 2 if n == 3 else n + 1):
-        want = sum(_chain_sum_at(at, L, eps, K)
-                   for L in combinations(K, p)
-                   for eps in product((1, -1), repeat=p))
-        assert _rat_at(eng.W(K, p), point) == want
 
 
 def test_ordered_set_partitions_counts():
@@ -336,47 +323,22 @@ def test_ordered_set_partitions_counts():
     assert len(ordered_set_partitions((0, 1, 2, 3))) == 75
 
 
-def test_V_building_block():
-    eng = _engine(2, IDENTITY)
-    v_empty = eng.V((), (), (0, 1))
-    assert v_empty.num == ParamPoly.const(eng.vars, QQ(1))
-    triv = ParamMap({"th": "1", "ga": "1", "gb": "1", "gc": "1", "gd": "1"})
-    engt = _engine(2, triv)
-    v = engt.V((0, 1), (1, -1), ())
-    assert v.num == ParamPoly.const(engt.vars, QQ(1)) and not v.den
-    # n = 1: the cell block is the external factor itself
-    eng1 = _engine(1, IDENTITY)
-    assert eng1.V((0,), (1,), ()).num == vb_factor(
-        eng1.vars, 1, 0, 1, IDENTITY).num
-
-
-def test_W_base_cases():
-    eng = _engine(2, IDENTITY)
-    w0 = eng.W((0, 1), 0)
-    assert w0.num == ParamPoly.const(eng.vars, QQ(1)) and not w0.den
-    wempty = eng.W((), 2)
-    assert wempty.num.is_zero()
-
-
 def test_W_reduction_at_trivial_internal_coupling():
     # at th = 1 the chain sums collapse to (-1)^p times the plain sum of
     # external products over p-subsets (the sign-sum lemma)
     th1 = ParamMap({"th": "1"})
-    for n, I in ((2, (0, 1)), (3, (0, 1, 2))):
-        eng = _engine(n, th1)
-        for p in range(1, len(I) + 1):
-            w = eng.W(I, p)
-            want = None
-            from itertools import combinations
-            for P in combinations(I, p):
+    rng = random.Random(11)
+    for n in (2, 3):
+        at = _factors_at(_engine(n, th1), _random_point(rng, n))
+        K = tuple(range(n))
+        for p in range(1, n + 1):
+            chains = externals = QQ(0)
+            for L in combinations(K, p):
                 for eps in product((1, -1), repeat=p):
-                    term = LaurentRat(ParamPoly.const(eng.vars, QQ(1)))
-                    for j, e in zip(P, eps):
-                        term = term * vb_factor(eng.vars, n, j, e, th1)
-                    want = term if want is None else want + term
-            if p % 2:
-                want = LaurentRat(-want.num, want.den)
-            assert w == want
+                    chains += _chain_sum_at(at, L, eps, K)
+                    externals += math.prod(at("vb", j, e)
+                                           for j, e in zip(L, eps))
+            assert chains == (-1) ** p * externals
 
 
 def test_annihilates_constants():
@@ -433,15 +395,47 @@ def test_commutators_vanish():
 
 
 def test_form_equivalence_small():
-    for n in (1, 2):
-        for lam in weights_below((2,) + (1,) * (n - 1)):
+    # the staged image against the pointwise U V T form at random points,
+    # and against the nested-chain form at the same points
+    rng = random.Random(5)
+    for top in ((2,), (2, 1), (2, 0, 0)):
+        n = len(top)
+        for lam in weights_below(top):
             m = monomial_symmetric(lam)
             for r in range(1, n + 1):
                 spec = OperatorSpec("koornwinder", n, r)
-                a = apply_operator(spec, m)
-                assert a == apply_operator_grouped(spec, m)
-                if sum(lam) <= 2:
-                    assert a == apply_operator_nested(spec, m)
+                image = apply_operator(spec, m)
+                checked = 0
+                while checked < 2:
+                    point = _random_point(rng, n)
+                    z, halfparams = point[:n], point[n:]
+                    try:
+                        want = pointwise_apply(spec, m, z, halfparams)
+                    except ZeroDivisionError:  # a pole of some term
+                        continue
+                    got = point_value(image, z, halfparams)
+                    assert got == want
+                    if sum(lam) <= 2:
+                        assert got == _nested_at(spec, m, point)
+                    checked += 1
+
+
+@pytest.mark.parametrize("mapping", [
+    {"gc": "ga", "gd": "gb"}, {"th": "1"}, {"gb": "qh", "gd": "5/3"},
+    {"ga": "1", "gb": "1", "gc": "1", "gd": "1"}])
+def test_pointwise_apply_reads_the_parameter_map(mapping):
+    # the evaluator takes each parameter's image from the map, as the staged
+    # path substitutes it
+    params = ParamMap(mapping)
+    rng = random.Random(7)
+    for lam in ((1, 0), (1, 1), (2, 0)):
+        m = monomial_symmetric(lam)
+        for r in (1, 2):
+            spec = OperatorSpec("koornwinder", 2, r, params)
+            image = apply_operator(spec, m)
+            point = _random_point(rng, 2)
+            assert point_value(image, point[:2], point[2:]) == \
+                pointwise_apply(spec, m, point[:2], point[2:])
 
 
 def _staged_cell_branches(eng, J, f_flat):
