@@ -249,11 +249,12 @@ def _suite_checks(args, maxdeg):
     if suite in ("symmetry", "orthogonality"):
         point = _parse_numeric(args.numeric) if args.numeric \
             else weightfn.DEFAULT_POINT
-        M = args.trunc
+        M = args.trunc if args.trunc is not None else 16
         spec = weightfn.WeightFunctionSpec(n, M=M, point=point)
 
     if suite == "appendixB":
-        for nn in range(1, args.max + 1):
+        top = args.max if args.max is not None else 6
+        for nn in range(1, top + 1):
             tvars = tuple("t%d" % i for i in range(1, nn + 1))
             ts = [ParamPoly.variable(tvars, v) for v in tvars]
             one = ParamPoly.one(tvars)
@@ -261,7 +262,7 @@ def _suite_checks(args, maxdeg):
                 res = linear_system_residual(r, nn, ts, one)
                 add("linear-system n=%d r=%d" % (nn, r), res.is_zero(),
                     "the triangular system for the translator-free limits")
-        for nn in range(1, min(args.max, 5) + 1):
+        for nn in range(1, min(top, 5) + 1):
             allvars = tuple("t%d" % i for i in range(1, nn + 1)) + \
                 tuple("p%d" % i for i in range(1, nn + 1))
             ts = [ParamPoly.variable(allvars, "t%d" % i)
@@ -427,7 +428,18 @@ def _all_weights(n, maxdeg):
     return weights_below((maxdeg,) + (0,) * (n - 1))
 
 
+# the options that only some suites read, and those suites
+_SUITE_OPTIONS = {"numeric": ("symmetry", "orthogonality"),
+                  "trunc": ("symmetry", "orthogonality"),
+                  "max": ("appendixB",)}
+
+
 def cmd_verify(args):
+    for name, suites in _SUITE_OPTIONS.items():
+        if getattr(args, name) is not None and args.suite not in suites:
+            _usage("--%s is read only by suite%s %s, not by %s"
+                   % (name, "s" if len(suites) > 1 else "",
+                      " and ".join(suites), args.suite))
     _check_sizes(args, ("n", 1), ("maxdeg", 0), ("max", 1), ("trunc", 0))
     # limits solves a full-field polynomial per check: degree 2 unless asked
     maxdeg = args.maxdeg if args.maxdeg is not None else \
@@ -478,9 +490,9 @@ def build_parser():
                             "limits", "families", "appendixB", "forms"])
     v.add_argument("--n", type=int, default=2)
     v.add_argument("--maxdeg", type=int)
-    v.add_argument("--max", type=int, default=6)
+    v.add_argument("--max", type=int)
     v.add_argument("--numeric")
-    v.add_argument("--trunc", type=int, default=16)
+    v.add_argument("--trunc", type=int)
     v.add_argument("--out")
     v.add_argument("--format", default="json", choices=["json", "text"])
     v.set_defaults(func=cmd_verify)

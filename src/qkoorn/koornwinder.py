@@ -14,6 +14,14 @@ out of its numerator wherever it divides.  So no binomial factor is left that
 divides its numerator, nor the cofactor of a gap where it divides; a product
 of cofactors, or a factor of a cofactor, may still be shared (the
 coefficients are not reduced by a multivariate gcd).
+
+One step of the solve (``_factored_step``) packs its operands once and
+unpacks its numerator once (``laurent.cancel_sum``): the lifts of the
+couplings, their sum, the division by the gap's unit and every binomial
+trial run on one packing, and only the cofactors' exact division runs on
+exponent tuples.  Most binomial trials fail, above all those of factors
+inherited from the couplings; each is refused by probing one line of the
+numerator (``laurent._line_vanishes``) before it walks the whole of it.
 """
 
 from __future__ import annotations
@@ -21,8 +29,8 @@ from __future__ import annotations
 import json
 
 from .errors import NotEigenfunction, ZeroDenominator
-from .laurent import (LaurentRat, _clear_coeffs, cancel_factors, lift_to,
-                      merge_max, over_unit, split_binomials)
+from .laurent import (LaurentRat, _clear_coeffs, cancel_sum, lift_to,
+                      merge_max, missing_factors, split_binomials)
 from .operators import (IDENTITY, OperatorSpec, ParamMap, apply_operator,
                         operator_matrix)
 from .ratfield import (JACOBI_VARS, KOORN_VARS, ParamPoly, ParamRat, _common,
@@ -107,27 +115,33 @@ def _back_substitute(matrix, lam, evalue, one, step):
 
 
 def _factored_step(couplings, gap):
-    """One step of the symbolic solve over factored denominators: the
-    couplings are multiplied by their matrix entries and lifted to the union
-    of their factors in one packed chain each (``merge_max``, ``lift_to``),
-    the gap is split into binomials z^d -+ 1 and one cofactor
-    (``split_binomials``), and every factor of the step's denominator, the
-    gap's and the union's, is divided out of the numerator as often as it
-    divides (``cancel_factors``): every binomial factor, and the cofactor
-    wherever it divides.  Returns a LaurentRat, or None for 0."""
+    """One step of the symbolic solve over factored denominators.
+
+    The numerator is the sum of every coupling times its matrix entry and
+    the factors of the couplings' union (``merge_max``) that it is missing
+    (``missing_factors``), over the unit of the gap; the gap is split into
+    binomials z^d -+ 1 and one cofactor (``split_binomials``).  Every
+    factor of the step's denominator, the gap's and the union's, is then
+    divided out of the numerator as often as it divides: every binomial
+    factor, and the cofactor wherever it divides.
+
+    All of it but the split runs in ``laurent.cancel_sum``, on one packing
+    chosen for the whole step: the operands are packed once, multiplied,
+    summed, divided by the unit and tried against every binomial on packed
+    terms, each trial after a probe of one line that refuses most failing
+    trials without a walk over the numerator, and the numerator is unpacked
+    once, before the cofactors' exact division.  Returns a LaurentRat, or
+    None for 0."""
     union = {}
     for c, _ in couplings:
         merge_max(union, c.den)
-    num = None
-    for c, entry in couplings:
-        t = lift_to(c.num, c.den, union, entry)
-        num = t if num is None else num + t
-    if not num:
-        return None
+    lifts = [(c.num, [entry] + missing_factors(c.den, union))
+             for c, entry in couplings]
     unit, factors = split_binomials(gap)
     for k, (b, m) in factors.items():
         union[k] = (b, union[k][1] + m) if k in union else (b, m)
-    return LaurentRat(*cancel_factors(over_unit(num, unit), union))
+    got = cancel_sum(lifts, unit, union)
+    return None if got is None else LaurentRat(*got)
 
 
 def _triangular(spec, lam, evalue, vars_):

@@ -15,13 +15,24 @@ the division of its numerator is ``divide_factors``, one function each.
 Exponents are packed into single ints (``ratfield._packing``) wherever a
 numerator meets a chain of factors.  ``lift_to`` packs a numerator once,
 multiplies in every factor it is missing on the packed terms
-(``ratfield._product``) and unpacks once.  ``exact_divide`` and the trial
-divisions (``_trial_divide``) lift the numerator to the chain's lattice and
-pack it once (``_packed_chain``); each binomial is then divided out on those
-packed terms, with the coefficients as they are (integral rationals are
-ints, so rational data mostly divide in integer arithmetic), and the
+(``ratfield._product``) and unpacks once.  ``exact_divide``,
+``split_binomials`` and ``cancel_factors`` lift the numerator to the
+chain's lattice and pack it once (``_packed_chain``); each binomial is then
+divided out on those packed terms (``_divide_packed``, and the trials of
+``_trial_divide``), with the coefficients as they are (integral rationals
+are ints, so rational data mostly divide in integer arithmetic), and the
 quotient is unpacked once at the end.  ``sparse_divide`` packs both of its
-operands.
+operands.  ``cancel_sum``, one step of the Koornwinder solve, packs once
+for all of it: it multiplies, sums, divides by a unit and tries every
+binomial on one packing, and unpacks once.
+
+A trial that cannot succeed costs a few dict lookups: before it walks the
+whole numerator, ``_trial_divide`` reads the line through one term along
+the binomial (``_line_vanishes``).  z^eL + cS z^eS divides only if every
+such line's one-variable polynomial vanishes at -cS, so a line that does
+not, or that holds one term, ends the trials of that binomial.  This is a
+necessary condition only: a trial that passes it still divides exactly, so
+no quotient changes.
 
 The operator engine works on flat polys, whose exponent tuples hold the torus
 exponents followed by the parameter exponents (``flatten``, ``unflatten``); a
@@ -35,8 +46,8 @@ from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
 
 from .errors import NotDivisible
-from .ratfield import (QQ, ParamPoly, _common, _lifted, _packing, _product,
-                       _qq, _top, _unit_part)
+from .ratfield import (QQ, ParamPoly, _common, _lifted, _packed_product,
+                       _packing, _product, _qq, _top, _unit_part)
 
 
 def torus_vars(n):
@@ -104,7 +115,7 @@ def exact_divide(numer, denom_factors):
     chain = [b for b, mult in denom_factors for _ in range(mult)]
     if not chain or numer.is_zero():
         return numer
-    s, unpack, quo, steps = _packed_chain(numer, chain)
+    s, unpack, quo, steps, _ = _packed_chain(numer, chain)
 
     def where(u):
         return _exponent_text(unpack(u), s)
@@ -116,35 +127,43 @@ def exact_divide(numer, denom_factors):
 
 def _packed_chain(numer, binoms):
     """Put a nonzero numerator and canonical binomials on one lattice and
-    one packing: returns (scale, unpack, packed terms of numer, steps), a
-    step being the arguments of ``_divide_packed`` after the terms and
-    before ``where``, one per binomial.
-
-    The numerator is lifted to the lattice of every binomial and each
-    exponent tuple packed into one int (``_packing``), wide enough for
-    every exponent and line key that dividing by the binomials in any
-    order and number meets."""
+    one packing (``_chain_packing``): returns (scale, unpack, packed terms
+    of numer, steps, top), top being the largest absolute exponent of
+    numer on that lattice."""
     s = numer.scale
     for b in binoms:
         s = s * b.scale // gcd(s, b.scale)
     terms = _lifted(numer, s)
+    top = _top(terms, numer.n)
+    _, pack, unpack, steps = _chain_packing(numer.n, top, binoms, s)
+    return s, unpack, {pack(e): c for e, c in terms.items()}, steps, top
+
+
+def _chain_packing(n, top, binoms, s):
+    """A packing for numerators on lattice s whose absolute exponents are
+    at most top, and the steps of dividing them by the canonical binomials
+    z^eL + cS z^eS of ``binoms``: returns (zero, pack, unpack, steps), a
+    step being the arguments of ``_divide_packed`` after the terms and
+    before ``where``.
+
+    With d = eL - eS and i0 its first nonzero entry, the fields hold every
+    exponent a quotient meets (it lies in the numerator's box), every line
+    key e - (e[i0] // d[i0]) * d of a point e of the box, and every point
+    e + j * d that the line probe (``_line_vanishes``) reads, those with
+    e[i0] + j * d[i0] in [-top, top], so |j| <= 2 * top // d[i0]."""
+    bound = top
     raw = []
     for b in binoms:
         bt = _lifted(b, s)
         eL, eS = sorted(bt, reverse=True)
         d = tuple(x - y for x, y in zip(eL, eS))
-        raw.append((eL, d, next(i for i, x in enumerate(d) if x), bt[eS]))
-    # every exponent a quotient meets lies in the numerator's box, and the
-    # line key e - (e[i0] // d[i0]) * d of a point e within ``bound``
-    top = _top(terms, numer.n)
-    bound = top
-    for _, d, i0, _ in raw:
-        bound = max(bound, top + (top // d[i0] + 1) * max(map(abs, d)))
-    n = numer.n
+        i0 = next(i for i, x in enumerate(d) if x)
+        raw.append((eL, d, i0, bt[eS]))
+        bound = max(bound, top + (2 * top // d[i0] + 3) * max(map(abs, d)))
     width, zero, pack, unpack = _packing(n, bound)
     steps = [(cS, pack(d) - zero, pack(eL) - zero, d[i0],
               width * (n - 1 - i0), width) for eL, d, i0, cS in raw]
-    return s, unpack, {pack(e): c for e, c in terms.items()}, steps
+    return zero, pack, unpack, steps
 
 
 def _exponent_text(e, scale):
@@ -227,25 +246,65 @@ def _divide_packed(terms, cS, D, EL, di, shift, width, where):
     return quo
 
 
-def _trial_divide(numer, binoms, limits):
-    """Divide a nonzero numer by each canonical binomial of ``binoms`` in
-    turn, as often as it divides and at most ``limits[i]`` times (None: no
-    limit), on one packed copy (``_packed_chain``): returns (quotient,
-    [times each binomial divided])."""
-    s, unpack, quo, steps = _packed_chain(numer, binoms)
+def _trial_divide(terms, steps, limits, top):
+    """Divide the packed terms of a nonzero numerator, whose absolute
+    exponents are at most top, by each binomial of ``steps``
+    (``_chain_packing``) in turn, as often as it divides and at most
+    ``limits[i]`` times (None: no limit): returns (packed quotient, [times
+    each binomial divided]).
+
+    Each trial first probes one line (``_line_vanishes``), a necessary
+    condition that costs a lookup per point of the line; only a trial that
+    passes it walks the whole numerator (``_divide_packed``), so a probe
+    changes no quotient, only the cost of a binomial that does not
+    divide."""
     counts = []
     for step, limit in zip(steps, limits):
         k = 0
-        while k != limit and len(quo) > 1:
+        while k != limit and len(terms) > 1 and _line_vanishes(terms, step,
+                                                                top):
             try:
                 # a failed trial is no error: name its line by the packed int
-                quo = _divide_packed(quo, *step, str)
+                terms = _divide_packed(terms, *step, str)
             except NotDivisible:
                 break
             k += 1
         counts.append(k)
-    return ParamPoly._of(numer.vars, {unpack(u): c for u, c in quo.items()},
-                         s), counts
+    return terms, counts
+
+
+def _line_vanishes(terms, step, top):
+    """Whether the line through one term u of ``terms`` along the binomial
+    z^eL + cS z^eS of ``step`` holds more than one term and its
+    coefficients f_j, at the points u + j * (eL - eS), make
+    g(w) = sum f_j w^j vanish at w = -cS.
+
+    z^eL + cS z^eS divides a Laurent polynomial exactly when (w + cS)
+    divides g on every line, and then g(-cS) = 0 (in any commutative ring:
+    Horner's rule below evaluates w^(-jmin) g).  A line of one term is
+    refused by ``_divide_packed`` too.  So this is a necessary condition
+    only.  The points read are those whose entry i0, the first nonzero
+    entry of eL - eS, lies in [-top, top]: one dict lookup per point of
+    the line inside the numerator's box, which holds every term of the
+    line.  ``_chain_packing`` keeps every one of them inside the packing's
+    fields."""
+    cS, D, _, di, shift, width = step
+    u = next(iter(terms))
+    e = ((u >> shift) & ((1 << width) - 1)) - (1 << (width - 1))
+    w = -cS
+    val = 0
+    seen = 0
+    get = terms.get
+    v = u + ((top - e) // di) * D
+    lo = u - ((top + e) // di) * D
+    while v >= lo:
+        val = val * w
+        c = get(v)
+        if c is not None:
+            val = val + c
+            seen += 1
+        v -= D
+    return seen > 1 and not val
 
 
 def sparse_divide(numer, denom):
@@ -340,8 +399,9 @@ def split_binomials(p):
         for c in (-1, 1):
             binoms.append(canonical_binomial(p.vars, (d, 1), (zero, c),
                                              p.scale // h)[:2])
-    quo, counts = _trial_divide(p, [b for _, b in binoms],
-                                [None] * len(binoms))
+    s, unpack, terms, steps, top = _packed_chain(p, [b for _, b in binoms])
+    terms, counts = _trial_divide(terms, steps, [None] * len(binoms), top)
+    quo = ParamPoly._of(p.vars, {unpack(u): c for u, c in terms.items()}, s)
     factors = {key: (b, k) for (key, b), k in zip(binoms, counts) if k}
     if len(quo) == 1:
         return quo, factors
@@ -362,31 +422,11 @@ def cancel_factors(num, den):
     """num over the factored denominator den in lower terms: returns
     (quotient, the factors left), each factor divided out of num as often as
     it divides and its multiplicity allows.  The binomials are tried on one
-    packed copy of num (``_trial_divide``), a cofactor keyed by itself by
-    ``sparse_divide``."""
+    packed copy of num, a cofactor keyed by itself by ``sparse_divide``
+    (``cancel_sum`` of num alone)."""
     if num.is_zero():
         return num, {}
-    left = {}
-    keys = [k for k in den if isinstance(k, tuple)]
-    if keys:
-        num, counts = _trial_divide(num, [den[k][0] for k in keys],
-                                    [den[k][1] for k in keys])
-        for k, c in zip(keys, counts):
-            b, m = den[k]
-            if m > c:
-                left[k] = (b, m - c)
-    for k, (f, m) in den.items():
-        if isinstance(k, tuple):
-            continue
-        while m:
-            try:
-                num = sparse_divide(num, f)
-            except NotDivisible:
-                break
-            m -= 1
-        if m:
-            left[k] = (f, m)
-    return num, left
+    return cancel_sum([(num, [])], ParamPoly.one(num.vars), den)
 
 
 # A factored denominator is a dict mapping canonical-binomial keys to
@@ -416,10 +456,88 @@ def lift_to(num, own, union, first=None):
     ``first``, when given, and every factor own is missing, on one packed
     copy of num (``ratfield._product``)."""
     factors = [] if first is None else [first]
+    return _product(num, factors + missing_factors(own, union))
+
+
+def missing_factors(own, union):
+    """The factors of the denominator union that own lacks, each repeated
+    as often as it is missing."""
+    out = []
     for k, (b, m) in union.items():
-        have = own[k][1] if k in own else 0
-        factors += [b] * (m - have)
-    return _product(num, factors)
+        out += [b] * (m - (own[k][1] if k in own else 0))
+    return out
+
+
+def cancel_sum(lifts, unit, den):
+    """The sum over (num, factors) of ``lifts`` of num times every poly of
+    factors, over the monomial ``unit`` times the factored denominator den,
+    in lower terms: returns (quotient, the factors left), each factor of
+    den divided out as often as it divides and its multiplicity allows, or
+    None when the sum is 0.
+
+    One lattice and one packing serve all of it (``_chain_packing``): the
+    products run on packed terms (``ratfield._packed_product``) and are
+    summed there, the unit is one packed exponent, the binomials of den are
+    tried in key order on the packed sum (``_trial_divide``), and the
+    quotient is unpacked once, before the cofactors' ``sparse_divide``.
+    No product exponent exceeds the sum of its operands' largest absolute
+    exponents, and no quotient leaves the numerator's box, so those sums,
+    plus the unit's, size the fields.  A product keeps a first product
+    that vanishes (``_packed_product``), so the coefficients of a lift
+    with factors must lie in a ring without zero divisors, as the
+    rationals of the solve do."""
+    vars_ = unit.vars
+    n = len(vars_)
+    ue, uc, s = unit.monomial_parts()
+    keys = [k for k in den if isinstance(k, tuple)]
+    binoms = [den[k][0] for k in keys]
+    for p in [q for num, fs in lifts for q in [num] + fs] + binoms:
+        s = s * p.scale // gcd(s, p.scale)
+    ue = tuple(x * (s // unit.scale) for x in ue)
+    lifts = [(_lifted(num, s), [_lifted(f, s) for f in fs])
+             for num, fs in lifts]
+    top = max(_top(t, n) + sum(_top(f, n) for f in fs)
+              for t, fs in lifts) + max(map(abs, ue))
+    zero, pack, unpack, steps = _chain_packing(n, top, binoms, s)
+    total = {}
+    for t, fs in lifts:
+        prod = _packed_product({pack(e): c for e, c in t.items()},
+                               [[(pack(e) - zero, c) for e, c in f.items()]
+                                for f in fs])
+        for u, c in prod.items():
+            v = total.get(u)
+            if v is None:
+                total[u] = c
+            else:
+                v = v + c
+                if v:
+                    total[u] = v
+                else:
+                    del total[u]
+    if not total:
+        return None
+    shift = pack(ue) - zero
+    inv = _qq(1, uc)
+    terms, counts = _trial_divide({u - shift: c * inv
+                                   for u, c in total.items()},
+                                  steps, [den[k][1] for k in keys], top)
+    num = ParamPoly._of(vars_, {
+        unpack(u): c.numerator if type(c) is QQ and c.denominator == 1 else c
+        for u, c in terms.items()}, s)
+    left = {k: (den[k][0], den[k][1] - c)
+            for k, c in zip(keys, counts) if den[k][1] > c}
+    for k, (f, m) in den.items():
+        if isinstance(k, tuple):
+            continue
+        while m:
+            try:
+                num = sparse_divide(num, f)
+            except NotDivisible:
+                break
+            m -= 1
+        if m:
+            left[k] = (f, m)
+    return num, left
 
 
 def _grouped_sum(signed):

@@ -20,11 +20,13 @@ qh^(1/3) is representable exactly.  All arithmetic is exact.
 
 A poly keys its terms on exponent tuples; the hot kernels run on packed
 exponents instead, each exponent tuple packed into one int (``_packing``).
-The product (``_product``: ``ParamPoly.__mul__``, and the lift of a
-numerator by every factor it is missing, ``laurent.lift_to``) packs its
-operands once, keys each term product on the sum of two packed ints and
-unpacks once.  The divisions of ``laurent`` (``exact_divide``, the trial
-divisions of the solve's cancel step, ``sparse_divide``) pack the same way.
+The product has one inner loop, ``_packed_product``, which keys each term
+product on the sum of two packed ints.  ``_product`` (``ParamPoly.__mul__``,
+and the lift of a numerator by every factor it is missing,
+``laurent.lift_to``) packs its operands once, runs it and unpacks once; a
+step of the Koornwinder solve (``laurent.cancel_sum``) runs it on operands
+packed for the whole step.  The divisions of ``laurent`` (``exact_divide``,
+the binomial trials, ``sparse_divide``) pack the same way.
 
 A parameter substitution (a classical family, th = qh^g before q -> 1) is a
 dict name -> nonzero monomial (``operators.ParamMap``), one exponent map per
@@ -45,6 +47,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction as QQ
+from functools import cache
 from math import gcd
 from operator import add as _add
 from operator import lshift
@@ -159,11 +162,18 @@ def _packing(n, bound):
     Fields of up to 8 bytes are written and read whole by ``struct`` (XOR
     with zero flips each field's top bit, turning e[i] + half into the two's
     complement of e[i]); it unpacks three times as fast as shifts and masks,
-    which wider fields use.
+    which wider fields use.  The result depends on n and the field's bytes
+    alone, and is built once for each such pair.
     """
     nbytes = 1
     while bound >= 1 << (8 * nbytes - 1):
         nbytes *= 2
+    return _fields(n, nbytes)
+
+
+@cache
+def _fields(n, nbytes):
+    """``_packing`` of n fields of ``nbytes`` bytes each."""
     width = 8 * nbytes
     half = 1 << (width - 1)
     shifts = tuple(range(width * (n - 1), -1, -width))
@@ -199,10 +209,10 @@ def _product(p, factors):
     copy: the operands are lifted to one lattice and every exponent tuple
     is packed into one int (``_packing``), with fields as wide as the sum
     of the operands' largest absolute exponents, so that no partial
-    product's exponent leaves its field.  Each product keys its terms on
-    the sum of two packed ints, and the result is unpacked once.  Zeros are
-    dropped and an integral QQ is written as its int; the coefficients may
-    lie in any exact ring."""
+    product's exponent leaves its field.  The product runs on the packed
+    terms (``_packed_product``) and is unpacked once.  Zeros are dropped
+    and an integral QQ is written as its int; the coefficients may lie in
+    any exact ring."""
     if not factors:
         return p
     if not p or not all(factors):
@@ -217,13 +227,28 @@ def _product(p, factors):
     for t in lifted:
         bound += _top(t, n)
     _, zero, pack, unpack = _packing(n, bound)
-    acc = {pack(e): c for e, c in terms.items()}
-    for t in lifted:
+    acc = _packed_product({pack(e): c for e, c in terms.items()},
+                          [[(pack(e) - zero, c) for e, c in t.items()]
+                           for t in lifted])
+    # a ring with zero divisors (QuadExt at a square H) can make a first
+    # product vanish, and a Fraction operand an integral product
+    return ParamPoly._of(p.vars, {
+        unpack(u): v.numerator if type(v) is QQ and v.denominator == 1 else v
+        for u, v in acc.items() if v}, s)
+
+
+def _packed_product(acc, factors):
+    """The packed terms ``acc`` times each factor of ``factors``, a factor
+    being a list of (packed exponent less ``zero``, coefficient) pairs:
+    each product keys its terms on the sum of two packed ints.  The caller
+    sizes the packing so that no partial product's exponent leaves its
+    field.  A sum that cancels is dropped; a first product that vanishes
+    (a ring with zero divisors) is not."""
+    for t in factors:
         items = list(acc.items())
         acc = {}
         get = acc.get
-        for e2, c2 in t.items():
-            u2 = pack(e2) - zero
+        for u2, c2 in t:
             for u1, c1 in items:
                 u = u1 + u2
                 v = get(u)
@@ -235,11 +260,7 @@ def _product(p, factors):
                         acc[u] = v
                     else:
                         del acc[u]
-    # a ring with zero divisors (QuadExt at a square H) can make a first
-    # product vanish, and a Fraction operand an integral product
-    return ParamPoly._of(p.vars, {
-        unpack(u): v.numerator if type(v) is QQ and v.denominator == 1 else v
-        for u, v in acc.items() if v}, s)
+    return acc
 
 
 class ParamPoly:

@@ -288,6 +288,14 @@ BAD_INPUTS = {
                                "1", "--maxdeg", "1", "--trunc", "-3"], 2),
     "poly-trunc-negative": (["poly", "--n", "1", "--weight", "1", "--method",
                              "gs", "--trunc", "-1"], 2),
+    # options that the chosen suite does not read
+    "verify-numeric-not-read": (["verify", "--suite", "forms", "--n", "1",
+                                 "--maxdeg", "1", "--numeric", "garbage",
+                                 "--max", "99"], 2),
+    "verify-trunc-not-read": (["verify", "--suite", "triangularity",
+                               "--trunc", "3"], 2),
+    "verify-max-not-read": (["verify", "--suite", "orthogonality", "--n", "1",
+                             "--maxdeg", "1", "--max", "2"], 2),
     "coefficient-sum-beside-quotient": (["apply", "--op",
                                          '{"kind":"Dr","n":2,"r":1}',
                                          "--in", "@sum-beside-quotient*m10"],

@@ -3,8 +3,9 @@ from itertools import product
 
 import pytest
 
-from qkoorn.errors import NotEigenfunction, ZeroDenominator
-from qkoorn.koornwinder import (FAMILY_PAIRS, OrthoPoly, a_type_eigen_check,
+from qkoorn.errors import NotDivisible, NotEigenfunction, ZeroDenominator
+from qkoorn.koornwinder import (FAMILY_PAIRS, OrthoPoly, _back_substitute,
+                                _factored_step, a_type_eigen_check,
                                 anti_periodic_params, bn_antiperiodic,
                                 dn_combine, evaluate_jacobi_coeffs,
                                 family_specialize, halfspin_eigencheck,
@@ -12,6 +13,9 @@ from qkoorn.koornwinder import (FAMILY_PAIRS, OrthoPoly, a_type_eigen_check,
                                 macdonald_An_extract, proportionality_factor,
                                 qh1_limit, relm_constant, spin_monomial,
                                 verify_joint_eigen)
+from qkoorn import laurent
+from qkoorn.laurent import (LaurentRat, lift_to, merge_max, over_unit,
+                            sparse_divide, split_binomials)
 from qkoorn.operators import (IDENTITY, OperatorSpec, ParamMap,
                               apply_operator, operator_matrix)
 from qkoorn.ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
@@ -425,3 +429,68 @@ def test_factored_solve_sizes():
         p = koornwinder_triangular(lam, params)
         assert sum(len(c.num) + len(c.den)
                    for c in p.coeffs.values()) <= most, (lam, family)
+
+
+# ---------------------------------------------------------------------------
+# one step of the solve on one packing against the tuple-keyed step
+
+
+def tuple_step(couplings, gap):
+    """One step as it ran on exponent tuples: each coupling lifted to the
+    union by ``lift_to`` and the lifts summed as polys, the gap split and
+    its unit divided out; every factor is then divided out by the general
+    exact division (``sparse_divide``), binomials first in key order and
+    then the cofactors, as often as it divides and its multiplicity
+    allows.  Run with the line probe switched off, so that the probe
+    decides nothing here."""
+    union = {}
+    for c, _ in couplings:
+        merge_max(union, c.den)
+    num = None
+    for c, entry in couplings:
+        t = lift_to(c.num, c.den, union, entry)
+        num = t if num is None else num + t
+    if not num:
+        return None
+    unit, factors = split_binomials(gap)
+    for k, (b, m) in factors.items():
+        union[k] = (b, union[k][1] + m) if k in union else (b, m)
+    num = over_unit(num, unit)
+    left = {}
+    for kinds in (True, False):
+        for k, (f, m) in union.items():
+            if isinstance(k, tuple) != kinds:
+                continue
+            while m:
+                try:
+                    num = sparse_divide(num, f)
+                except NotDivisible:
+                    break
+                m -= 1
+            if m:
+                left[k] = (f, m)
+    return LaurentRat(num, left)
+
+
+@pytest.mark.parametrize("lam", [(4,), (2, 1)])
+def test_packed_step_matches_the_tuple_step(lam):
+    # the couplings and gaps of the full-field solve, step by step
+    n = len(lam)
+    steps = []
+
+    def both(couplings, gap):
+        got = _factored_step(couplings, gap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laurent, "_line_vanishes", lambda *args: True)
+            want = tuple_step(couplings, gap)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.num == want.num and got.num.scale == want.num.scale
+            assert list(got.den.items()) == list(want.den.items())
+        steps.append(len(couplings))
+        return got
+
+    matrix = operator_matrix(OperatorSpec("koornwinder", n, 1), lam)
+    _back_substitute(matrix, lam, eigenvalue_Ern(1, n, lam, IDENTITY),
+                     LaurentRat(ParamPoly.one(KOORN_VARS)), both)
+    assert len(steps) == len(weights_below(lam)) - 1 and max(steps) > 1

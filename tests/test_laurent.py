@@ -8,13 +8,17 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qkoorn
 from qkoorn.errors import NotDivisible
-from qkoorn.laurent import (_clear_coeffs, _packing, cancel_factors,
-                            canonical_binomial, divide_binomial, exact_divide,
-                            flat_shift, flatten, merge_max, split_binomials,
-                            torus_vars, unflatten)
+from qkoorn.laurent import (_clear_coeffs, _divide_packed, _line_vanishes,
+                            _packed_chain, _packing, _trial_divide,
+                            cancel_factors, canonical_binomial,
+                            divide_binomial, exact_divide, flat_shift,
+                            flatten, merge_max, sparse_divide,
+                            split_binomials, torus_vars, unflatten)
 from qkoorn.ratfield import KOORN_VARS, QQ, ParamPoly, ParamRat
 from qkoorn.weightfn import QuadExt
 
@@ -629,3 +633,227 @@ def test_clear_coeffs_clears_over_the_lcm():
     assert sorted((f.render(), m) for f, m in union.values()) == [
         ("qh+1", 1), ("qh-1", 1)]
     assert nums == {"a": one, "b": qh + 1, "c": qh * (qh * qh - 1)}
+
+
+# -- the line probe of the binomial trials -----------------------------------
+
+
+PROBE_VARS = ("x", "y", "w")
+
+
+def trials_without_probe(terms, steps, limits):
+    """``_trial_divide`` as it ran before the line probe: every trial walks
+    the whole numerator."""
+    counts = []
+    for step, limit in zip(steps, limits):
+        k = 0
+        while k != limit and len(terms) > 1:
+            try:
+                terms = _divide_packed(terms, *step, str)
+            except NotDivisible:
+                break
+            k += 1
+        counts.append(k)
+    return terms, counts
+
+
+def cancel_without_probe(num, den):
+    """``cancel_factors`` on ``trials_without_probe``."""
+    keys = [k for k in den if isinstance(k, tuple)]
+    s, unpack, terms, steps, _ = _packed_chain(num, [den[k][0] for k in keys])
+    terms, counts = trials_without_probe(terms, steps,
+                                         [den[k][1] for k in keys])
+    num = ParamPoly(num.vars, {unpack(u): c for u, c in terms.items()}, s)
+    left = {k: (den[k][0], den[k][1] - c)
+            for k, c in zip(keys, counts) if den[k][1] > c}
+    for k, (f, m) in den.items():
+        if isinstance(k, tuple):
+            continue
+        while m:
+            try:
+                num = sparse_divide(num, f)
+            except NotDivisible:
+                break
+            m -= 1
+        if m:
+            left[k] = (f, m)
+    return num, left
+
+
+class ReadLog(dict):
+    """A term dict that records every key read through ``get``."""
+
+    def __init__(self, terms):
+        super().__init__(terms)
+        self.read = []
+
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
+
+
+def probe_reference(terms, unpack, cS, d):
+    """The probe's answer from exponent tuples: the line through the first
+    term along d holds two terms or more, and sum f_j w^j over its points
+    e0 + j d vanishes at w = -cS."""
+    e0 = unpack(next(iter(terms)))
+    i0 = next(i for i, x in enumerate(d) if x)
+    line = {}
+    for u, c in terms.items():
+        e = unpack(u)
+        j, r = divmod(e[i0] - e0[i0], d[i0])
+        if not r and all(x == y + j * z for x, y, z in zip(e, e0, d)):
+            line[j] = c
+    low = min(line)
+    value = sum(QQ(c) * QQ(-cS) ** (j - low) for j, c in line.items())
+    return len(line) > 1 and value == 0
+
+
+def edge_top(vars_, binoms, s, field):
+    """The largest top that packs numerators on lattice s and the chain of
+    binoms into fields of ``field`` bits (the exponent -1 keeps a numerator
+    of the search on lattice s)."""
+    n = len(vars_)
+    lo, hi = 1, 2 ** field
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        f = ParamPoly(vars_, {(mid,) + (0,) * (n - 1): 1,
+                              (-1,) + (0,) * (n - 1): 1}, s)
+        width = _packed_chain(f, binoms)[3][0][-1]
+        lo, hi = (mid, hi) if width <= field else (lo, mid)
+    return lo
+
+
+def probe_checked(terms, step, top, unpack, d):
+    """``_line_vanishes`` on terms, checked against ``probe_reference``;
+    every key it reads must be the packed form of a point of the line that
+    lies inside the packing's fields, so that none aliases another
+    exponent."""
+    log = ReadLog(terms)
+    got = _line_vanishes(log, step, top)
+    assert got == probe_reference(terms, unpack, step[0], d)
+    u = next(iter(terms))
+    first = unpack(u)
+    half = 1 << (step[-1] - 1)
+    for v in log.read:
+        j = (v - u) // step[1]
+        point = tuple(x + j * y for x, y in zip(first, d))
+        assert all(-half <= x < half for x in point)
+        assert unpack(v) == point
+    return got
+
+
+def probe_binomial(draw, n, scale):
+    i0 = draw(st.integers(0, n - 1))
+    d = [0] * i0 + [draw(st.integers(1, 3))] + [
+        draw(st.integers(-2, 2)) for _ in range(n - i0 - 1)]
+    trail = draw(st.sampled_from([QQ(-1), QQ(1), -1, 1, QQ(-2, 3), QQ(3),
+                                  QQ(5, 2)]))
+    return canonical_binomial(PROBE_VARS[:n], (tuple(d), 1),
+                              ((0,) * n, trail), scale)[1]
+
+
+@st.composite
+def probe_cases(draw):
+    """(f, binomials, multiplicities): f = p b^k, plus one stray term or
+    not, moved so that its largest absolute exponent is the largest that
+    still packs the chain into one-byte fields, or into two-byte ones; the
+    binomials are b and one more that may not divide."""
+    n = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1, 2]))
+    vars_ = PROBE_VARS[:n]
+    b = probe_binomial(draw, n, scale)
+    other = probe_binomial(draw, n, draw(st.sampled_from([1, 2])))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(-3, 3)] * n),
+        st.sampled_from([1, -1, 2, QQ(1, 3), QQ(-7, 5)]),
+        min_size=1, max_size=4))
+    f = ParamPoly(vars_, terms, scale) * b ** draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        stray = draw(st.tuples(*[st.integers(-4, 4)] * n))
+        f = f + ParamPoly.monomial(vars_, stray, draw(st.sampled_from(
+            [1, -1, QQ(2, 3)])), scale)
+    assume(len(f) > 1)
+    binoms = [b, other] if draw(st.booleans()) else [other, b]
+    # put f at the largest top that packs the chain into fields of the
+    # chosen width
+    s = _packed_chain(f, binoms)[0]
+    lo = edge_top(vars_, binoms, s, draw(st.sampled_from([8, 16])))
+    # move f along one axis until its largest or least exponent there is
+    # +lo or -lo on lattice s
+    axis = draw(st.integers(0, n - 1))
+    along = [e[axis] * (s // f.scale) for e in f.terms]
+    move = [0] * n
+    move[axis] = lo - max(along) if draw(st.booleans()) else -lo - min(along)
+    f = f.mul_monomial(tuple(move), 1, s)
+    assume(max(abs(x) for e in f.terms for x in e) * (s // f.scale) == lo)
+    # the probe starts from the first term
+    first = draw(st.sampled_from(sorted(f.terms)))
+    f = ParamPoly(vars_, {first: f.terms[first], **f.terms}, f.scale)
+    limits = [draw(st.sampled_from([None, 1, 2, 4])) for _ in binoms]
+    return f, binoms, limits
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(case=probe_cases())
+def test_line_probe_changes_no_trial(case):
+    f, binoms, limits = case
+    s, unpack, terms, steps, top = _packed_chain(f, binoms)
+    width = steps[0][-1]
+    # the numerator reaches the largest top its fields allow
+    assert max(abs(x) for e in map(unpack, terms) for x in e) == top
+    bigger = f + ParamPoly.monomial(f.vars, (top + 1,) + (0,) * (f.n - 1),
+                                    1, s)
+    assert _packed_chain(bigger, binoms)[3][0][-1] > width
+    # the probe's answer, and the keys it reads, on every quotient of the
+    # chain
+    quo = terms
+    for b, step, limit in zip(binoms, steps, limits):
+        eL, eS = sorted(b.terms, reverse=True)
+        d = tuple((x - y) * (s // b.scale) for x, y in zip(eL, eS))
+        for _ in range(limit or 4):
+            got = probe_checked(quo, step, top, unpack, d)
+            try:
+                quo = _divide_packed(quo, *step, str)
+            except NotDivisible:
+                break
+            # a binomial that divides passes the probe
+            assert got
+    # the quotient and the counts are those of walking every trial
+    assert _trial_divide(dict(terms), steps, limits, top) == \
+        trials_without_probe(dict(terms), steps, limits)
+    # and so are cancel_factors', here with a cofactor too
+    den = {}
+    for b, m in zip(binoms, limits):
+        key = canonical_binomial(f.vars, *b.terms.items(), b.scale)[0]
+        if key not in den:
+            den[key] = (b, m or 3)
+    cof = ParamPoly(f.vars, {(0,) * f.n: 1, (1,) + (0,) * (f.n - 1): 1,
+                             (0,) * (f.n - 1) + (2,): 1})
+    den[cof] = (cof, 1)
+    got, left = cancel_factors(f * cof, den)
+    want, want_left = cancel_without_probe(f * cof, den)
+    assert got == want and got.scale == want.scale
+    assert list(left.items()) == list(want_left.items())
+
+
+@pytest.mark.parametrize("d,field", [((1, 2), 8), ((1, 2), 16), ((2, -2), 8),
+                                     ((1, 0, -2), 8), ((3, 1, 1), 16)])
+def test_line_probe_reads_inside_the_fields_at_their_edge(d, field):
+    # the probe starts at the corner of the box from which the line along d
+    # runs farthest: its entry i0 = 0 at -top and every other entry at the
+    # top on the side d moves it away from
+    n = len(d)
+    vars_ = PROBE_VARS[:n]
+    b = canonical_binomial(vars_, (d, 1), ((0,) * n, -1))[1]
+    top = edge_top(vars_, [b], 1, field)
+    corner = (-top,) + tuple(top if x > 0 else -top for x in d[1:])
+    f = ParamPoly(vars_, {corner: 1, tuple(-x for x in corner): 1})
+    s, unpack, terms, steps, got_top = _packed_chain(f, [b])
+    assert (s, got_top, steps[0][-1]) == (1, top, field)
+    assert unpack(next(iter(terms))) == corner
+    assert not probe_checked(terms, steps[0], top, unpack, d)
+    # two terms on one line: b itself, moved to the corner
+    line = b.mul_monomial(corner)
+    s, unpack, terms, steps, got_top = _packed_chain(line, [b])
+    assert probe_checked(terms, steps[0], got_top, unpack, d)
