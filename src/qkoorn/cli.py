@@ -28,7 +28,8 @@ from .operators import (OperatorSpec, ParamMap, apply_operator,
 from .ratfield import JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat
 from .spectra import (cp_check, eigenvalue_Ern, eigenvalue_core,
                       eigenvalue_core_recursive, linear_system_residual)
-from .weights import (dominance_leq, expand_in_monomials, monomial_symmetric,
+from .weights import (EVEN_SIGNS, HYPEROCTAHEDRAL, PERMUTATIONS_ONLY,
+                      dominance_leq, expand_in_monomials, monomial_symmetric,
                       weights_below)
 from . import weightfn
 
@@ -176,13 +177,27 @@ def _numeric_json(p):
 
 def _poly_from_json(data, pvars):
     """The polynomial of a ``poly`` output, its coefficients read over the
-    parameter names ``pvars``."""
+    parameter names ``pvars``; ValueError when the object is not one."""
+    if not isinstance(data, dict):
+        raise ValueError("not a JSON object")
     scale = 2 if data.get("half_lattice") else 1
-    group = data.get("group", "BC")
-    coeffs = {}
-    for item in data["coeffs"]:
-        mu = tuple(item["weight"])
-        coeffs[mu] = _parse_value(item["value"], pvars)
+    group = data.get("group", HYPEROCTAHEDRAL)
+    if group not in (HYPEROCTAHEDRAL, PERMUTATIONS_ONLY, EVEN_SIGNS):
+        raise ValueError("unknown group %r" % (group,))
+    items = data["coeffs"]
+    if not isinstance(items, list) or \
+            not all(isinstance(item, dict) for item in items):
+        raise ValueError("coeffs must be a list of objects")
+    weights = [item["weight"] for item in items]
+    if data.get("weight"):
+        weights.append(data["weight"])
+    for mu in weights:
+        if not (isinstance(mu, list) and all(type(x) is int for x in mu)
+                and len(mu) == len(weights[0])):
+            raise ValueError("bad weight %r: weights are lists of "
+                             "integers, all as long as the first" % (mu,))
+    coeffs = {tuple(item["weight"]): _parse_value(item["value"], pvars)
+              for item in items}
     return OrthoPoly(data.get("weight") and tuple(data["weight"]) or
                      max(coeffs), coeffs, group, scale)
 
@@ -203,7 +218,7 @@ def cmd_apply(args):
         else:
             op_data = json.loads(args.op)
         spec = OperatorSpec.from_json(op_data)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         _usage("bad operator spec: %s" % exc)
     pvars = JACOBI_VARS if spec.kind == "jacobi" else KOORN_VARS
     try:

@@ -15,13 +15,15 @@ divides its numerator, nor the cofactor of a gap where it divides; a product
 of cofactors, or a factor of a cofactor, may still be shared (the
 coefficients are not reduced by a multivariate gcd).
 
-One step of the solve (``_factored_step``) packs its operands once and
-unpacks its numerator once (``laurent.cancel_sum``): the lifts of the
-couplings, their sum, the division by the gap's unit and every binomial
-trial run on one packing, and only the cofactors' exact division runs on
-exponent tuples.  Most binomial trials fail, above all those of factors
-inherited from the couplings; each is refused by probing one line of the
-numerator (``laurent._line_vanishes``) before it walks the whole of it.
+One step of the solve (``_factored_step``) is one trial division of a sum
+of products (``laurent.cancel_sum``): each coupling times its matrix entry
+and the factors of the couplings' common denominator that it lacks
+(``laurent.common_lifts``).  The products, their sum, the division by the
+gap's unit and every binomial trial run on one packing, and only the
+cofactors' exact division runs on exponent tuples.  Most binomial trials
+fail, above all those of factors inherited from the couplings; each is
+refused by probing one line of the numerator (``laurent._line_vanishes``)
+before it walks the whole of it.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from __future__ import annotations
 import json
 
 from .errors import NotEigenfunction, ZeroDenominator
-from .laurent import (LaurentRat, _clear_coeffs, cancel_sum, lift_to,
-                      merge_max, missing_factors, split_binomials)
+from .laurent import (LaurentRat, _clear_coeffs, cancel_sum, common_lifts,
+                      lift_to, split_binomials)
 from .operators import (IDENTITY, OperatorSpec, ParamMap, apply_operator,
                         operator_matrix)
 from .ratfield import (JACOBI_VARS, KOORN_VARS, ParamPoly, ParamRat, _common,
@@ -118,8 +120,8 @@ def _factored_step(couplings, gap):
     """One step of the symbolic solve over factored denominators.
 
     The numerator is the sum of every coupling times its matrix entry and
-    the factors of the couplings' union (``merge_max``) that it is missing
-    (``missing_factors``), over the unit of the gap; the gap is split into
+    the factors of the couplings' union that it is missing
+    (``common_lifts``), over the unit of the gap; the gap is split into
     binomials z^d -+ 1 and one cofactor (``split_binomials``).  Every
     factor of the step's denominator, the gap's and the union's, is then
     divided out of the numerator as often as it divides: every binomial
@@ -132,11 +134,7 @@ def _factored_step(couplings, gap):
     trials without a walk over the numerator, and the numerator is unpacked
     once, before the cofactors' exact division.  Returns a LaurentRat, or
     None for 0."""
-    union = {}
-    for c, _ in couplings:
-        merge_max(union, c.den)
-    lifts = [(c.num, [entry] + missing_factors(c.den, union))
-             for c, entry in couplings]
+    union, lifts = common_lifts([(c, [entry]) for c, entry in couplings])
     unit, factors = split_binomials(gap)
     for k, (b, m) in factors.items():
         union[k] = (b, union[k][1] + m) if k in union else (b, m)

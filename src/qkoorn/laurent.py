@@ -9,22 +9,22 @@ arithmetic.
 Rational functions of the torus variables are kept with their denominators in
 factored form (``LaurentRat``): the only denominators produced by the
 difference operators are products of known binomials, so exact division needs
-no multivariate gcd.  A signed sum of such fractions is ``_grouped_sum`` and
-the division of its numerator is ``divide_factors``, one function each.
-
-Exponents are packed into single ints (``ratfield._packing``) wherever a
-numerator meets a chain of factors.  ``lift_to`` packs a numerator once,
-multiplies in every factor it is missing on the packed terms
-(``ratfield._product``) and unpacks once.  ``exact_divide``,
-``split_binomials`` and ``cancel_factors`` lift the numerator to the
-chain's lattice and pack it once (``_packed_chain``); each binomial is then
-divided out on those packed terms (``_divide_packed``, and the trials of
-``_trial_divide``), with the coefficients as they are (integral rationals
-are ints, so rational data mostly divide in integer arithmetic), and the
-quotient is unpacked once at the end.  ``sparse_divide`` packs both of its
-operands.  ``cancel_sum``, one step of the Koornwinder solve, packs once
-for all of it: it multiplies, sums, divides by a unit and tries every
-binomial on one packing, and unpacks once.
+no multivariate gcd.  A sum of products of such fractions is given as lifts,
+(numerator, factors) pairs over one factored denominator (``common_lifts``).
+It has one strict division, ``exact_divide``, and one trial division,
+``cancel_sum``, which divides each factor out as often as it divides (one
+step of the Koornwinder solve, and ``apply`` on fractional coefficients).
+Both form the sum on the packing of their own division (``_packed_sum``,
+exponents packed into single ints by ``ratfield._packing``): the products
+run on packed terms, are summed there, and each binomial is divided out of
+the packed sum (``_divide_packed``, and the trials of ``_trial_divide``)
+with the coefficients as they are (integral rationals are ints, so rational
+data mostly divide in integer arithmetic); the quotient is unpacked once.
+``split_binomials`` tries its candidates on one packing the same way, and
+``sparse_divide``, the division by a cofactor, packs both of its operands.
+A signed sum whose operands overlap, so that packing each would cost more
+than the sum, stays on exponent tuples (``_grouped_sum``, each term lifted
+to the union by ``lift_to``).
 
 A trial that cannot succeed costs a few dict lookups: before it walks the
 whole numerator, ``_trial_divide`` reads the line through one term along
@@ -47,7 +47,7 @@ from math import gcd, isqrt
 
 from .errors import NotDivisible
 from .ratfield import (QQ, ParamPoly, _common, _lifted, _packed_product,
-                       _packing, _product, _qq, _top, _unit_part)
+                       _packing, _product, _qq, _top, _unit_part, _unpacked)
 
 
 def torus_vars(n):
@@ -94,49 +94,81 @@ def canonical_binomial(vars_, t1, t2, scale=1):
     return key, binom, m, c1, scale
 
 
-def divide_binomial(f, binom):
-    """Exact division of f by a canonical binomial: ``exact_divide`` on a
-    chain of one.  Raises NotDivisible."""
-    return exact_divide(f, ((binom, 1),))
-
-
-def exact_divide(numer, denom_factors):
-    """Divide by a factored denominator: iterable of (binom, multiplicity),
-    each binom canonical (see ``canonical_binomial``).
+def exact_divide(lifts, den):
+    """The sum over (num, factors) of ``lifts`` of num times every poly of
+    factors, divided by the factored denominator den (``LaurentRat.den``),
+    its canonical binomials taken in key order.
 
     The quotient must be exact; a nonzero remainder raises NotDivisible,
     which inside operator application signals a violated pole-cancellation
     claim (an implementation bug, never expected input).
 
-    The numerator is converted once for the whole chain (``_packed_chain``)
-    and every binomial is divided out in turn on the packed terms, whatever
-    their coefficient ring; the quotient is unpacked once at the end.
+    The sum is formed on the packing of the division (``_packed_sum``),
+    every binomial is divided out in turn on its packed terms, whatever
+    their coefficient ring, and the quotient is unpacked once at the end.
     """
-    chain = [b for b, mult in denom_factors for _ in range(mult)]
-    if not chain or numer.is_zero():
-        return numer
-    s, unpack, quo, steps, _ = _packed_chain(numer, chain)
+    s, unpack, quo, steps, _ = _packed_sum(
+        lifts, [b for _, (b, m) in sorted(den.items()) for _ in range(m)])
 
     def where(u):
         return _exponent_text(unpack(u), s)
 
     for step in steps:
         quo = _divide_packed(quo, *step, where)
-    return ParamPoly._of(numer.vars, {unpack(u): c for u, c in quo.items()}, s)
+    return _unpacked(lifts[0][0].vars, quo, unpack, s)
 
 
-def _packed_chain(numer, binoms):
-    """Put a nonzero numerator and canonical binomials on one lattice and
-    one packing (``_chain_packing``): returns (scale, unpack, packed terms
-    of numer, steps, top), top being the largest absolute exponent of
-    numer on that lattice."""
-    s = numer.scale
-    for b in binoms:
-        s = s * b.scale // gcd(s, b.scale)
-    terms = _lifted(numer, s)
-    top = _top(terms, numer.n)
-    _, pack, unpack, steps = _chain_packing(numer.n, top, binoms, s)
-    return s, unpack, {pack(e): c for e, c in terms.items()}, steps, top
+def _packed_sum(lifts, binoms, unit=None):
+    """The sum over (num, factors) of ``lifts`` of num times every poly of
+    factors, over the monomial ``unit`` when one is given, on one lattice
+    and one packing that also serve its division by the canonical
+    binomials ``binoms``: returns (scale, unpack, packed terms, steps,
+    top), steps as ``_chain_packing`` gives them and top a bound on the
+    absolute exponents of the sum's terms.
+
+    No product exponent exceeds the sum of its operands' largest absolute
+    exponents, and no quotient leaves the sum's box, so those sums, plus
+    the unit's, size the fields.  The products run on packed terms
+    (``ratfield._packed_product``) and are summed there.  A product keeps
+    a first product that vanishes, so the coefficients of a lift with
+    factors must lie in a ring without zero divisors, as rationals do."""
+    n = lifts[0][0].n
+    lifts = [(num, fs) for num, fs in lifts if num and all(fs)]
+    s = 1 if unit is None else unit.scale
+    for p in [q for num, fs in lifts for q in [num] + fs] + binoms:
+        s = s * p.scale // gcd(s, p.scale)
+    lifts = [(_lifted(num, s), [_lifted(f, s) for f in fs])
+             for num, fs in lifts]
+    top = max((_top(t, n) + sum(_top(f, n) for f in fs) for t, fs in lifts),
+              default=0)
+    if unit is not None:
+        ue, uc, us = unit.monomial_parts()
+        ue = tuple(x * (s // us) for x in ue)
+        top += max(map(abs, ue))
+    zero, pack, unpack, steps = _chain_packing(n, top, binoms, s)
+    total = {}
+    for t, fs in lifts:
+        prod = _packed_product({pack(e): c for e, c in t.items()},
+                               [[(pack(e) - zero, c) for e, c in f.items()]
+                                for f in fs])
+        if not total:
+            total = prod
+            continue
+        for u, c in prod.items():
+            v = total.get(u)
+            if v is None:
+                total[u] = c
+            else:
+                v = v + c
+                if v:
+                    total[u] = v
+                else:
+                    del total[u]
+    if unit is not None:
+        shift = pack(ue) - zero
+        inv = _qq(1, uc)
+        total = {u - shift: c * inv for u, c in total.items()}
+    return s, unpack, total, steps, top
 
 
 def _chain_packing(n, top, binoms, s):
@@ -360,8 +392,7 @@ def sparse_divide(numer, denom):
                     rem[w] = old
                 else:
                     del rem[w]
-    return ParamPoly._of(numer.vars, {unpack(t): c for t, c in quo.items()},
-                         s)
+    return _unpacked(numer.vars, quo, unpack, s)
 
 
 def split_binomials(p):
@@ -399,9 +430,10 @@ def split_binomials(p):
         for c in (-1, 1):
             binoms.append(canonical_binomial(p.vars, (d, 1), (zero, c),
                                              p.scale // h)[:2])
-    s, unpack, terms, steps, top = _packed_chain(p, [b for _, b in binoms])
+    s, unpack, terms, steps, top = _packed_sum([(p, [])],
+                                               [b for _, b in binoms])
     terms, counts = _trial_divide(terms, steps, [None] * len(binoms), top)
-    quo = ParamPoly._of(p.vars, {unpack(u): c for u, c in terms.items()}, s)
+    quo = _unpacked(p.vars, terms, unpack, s)
     factors = {key: (b, k) for (key, b), k in zip(binoms, counts) if k}
     if len(quo) == 1:
         return quo, factors
@@ -418,30 +450,6 @@ def over_unit(num, unit):
     return num.mul_monomial(tuple(-x for x in e), _qq(1, c), s)
 
 
-def cancel_factors(num, den):
-    """num over the factored denominator den in lower terms: returns
-    (quotient, the factors left), each factor divided out of num as often as
-    it divides and its multiplicity allows.  The binomials are tried on one
-    packed copy of num, a cofactor keyed by itself by ``sparse_divide``
-    (``cancel_sum`` of num alone)."""
-    if num.is_zero():
-        return num, {}
-    return cancel_sum([(num, [])], ParamPoly.one(num.vars), den)
-
-
-# A factored denominator is a dict mapping canonical-binomial keys to
-# (binom, multiplicity).  ``merge_max`` and ``lift_to`` put two fractions over
-# one denominator, ``_grouped_sum`` is the one signed sum and
-# ``divide_factors`` the one division.  The sum merges pairwise and balanced:
-# a partial sum is lifted only to the union of its two halves.  Lifting every
-# term serially to the union of all terms multiplies each numerator by every
-# factor the others bring; when W and the nucleus sums were still sums over
-# chains of index sets, summing them that way took
-# test_form_equivalence_small from 20.8 to 36.4 s and
-# test_W_reduction_at_trivial_internal_coupling from 11.2 to 19.4 s (one run
-# each, on a shared 2-CPU machine).
-
-
 def merge_max(den, extra):
     """Raise den in place to the least common multiple of den and extra."""
     for k, (b, m) in extra.items():
@@ -451,12 +459,11 @@ def merge_max(den, extra):
             den[k] = (b, m)
 
 
-def lift_to(num, own, union, first=None):
-    """Rewrite num/own over the larger denominator union: num times
-    ``first``, when given, and every factor own is missing, on one packed
-    copy of num (``ratfield._product``)."""
-    factors = [] if first is None else [first]
-    return _product(num, factors + missing_factors(own, union))
+def lift_to(num, own, union):
+    """Rewrite num/own over the larger denominator union: num times every
+    factor own is missing, on one packed copy of num
+    (``ratfield._product``)."""
+    return _product(num, missing_factors(own, union))
 
 
 def missing_factors(own, union):
@@ -468,6 +475,19 @@ def missing_factors(own, union):
     return out
 
 
+def common_lifts(terms):
+    """A sum of products of factored fractions as the input of
+    ``exact_divide`` and ``cancel_sum``: ``terms`` is a list of (LaurentRat,
+    factors); returns (union, lifts), union the least common multiple of
+    their denominators and each lift (num, factors and every factor of
+    union its denominator lacks)."""
+    union = {}
+    for t, _ in terms:
+        merge_max(union, t.den)
+    return union, [(t.num, fs + missing_factors(t.den, union))
+                   for t, fs in terms]
+
+
 def cancel_sum(lifts, unit, den):
     """The sum over (num, factors) of ``lifts`` of num times every poly of
     factors, over the monomial ``unit`` times the factored denominator den,
@@ -475,55 +495,18 @@ def cancel_sum(lifts, unit, den):
     den divided out as often as it divides and its multiplicity allows, or
     None when the sum is 0.
 
-    One lattice and one packing serve all of it (``_chain_packing``): the
-    products run on packed terms (``ratfield._packed_product``) and are
-    summed there, the unit is one packed exponent, the binomials of den are
-    tried in key order on the packed sum (``_trial_divide``), and the
-    quotient is unpacked once, before the cofactors' ``sparse_divide``.
-    No product exponent exceeds the sum of its operands' largest absolute
-    exponents, and no quotient leaves the numerator's box, so those sums,
-    plus the unit's, size the fields.  A product keeps a first product
-    that vanishes (``_packed_product``), so the coefficients of a lift
-    with factors must lie in a ring without zero divisors, as the
-    rationals of the solve do."""
-    vars_ = unit.vars
-    n = len(vars_)
-    ue, uc, s = unit.monomial_parts()
+    The sum, over the unit, is formed on the packing of the binomials'
+    trials (``_packed_sum``); the binomials of den are tried in key order
+    on its packed terms (``_trial_divide``), and the quotient is unpacked
+    once, before each cofactor's ``sparse_divide``."""
     keys = [k for k in den if isinstance(k, tuple)]
-    binoms = [den[k][0] for k in keys]
-    for p in [q for num, fs in lifts for q in [num] + fs] + binoms:
-        s = s * p.scale // gcd(s, p.scale)
-    ue = tuple(x * (s // unit.scale) for x in ue)
-    lifts = [(_lifted(num, s), [_lifted(f, s) for f in fs])
-             for num, fs in lifts]
-    top = max(_top(t, n) + sum(_top(f, n) for f in fs)
-              for t, fs in lifts) + max(map(abs, ue))
-    zero, pack, unpack, steps = _chain_packing(n, top, binoms, s)
-    total = {}
-    for t, fs in lifts:
-        prod = _packed_product({pack(e): c for e, c in t.items()},
-                               [[(pack(e) - zero, c) for e, c in f.items()]
-                                for f in fs])
-        for u, c in prod.items():
-            v = total.get(u)
-            if v is None:
-                total[u] = c
-            else:
-                v = v + c
-                if v:
-                    total[u] = v
-                else:
-                    del total[u]
-    if not total:
+    s, unpack, terms, steps, top = _packed_sum(
+        lifts, [den[k][0] for k in keys], unit)
+    if not terms:
         return None
-    shift = pack(ue) - zero
-    inv = _qq(1, uc)
-    terms, counts = _trial_divide({u - shift: c * inv
-                                   for u, c in total.items()},
-                                  steps, [den[k][1] for k in keys], top)
-    num = ParamPoly._of(vars_, {
-        unpack(u): c.numerator if type(c) is QQ and c.denominator == 1 else c
-        for u, c in terms.items()}, s)
+    terms, counts = _trial_divide(terms, steps, [den[k][1] for k in keys],
+                                  top)
+    num = _unpacked(unit.vars, terms, unpack, s)
     left = {k: (den[k][0], den[k][1] - c)
             for k, c in zip(keys, counts) if den[k][1] > c}
     for k, (f, m) in den.items():
@@ -542,28 +525,19 @@ def cancel_sum(lifts, unit, den):
 
 def _grouped_sum(signed):
     """Sum a list of (key, sign, LaurentRat) terms by key over the union of
-    their denominators: returns (union, {key: numerator}).
-
-    Each key's terms are summed by balanced pairwise merging (neighbours in
-    list order, an odd last term carried up a level), and the key sums are
-    then lifted to the union of their denominators.  The union and the
-    numerators are those of lifting every term to the union of all terms
-    and adding them in list order."""
-    groups = {}
-    for key, sign, t in signed:
-        groups.setdefault(key, []).append(
-            t if sign > 0 else LaurentRat(-t.num, t.den))
-    sums = {}
+    their denominators: returns (union, {key: numerator}), each term lifted
+    to the union (``lift_to``) and added to its key's numerator in list
+    order."""
     union = {}
-    for key, items in groups.items():
-        while len(items) > 1:
-            pairs = [items[i] + items[i + 1]
-                     for i in range(0, len(items) - 1, 2)]
-            items = pairs + items[2 * len(pairs):]
-        sums[key] = items[0]
-        merge_max(union, items[0].den)
-    return union, {key: lift_to(t.num, t.den, union)
-                   for key, t in sums.items()}
+    for _, _, t in signed:
+        merge_max(union, t.den)
+    sums = {}
+    for key, sign, t in signed:
+        num = lift_to(t.num, t.den, union)
+        if sign < 0:
+            num = -num
+        sums[key] = sums[key] + num if key in sums else num
+    return union, sums
 
 
 def _clear_coeffs(coeffs):
@@ -589,11 +563,6 @@ def _clear_coeffs(coeffs):
             rat = LaurentRat(over_unit(c.num, unit), factors)
         signed.append((key, 1, rat))
     return _grouped_sum(signed)
-
-
-def divide_factors(num, den):
-    """Exact division by a factored denominator, factors in key order."""
-    return exact_divide(num, (bm for _, bm in sorted(den.items())))
 
 
 class LaurentRat:
@@ -622,9 +591,6 @@ class LaurentRat:
                 den[k] = (b, m)
         return LaurentRat(self.num * other.num, den)
 
-    def mul_poly(self, p):
-        return LaurentRat(self.num * p, dict(self.den))
-
     def with_binomial_factor(self, t1, t2, scale=1):
         """Multiply by 1/(c1 z^e1 + c2 z^e2), keeping the den factored; the
         numerator and both binomial coefficients are rational."""
@@ -638,12 +604,6 @@ class LaurentRat:
         else:
             den[key] = (binom, 1)
         return LaurentRat(num, den)
-
-    def __add__(self, other):
-        den = dict(self.den)
-        merge_max(den, other.den)
-        return LaurentRat(lift_to(self.num, self.den, den)
-                          + lift_to(other.num, other.den, den), den)
 
 
 # ---------------------------------------------------------------------------

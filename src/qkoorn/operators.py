@@ -21,10 +21,14 @@ The A-type and spin operators go through their normal form
 one shared denominator).
 
 Internally everything runs on flat polynomials (torus and parameter exponents
-in one tuple, rational coefficients); every signed sum of coefficients is
-``laurent._grouped_sum``, and pole cancellation is enforced by exact binomial
-division (``laurent.divide_factors``) of the assembled numerator over the
-factored common denominator.
+in one tuple, rational coefficients).  Pole cancellation is enforced by the
+exact binomial division ``laurent.exact_divide`` of a sum of products over
+its factored common denominator, the products formed on the division's
+packing: a nucleus's sum against the q-shifted input, a normal form's
+numerator against a translate of the input.  The staged path's sums of a
+cell and its image under a sign flip or a permutation overlap term for
+term, and are summed on exponent tuples (``laurent._grouped_sum``) before
+they are divided.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ from operator import add, itemgetter
 
 from .errors import NotInvariant
 from .laurent import (LaurentRat, _clear_coeffs, _grouped_sum,
-                      canonical_binomial, cancel_factors, divide_factors,
-                      flat_shift, flatten, lift_to, merge_max, torus_vars,
-                      unflatten)
+                      canonical_binomial, cancel_sum, common_lifts,
+                      exact_divide, flat_shift, flatten, lift_to, merge_max,
+                      torus_vars, unflatten)
 from .ratfield import (JACOBI_VARS, KOORN_VARS, QQ, ParamPoly, ParamRat,
                        _lifted, _monomial_image, _qq)
 from .weights import (EVEN_SIGNS, HYPEROCTAHEDRAL, PERMUTATIONS_ONLY,
@@ -311,10 +315,21 @@ class OperatorSpec:
 
     @classmethod
     def from_json(cls, data):
+        """The spec of a ``to_json`` object; ValueError when it is none."""
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
         rev = {v: k for k, v in _JSON_KINDS.items()}
-        kind = rev[data["kind"]]
-        params = ParamMap(data.get("params") or {})
-        return cls(kind, int(data["n"]), data.get("r"), params)
+        kind, n, r = data.get("kind"), data.get("n"), data.get("r")
+        params = data.get("params") or {}
+        if not isinstance(kind, str) or kind not in rev:
+            raise ValueError("unknown operator kind %r" % (kind,))
+        if type(n) is not int or not (r is None or type(r) is int):
+            raise ValueError("n and r must be integers")
+        if data.get("group", "BC") not in _JSON_GROUPS.values():
+            raise ValueError("unknown group %r" % (data["group"],))
+        if not isinstance(params, dict):
+            raise ValueError("params must be a JSON object")
+        return cls(rev[kind], n, r, ParamMap(params))
 
     def __repr__(self):
         return "OperatorSpec(%s, n=%d%s)" % (
@@ -370,14 +385,11 @@ def _apply_normal_form(spec, flat):
     the translates of ``flat`` against the numerators and divide by the
     shared denominator."""
     den, groups = _normal_form(spec)
-    n = spec.n
-    total = None
-    for steps, num in groups.items():
-        piece = num * flat_shift(flat, steps, n + _QH)
-        total = piece if total is None else total + piece
+    quot = exact_divide([(num, [flat_shift(flat, steps, spec.n + _QH)])
+                         for steps, num in groups.items()], den)
     if spec.kind == "a_type_centered":
-        total = _center_prefactor(total, spec, flat)
-    return divide_factors(total, den)
+        quot = _center_prefactor(quot, spec, flat)
+    return quot
 
 
 # ---------------------------------------------------------------------------
@@ -446,22 +458,21 @@ def _staged_cell(eng, J, f_flat):
     n = eng.n
     Jc = tuple(x for x in range(n) if x not in J)
     den, groups = eng.nucleus_groups(J, (1,) * len(J))
-    num = None
-    for nucleus, gnum in groups.items():
-        steps = tuple(2 if j in nucleus else 0 for j in range(n))
-        piece = gnum * (flat_shift(f_flat, steps, n + _QH) + (-f_flat))
-        num = piece if num is None else num + piece
+    lifts = [(gnum, [flat_shift(f_flat, tuple(2 if j in nucleus else 0
+                                              for j in range(n)), n + _QH)
+                     - f_flat])
+             for nucleus, gnum in groups.items()]
 
-    def divided(rat, ready):
-        now = {k: bm for k, bm in rat.den.items() if ready(*_support(k, n))}
-        return LaurentRat(divide_factors(rat.num, now),
-                          {k: bm for k, bm in rat.den.items() if k not in now})
+    def divided(lifts, den, ready):
+        now = {k: bm for k, bm in den.items() if ready(*_support(k, n))}
+        return LaurentRat(exact_divide(lifts, now),
+                          {k: bm for k, bm in den.items() if k not in now})
 
     # the qh-unit factors of v_b are regular already, like the q-shifted
     # pairs (their keys differ in their torus support)
     for j in J:
         den = {**den, **eng.vb_split(j)[2]}
-    cell = divided(LaurentRat(num, den), lambda torus, qh: qh)
+    cell = divided(lifts, den, lambda torus, qh: qh)
     done = set()
     for j in J:
         vnum, zunit, _ = eng.vb_split(j)
@@ -471,25 +482,25 @@ def _staged_cell(eng, J, f_flat):
         def flip(e, j=j):
             return e[:j] + (-e[j],) + e[j + 1:]
 
-        cell = cell + _mapped(cell, flip)
+        den, total = _grouped_sum([(None, 1, cell),
+                                   (None, 1, _mapped(cell, flip))])
+        # (rebinding cell frees the unflipped cell before the division)
+        cell = LaurentRat(total[None], den)
         # z_j's unit factors, and the in-cell pairs whose variables are all
         # summed, are now regular
         done.add(j)
-        cell = divided(cell, lambda torus, qh: done.issuperset(torus))
+        cell = divided([(cell.num, [])], cell.den,
+                       lambda torus, qh: done.issuperset(torus))
     return cell
 
 
-def _apply_staged(spec, f_flat):
-    """D_r applied to a flat polynomial: the sum of the cells J (index sets
-    of size r) over the union of their cross-cell factors, divided exactly.
-
-    The input is invariant under the hyperoctahedral group (as
-    ``apply_operator`` checks), so only the cell J0 = (0..r-1) is computed;
-    the cell J is its image with z_J0 renamed z_J and z_J0c renamed z_Jc.
-    The union comes from mapping the factors alone, the cell is lifted to it
-    once, and its images are summed and divided once."""
-    n, r = spec.n, spec.r
-    eng = _engine(n, spec.params)
+def _cell_images(eng, r, f_flat):
+    """The staged cell J0 = (0..r-1) of D_r on a flat polynomial and its
+    images, one per cell J of size r: the cell J is the image of J0 with
+    z_J0 renamed z_J and z_J0c renamed z_Jc.  The union of their
+    denominators comes from mapping the factors alone, and the cell is
+    lifted to it once before it is mapped."""
+    n = eng.n
     cell = _staged_cell(eng, tuple(range(r)), f_flat)
     images = []
     for J in combinations(range(n), r):
@@ -502,11 +513,21 @@ def _apply_staged(spec, f_flat):
     for image in images:
         merge_max(union, _mapped(factors, image).den)
     lifted = LaurentRat(lift_to(cell.num, cell.den, union), union)
-    total = None
-    for image in images:
-        t = _mapped(lifted, image)
-        total = t if total is None else total + t
-    return divide_factors(total.num, total.den)
+    return [_mapped(lifted, image) for image in images]
+
+
+def _apply_staged(spec, f_flat):
+    """D_r applied to a flat polynomial: the sum of the cells J (index sets
+    of size r) over the union of their cross-cell factors, divided exactly.
+
+    The input is invariant under the hyperoctahedral group (as
+    ``apply_operator`` checks), so only the cell J0 is computed and mapped
+    to the rest (``_cell_images``, whose cell and its lift are freed before
+    the sum); the images are summed and divided once."""
+    den, total = _grouped_sum([
+        (None, 1, t)
+        for t in _cell_images(_engine(spec.n, spec.params), spec.r, f_flat)])
+    return exact_divide([(total[None], [])], den)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +562,7 @@ def apply_operator(spec, f):
         one = ParamPoly.one(pvars)
 
         def restored(c):
-            num, left = cancel_factors(c, dens)
+            num, left = cancel_sum([(c, [])], one, dens)
             return ParamRat(num, lift_to(one, {}, left))
         out = out.map_coeff(restored)
     return out
@@ -636,11 +657,9 @@ def _center_prefactor(total, spec, flat_input):
     if len(degs) > 1:
         raise ValueError("centered operator needs a homogeneous input")
     d, = degs
-    if flat_input.scale != total.scale and d:
-        d = d * total.scale // flat_input.scale
     e = [0] * (spec.n + _NP)
     e[spec.n + _QH] = -2 * spec.r * d
-    return total.mul_monomial(tuple(e), 1, spec.n * total.scale)
+    return total.mul_monomial(tuple(e), 1, spec.n * flat_input.scale)
 
 
 def apply_one_var(f, j, params=None):
@@ -650,14 +669,13 @@ def apply_one_var(f, j, params=None):
     n = f.n
     eng = _engine(n, params)
     flat = flatten(f, KOORN_VARS)
-    signed = []
+    terms = []
     for eps in (1, -1):
-        coeff = vb_factor(eng.vars, n, j, eps, params)
         steps = tuple(2 * eps if i == j else 0 for i in range(n))
-        moved = flat_shift(flat, steps, n + _QH) + (-flat)
-        signed.append((None, 1, coeff.mul_poly(moved)))
-    den, total = _grouped_sum(signed)
-    return unflatten(divide_factors(total[None], den), n)
+        terms.append((vb_factor(eng.vars, n, j, eps, params),
+                      [flat_shift(flat, steps, n + _QH) - flat]))
+    den, lifts = common_lifts(terms)
+    return unflatten(exact_divide(lifts, den), n)
 
 
 def elementary_symmetric_apply(r, f, params=None):
@@ -694,11 +712,13 @@ def _apply_jacobi(spec, flat):
         return ParamPoly(p.vars, {e: c * e[j] for e, c in p.terms.items()
                                   if e[j]}, p.scale)
 
-    signed = []
+    def over(num, t1, t2):
+        return LaurentRat(num).with_binomial_factor(t1, t2)
+
     # sum_j theta_j^2
     acc = ParamPoly(vars_, {e: c * sum(x * x for x in e[:n])
                             for e, c in flat.terms.items()})
-    signed.append((None, 1, LaurentRat(acc)))
+    terms = [(LaurentRat(acc), [])]
     # pair terms: g (z_j z_k + 1)/(z_j z_k - 1) (theta_j + theta_k)
     #           + g (z_j + z_k)/(z_j - z_k)     (theta_j - theta_k)
     for j, k in combinations(range(n), 2):
@@ -708,31 +728,23 @@ def _apply_jacobi(spec, flat):
         tp = euler(flat, j) + euler(flat, k)
         tm = euler(flat, j) + (-euler(flat, k))
         if tp:
-            num = (ParamPoly(vars_, {ejk: 1, zero: 1})
-                   .mul_monomial(g_e, 1) * tp)
-            signed.append((None, 1, LaurentRat(num).with_binomial_factor(
-                (ejk, 1), (zero, -1))))
+            num = ParamPoly(vars_, {ejk: 1, zero: 1}).mul_monomial(g_e, 1)
+            terms.append((over(num, (ejk, 1), (zero, -1)), [tp]))
         if tm:
-            num = (ParamPoly(vars_, {ej: 1, ek: 1})
-                   .mul_monomial(g_e, 1) * tm)
-            signed.append((None, 1, LaurentRat(num).with_binomial_factor(
-                (ej, 1), (ek, -1))))
+            num = ParamPoly(vars_, {ej: 1, ek: 1}).mul_monomial(g_e, 1)
+            terms.append((over(num, (ej, 1), (ek, -1)), [tm]))
     # one-body terms: [tg0 (z+1)/(z-1) + tg1 (z-1)/(z+1)] theta_j
     for j in range(n):
         ej = tuple((1 if i == j else 0) for i in range(width))
         tj = euler(flat, j)
         if not tj:
             continue
-        num0 = (ParamPoly(vars_, {ej: 1, zero: 1})
-                .mul_monomial(t0_e, 1) * tj)
-        signed.append((None, 1, LaurentRat(num0).with_binomial_factor(
-            (ej, 1), (zero, -1))))
-        num1 = (ParamPoly(vars_, {ej: 1, zero: -1})
-                .mul_monomial(t1_e, 1) * tj)
-        signed.append((None, 1, LaurentRat(num1).with_binomial_factor(
-            (ej, 1), (zero, 1))))
-    den, total = _grouped_sum(signed)
-    return divide_factors(total[None], den)
+        num0 = ParamPoly(vars_, {ej: 1, zero: 1}).mul_monomial(t0_e, 1)
+        terms.append((over(num0, (ej, 1), (zero, -1)), [tj]))
+        num1 = ParamPoly(vars_, {ej: 1, zero: -1}).mul_monomial(t1_e, 1)
+        terms.append((over(num1, (ej, 1), (zero, 1)), [tj]))
+    den, lifts = common_lifts(terms)
+    return exact_divide(lifts, den)
 
 
 # ---------------------------------------------------------------------------

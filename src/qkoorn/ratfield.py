@@ -23,10 +23,11 @@ exponents instead, each exponent tuple packed into one int (``_packing``).
 The product has one inner loop, ``_packed_product``, which keys each term
 product on the sum of two packed ints.  ``_product`` (``ParamPoly.__mul__``,
 and the lift of a numerator by every factor it is missing,
-``laurent.lift_to``) packs its operands once, runs it and unpacks once; a
-step of the Koornwinder solve (``laurent.cancel_sum``) runs it on operands
-packed for the whole step.  The divisions of ``laurent`` (``exact_divide``,
-the binomial trials, ``sparse_divide``) pack the same way.
+``laurent.lift_to``) packs its operands once, runs it and unpacks once
+(``_unpacked``).  A sum of products over a factored denominator
+(``laurent.exact_divide``, ``laurent.cancel_sum``) runs it on operands
+packed for the division that follows, and ``laurent.sparse_divide`` packs
+its operands the same way.
 
 A parameter substitution (a classical family, th = qh^g before q -> 1) is a
 dict name -> nonzero monomial (``operators.ParamMap``), one exponent map per
@@ -232,9 +233,15 @@ def _product(p, factors):
                            for t in lifted])
     # a ring with zero divisors (QuadExt at a square H) can make a first
     # product vanish, and a Fraction operand an integral product
-    return ParamPoly._of(p.vars, {
+    return _unpacked(p.vars, acc, unpack, s)
+
+
+def _unpacked(vars_, terms, unpack, scale):
+    """The poly over vars_ of packed terms on lattice ``scale``: zeros
+    dropped and an integral QQ written as its int."""
+    return ParamPoly._of(vars_, {
         unpack(u): v.numerator if type(v) is QQ and v.denominator == 1 else v
-        for u, v in acc.items() if v}, s)
+        for u, v in terms.items() if v}, scale)
 
 
 def _packed_product(acc, factors):

@@ -25,7 +25,7 @@ from collections import namedtuple
 from math import isqrt, lcm
 from operator import sub
 
-from .errors import DegenerateNorm, DivergentSeries
+from .errors import DegenerateNorm, DenominatorVanishes, DivergentSeries
 from .ratfield import QQ, _qq_text
 from .weights import (HYPEROCTAHEDRAL, linear_refinement, monomial_symmetric,
                       weights_below)
@@ -192,12 +192,16 @@ class NumericPoint:
         terms, den = _integer_numerators(poly.terms)
         # t^(beta/2) and (gX^2)^((k - parity)/2): both exponents are k >> 1
         tables = []
-        for v, col, half in zip((self.qh, self.t) + self._gsquares(),
-                                zip(*terms), (0, 1, 1, 1, 1, 1)):
+        for v, col, half, name in zip((self.qh, self.t) + self._gsquares(),
+                                      zip(*terms), (0, 1, 1, 1, 1, 1),
+                                      poly.vars):
             used = set(col)
             lo = min(min(used) >> half, 0)
             hi = max(max(used) >> half, 0)
             p, d = v.numerator, v.denominator
+            if lo and not p:
+                raise DenominatorVanishes("a negative power of %s, which is "
+                                          "0 at the point" % name)
             tables.append({k: p ** ((k >> half) - lo) * d ** (hi - (k >> half))
                            for k in used})
             den *= p ** -lo * d ** hi

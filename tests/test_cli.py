@@ -213,6 +213,17 @@ INPUTS = {
     "sum-beside-quotient*m10": {
         "n": 2, "weight": [1, 0],
         "coeffs": [{"weight": [1, 0], "value": "qh*th + 1/(qh*th)"}]},
+    # malformed inputs
+    "[m10]": [{"n": 2, "weight": [1, 0],
+               "coeffs": [{"weight": [1, 0], "value": "1"}]}],
+    "coeffs-not-a-list": {"n": 2, "weight": [1, 0], "coeffs": "x"},
+    "weight-of-names": {"n": 2, "coeffs": [{"weight": ["a", "b"],
+                                            "value": "1"}]},
+    "weight-of-floats": {"n": 2, "coeffs": [{"weight": [1.5, 0],
+                                             "value": "1"}]},
+    "weight-not-a-list": {"n": 2, "coeffs": [{"weight": 5, "value": "1"}]},
+    "m10 over Q": {"n": 2, "weight": [1, 0], "group": "Q",
+                   "coeffs": [{"weight": [1, 0], "value": "1"}]},
 }
 
 
@@ -300,6 +311,31 @@ BAD_INPUTS = {
                                          '{"kind":"Dr","n":2,"r":1}',
                                          "--in", "@sum-beside-quotient*m10"],
                                         2),
+    # malformed JSON that parses
+    "input-top-level-list": (["apply", "--op", '{"kind":"Dr","n":2,"r":1}',
+                              "--in", "@[m10]"], 2),
+    "input-coeffs-not-a-list": (["apply", "--op",
+                                 '{"kind":"Dr","n":2,"r":1}',
+                                 "--in", "@coeffs-not-a-list"], 2),
+    "input-weight-of-names": (["apply", "--op", '{"kind":"Dr","n":2,"r":1}',
+                               "--in", "@weight-of-names"], 2),
+    "input-weight-of-floats": (["apply", "--op",
+                                '{"kind":"Dr","n":2,"r":1}',
+                                "--in", "@weight-of-floats"], 2),
+    "input-weight-not-a-list": (["apply", "--op",
+                                 '{"kind":"Dr","n":2,"r":1}',
+                                 "--in", "@weight-not-a-list"], 2),
+    "input-unknown-group": (["apply", "--op", '{"kind":"Dr","n":2,"r":1}',
+                             "--in", "@m10 over Q"], 2),
+    "op-not-an-object": (["apply", "--op", "[1]", "--in", "@m10"], 2),
+    "op-r-not-an-integer": (["apply", "--op", '{"kind":"Dr","n":2,"r":"1"}',
+                             "--in", "@m10"], 2),
+    "op-params-not-an-object": (["apply", "--op",
+                                 '{"kind":"Dr","n":2,"r":1,'
+                                 '"params":["th"]}', "--in", "@m10"], 2),
+    # t = 0 meets a negative power of th in the operator's coefficients
+    "numeric-t-zero": (["poly", "--n", "2", "--weight", "1,0", "--numeric",
+                        "q=1/4,t=0,a=1/2,b=-1/3,c=1/5,d=-1/7"], 3),
 }
 
 
@@ -312,6 +348,16 @@ def test_bad_input_exits_with_one_error_line(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "1", "--weight", "2"],
+    ["--n", "2", "--weight", "1,0", "--method", "gs", "--trunc", "3"]])
+def test_t_zero_without_a_negative_th_power_succeeds(tmp_path, argv):
+    # at n = 1, and on the Gram-Schmidt route, no coefficient divides by th
+    data = run(tmp_path, ["poly"] + argv + [
+        "--numeric", "q=1/4,t=0,a=1/2,b=-1/3,c=1/5,d=-1/7"])
+    assert data["weight"] == [int(x) for x in argv[3].split(",")]
 
 
 # apply to m_(1/2,1/2) at n = 2: a half-lattice input is admissible exactly

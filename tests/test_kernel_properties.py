@@ -4,8 +4,10 @@ Products and sums of ``ParamPoly`` over parameter and torus names against a
 Fraction reference, the packed product against the tuple-keyed product on
 every field width and on any coefficient ring, the packed lift chain against
 one product per factor, exact division by chains of canonical binomials, the
-general sparse exact division, the split of a poly into binomials z^d -+ 1
-and one cofactor, canonical binomials under a signed permutation of the torus
+exact division of a sum of products against the division of its sum and
+against the trial division where every factor divides, the general sparse
+exact division, the split of a poly into binomials z^d -+ 1 and one
+cofactor, canonical binomials under a signed permutation of the torus
 variables, the grouped signed sum of factored fractions against the serial
 sum over one union, the q-shift of a flat poly, the coefficient parser
 against the renderer, parameter substitution by monomial images against
@@ -26,8 +28,8 @@ from hypothesis import strategies as st
 
 from qkoorn.errors import DenominatorVanishes, NotDivisible
 from qkoorn.laurent import (LaurentRat, _grouped_sum, canonical_binomial,
-                            divide_factors, exact_divide, flat_shift,
-                            lift_to, merge_max, sparse_divide,
+                            cancel_sum, exact_divide, flat_shift, lift_to,
+                            merge_max, over_unit, sparse_divide,
                             split_binomials, torus_vars)
 from qkoorn.operators import _mapped
 from qkoorn.ratfield import KOORN_VARS, QQ, ParamPoly, ParamRat
@@ -217,7 +219,8 @@ def test_packed_product_cancels_to_zero():
 def lifts(draw):
     """(num, own, union, first): a numerator, two factored denominators of
     canonical binomials z^d - c (c one of +-1, 2, -1/3) on lattices 1, 2, 3,
-    own and union = lcm(own, the other), and a first factor or None."""
+    own and union = lcm(own, the other), and a factor of the numerator or
+    None."""
     n, _, [(terms, scale), (ft, fs)] = draw(operands(2))
     vars_ = VARS[:n]
     zero = (0,) * n
@@ -243,11 +246,13 @@ def lifts(draw):
 @given(data=lifts())
 def test_lift_chain_matches_one_product_per_factor(data):
     num, own, union, first = data
-    want = num if first is None else num * first
+    if first is not None:
+        num = num * first
+    want = num
     for k, (b, m) in union.items():
         for _ in range(m - (own[k][1] if k in own else 0)):
             want = want * b
-    same(lift_to(num, own, union, first), want)
+    same(lift_to(num, own, union), want)
 
 
 @LAWS
@@ -277,6 +282,13 @@ def chains(draw):
     return ParamPoly(torus_vars(n), terms, scale), chain
 
 
+def divide_chain(num, chain):
+    """``exact_divide`` of num alone by the binomials of ``chain`` in their
+    list order: the keys of its den sort so."""
+    return exact_divide([(num, [])],
+                        {(i,): (b, 1) for i, b in enumerate(chain)})
+
+
 @LAWS
 @given(data=chains())
 def test_exact_divide_undoes_the_product(data):
@@ -284,7 +296,7 @@ def test_exact_divide_undoes_the_product(data):
     prod = p
     for b in chain:
         prod = prod * b
-    q = exact_divide(prod, [(b, 1) for b in chain])
+    q = divide_chain(prod, chain)
     assert q == p
     check_representation(q, all(map(integral, [p] + chain)))
 
@@ -301,7 +313,74 @@ def test_added_monomial_is_not_divisible(data, e, c):
         prod = prod * b
     bad = prod + ParamPoly.monomial(p.vars, e[:p.n], c)
     with pytest.raises(NotDivisible):
-        exact_divide(bad, [(b, 1) for b in chain])
+        divide_chain(bad, chain)
+
+
+@st.composite
+def chain_sums(draw):
+    """(lifts, chain): one to three lifts (num, factors) over torus names,
+    with zero operands among them, and a chain of canonical binomials
+    (``chains``) each of which divides every lift's product: a lift takes
+    each binomial as one of its factors or multiplied into its
+    numerator."""
+    p, chain = draw(chains())
+    n = p.n
+    polys = st.builds(lambda t, s: ParamPoly(torus_vars(n), t, s),
+                      term_dicts(n, "mixed", span=2, size=3),
+                      st.sampled_from([1, 2, 3]))
+    lifts = []
+    for num in [p] + draw(st.lists(polys, max_size=2)):
+        fs = draw(st.lists(polys, max_size=2))
+        for b in chain:
+            if draw(st.booleans()):
+                fs.append(b)
+            else:
+                num = num * b
+        lifts.append((num, fs))
+    return lifts, chain
+
+
+def tuple_sum(lifts):
+    """The sum of the lifts' products, formed on exponent tuples."""
+    total = ParamPoly.zero(lifts[0][0].vars)
+    for num, fs in lifts:
+        for f in fs:
+            num = num * f
+        total = total + num
+    return total
+
+
+@LAWS
+@given(data=chain_sums())
+def test_exact_divide_of_lifts_divides_their_sum(data):
+    lifts, chain = data
+    den = {(i,): (b, 1) for i, b in enumerate(chain)}
+    got = exact_divide(lifts, den)
+    same(got, exact_divide([(tuple_sum(lifts), [])], den))
+    check_representation(got, False)
+
+
+@LAWS
+@given(data=chain_sums(), e=st.tuples(*[st.integers(-3, 3)] * 3),
+       c=coeffs("mixed"), s=st.sampled_from([1, 2]))
+def test_cancel_sum_divides_out_every_dividing_factor(data, e, c, s):
+    # every factor of den divides the sum as often as its multiplicity:
+    # the trials leave none, and the quotient is the strict division's
+    # over the unit
+    lifts, chain = data
+    den = {}
+    for b in chain:
+        key = canonical_binomial(b.vars, *b.terms.items(), b.scale)[0]
+        den[key] = (b, den[key][1] + 1) if key in den else (b, 1)
+    unit = ParamPoly.monomial(chain[0].vars, e[:chain[0].n], c, s)
+    got = cancel_sum(lifts, unit, den)
+    want = exact_divide(lifts, den)
+    if not want:
+        assert got is None
+    else:
+        q, left = got
+        assert left == {}
+        same(q, over_unit(want, unit))
 
 
 @st.composite
@@ -431,7 +510,7 @@ def test_permuted_cell_divides_to_permuted_quotient(data, draw):
     for _ in range(m):
         num = num * b
     rat = _mapped(LaurentRat(num, {None: (b, m)}), emap)
-    assert divide_factors(rat.num, rat.den) == mapped_poly(p, emap)
+    assert exact_divide([(rat.num, [])], rat.den) == mapped_poly(p, emap)
 
 
 def binomial_pool(n):

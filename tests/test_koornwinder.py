@@ -436,8 +436,8 @@ def test_factored_solve_sizes():
 
 
 def tuple_step(couplings, gap):
-    """One step as it ran on exponent tuples: each coupling lifted to the
-    union by ``lift_to`` and the lifts summed as polys, the gap split and
+    """One step as it ran on exponent tuples: each coupling times its
+    entry lifted to the union by ``lift_to`` and the lifts summed as polys, the gap split and
     its unit divided out; every factor is then divided out by the general
     exact division (``sparse_divide``), binomials first in key order and
     then the cofactors, as often as it divides and its multiplicity
@@ -448,7 +448,7 @@ def tuple_step(couplings, gap):
         merge_max(union, c.den)
     num = None
     for c, entry in couplings:
-        t = lift_to(c.num, c.den, union, entry)
+        t = lift_to(c.num * entry, c.den, union)
         num = t if num is None else num + t
     if not num:
         return None

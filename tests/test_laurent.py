@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 import qkoorn
 from qkoorn.errors import NotDivisible
 from qkoorn.laurent import (_clear_coeffs, _divide_packed, _line_vanishes,
-                            _packed_chain, _packing, _trial_divide,
-                            cancel_factors, canonical_binomial,
-                            divide_binomial, exact_divide, flat_shift,
-                            flatten, merge_max, sparse_divide,
+                            _packed_sum, _packing, _trial_divide,
+                            cancel_sum, canonical_binomial, exact_divide,
+                            flat_shift, flatten, merge_max, sparse_divide,
                             split_binomials, torus_vars, unflatten)
 from qkoorn.ratfield import KOORN_VARS, QQ, ParamPoly, ParamRat
 from qkoorn.weightfn import QuadExt
@@ -27,12 +26,30 @@ def P(c):
     return ParamPoly.const(KOORN_VARS, c)
 
 
+def divide_chain(num, factors):
+    """``exact_divide`` of num alone by the (binom, multiplicity) pairs of
+    ``factors`` in their list order: the keys of its den sort so."""
+    return exact_divide([(num, [])],
+                        {(i,): bm for i, bm in enumerate(factors)})
+
+
+def divide_by(num, binom):
+    """``exact_divide`` of num alone by one canonical binomial."""
+    return divide_chain(num, [(binom, 1)])
+
+
+def pack_for_chain(num, binoms):
+    """``_packed_sum`` of num alone, on the packing of the chain of
+    canonical binomials ``binoms``."""
+    return _packed_sum([(num, [])], binoms)
+
+
 def test_divide_simple_binomial():
     # (z^2 - 1) / (z - 1) = z + 1
     num = ParamPoly(torus_vars(1), {(2,): P(1), (0,): P(-1)})
     key, binom, m, cu, s = canonical_binomial(torus_vars(1), ((1,), P(1)),
                                               ((0,), P(-1)))
-    q = divide_binomial(num, binom)
+    q = divide_by(num, binom)
     assert q == ParamPoly(torus_vars(1), {(1,): P(1), (0,): P(1)})
 
 
@@ -41,7 +58,7 @@ def test_divide_not_divisible():
     _, binom, _, _, _ = canonical_binomial(torus_vars(1), ((1,), P(1)),
                                            ((0,), P(-1)))
     with pytest.raises(NotDivisible):
-        divide_binomial(num, binom)
+        divide_by(num, binom)
 
 
 def rand_laurent(rng, n, terms=4, span=3, scale=1):
@@ -76,7 +93,7 @@ def test_divide_product_roundtrip():
             torus_vars(n), *((e, c) for e, c in b.terms.items()))
         prod = a * b
         # undo the canonicalization unit so prod = (a * unit) * binom
-        q = divide_binomial(prod, binom)
+        q = divide_by(prod, binom)
         assert q * binom == prod
 
 
@@ -92,7 +109,7 @@ def test_exact_divide_multiple_factors():
             torus_vars(n), *((e, c) for e, c in b.terms.items()))
         factors.append((binom, 1))
         prod = prod * binom
-    assert exact_divide(prod, factors) == a
+    assert divide_chain(prod, factors) == a
 
 
 def shift_var(f, j, k):
@@ -221,7 +238,7 @@ def test_rational_divide_roundtrip(kind, trail):
                 e = tuple(x + y for x, y in zip(e1, e2))
                 want[e] = want.get(e, Fraction(0)) + Fraction(c1) * c2
         assert fraction_terms(prod) == {e: c for e, c in want.items() if c}
-        q = divide_binomial(prod, binom)
+        q = divide_by(prod, binom)
         assert q == p
         for c in list(prod.terms.values()) + list(q.terms.values()):
             assert type(c) in types
@@ -236,7 +253,7 @@ def test_not_divisible_on_integer_path():
         # a monomial is never a multiple of a binomial
         bad = prod + ParamPoly.monomial(torus_vars(n), (7,) * n, QQ(1, 2))
         with pytest.raises(NotDivisible):
-            divide_binomial(bad, binom)
+            divide_by(bad, binom)
 
 
 def param_lift(f):
@@ -253,7 +270,7 @@ def test_param_coefficients_take_generic_path():
         assert prod == param_lift(p * binom)
         pbinom = canonical_binomial(
             torus_vars(n), *((e, P(c)) for e, c in binom.terms.items()))[1]
-        assert divide_binomial(prod, pbinom) == param_lift(p)
+        assert divide_by(prod, pbinom) == param_lift(p)
 
 
 def test_quadext_coefficients_take_generic_path():
@@ -267,7 +284,7 @@ def test_quadext_coefficients_take_generic_path():
                             for e, c in x.terms.items()})
         binom = rational_binomial(rng, n, QQ(rng.choice([-1, 4])))
         prod = f * binom
-        q = divide_binomial(prod, binom)
+        q = divide_by(prod, binom)
         for c in list(prod.terms.values()) + list(q.terms.values()):
             assert isinstance(c, QuadExt)
         assert {e: c.x for e, c in prod.terms.items() if c.x} \
@@ -287,7 +304,7 @@ def test_integer_kernels_return_rationals():
     assert r.num.terms == {(-1, 0, 0, 0, 0, 0): QQ(1, 3)}
     binom = canonical_binomial(torus_vars(1), ((1,), QQ(1)), ((0,), QQ(-2)))[1]
     prod = binom * ParamPoly.const(torus_vars(1), QQ(2))
-    q = divide_binomial(prod, binom)
+    q = divide_by(prod, binom)
     assert q.terms == {(0,): QQ(2)}
     for c in list(prod.terms.values()) + list(q.terms.values()):
         assert type(c) is int
@@ -343,7 +360,7 @@ def test_chain_divide_roundtrip(kind):
         chain[0] = chain_binomial(rng, n, QQ(-1), step=2,
                                   scale=rng.choice([1, 2, 3]))
         prod = p * chain[0] * chain[1] * chain[2]
-        q = exact_divide(prod, [(b, 1) for b in chain])
+        q = divide_chain(prod, [(b, 1) for b in chain])
         assert q == p
         assert all(type(c) in types for c in q.terms.values())
         lattices.add(tuple(b.scale for b in chain))
@@ -359,10 +376,10 @@ def test_chain_divide_multiplicities_match_one_at_a_time():
         b1 = chain_binomial(rng, n, QQ(-1))
         b2 = chain_binomial(rng, n, QQ(2), scale=2)
         prod = p * b1 * b1 * b2 * b1
-        q = exact_divide(prod, [(b1, 3), (b2, 1)])
+        q = divide_chain(prod, [(b1, 3), (b2, 1)])
         assert q == p
-        step = divide_binomial(divide_binomial(prod, b2), b1)
-        assert divide_binomial(divide_binomial(step, b1), b1) == q
+        step = divide_by(divide_by(prod, b2), b1)
+        assert divide_by(divide_by(step, b1), b1) == q
 
 
 @pytest.mark.parametrize("big", [10 ** 4, 3 * 10 ** 5, 10 ** 20])
@@ -380,8 +397,8 @@ def test_chain_divide_large_exponents(big):
         chain = [chain_binomial(rng, n, QQ(rng.choice([-1, 3])), step=2),
                  chain_binomial(rng, n, QQ(1))]
         prod = p * chain[0] * chain[1]
-        assert exact_divide(prod, [(b, 1) for b in chain]) == p
-        assert exact_divide(prod * chain[1], [(chain[1], 2),
+        assert divide_chain(prod, [(b, 1) for b in chain]) == p
+        assert divide_chain(prod * chain[1], [(chain[1], 2),
                                               (chain[0], 1)]) == p
 
 
@@ -398,7 +415,7 @@ def test_exact_divide_jumps_across_empty_stretches(p):
     tracemalloc.start()
     start = time.process_time()
     try:
-        assert divide_binomial(prod, binom) == p
+        assert divide_by(prod, binom) == p
         assert time.process_time() - start < 0.5
         assert tracemalloc.get_traced_memory()[1] < 10 ** 5
     finally:
@@ -406,8 +423,8 @@ def test_exact_divide_jumps_across_empty_stretches(p):
     # a term just below the line's lowest one: the walk jumps straight to it
     low = min(prod.terms)[0] - 1
     with pytest.raises(NotDivisible, match=r"^line through z\^\(%d,\)$" % low):
-        divide_binomial(prod + ParamPoly.monomial(torus_vars(1), (low,), 1),
-                        binom)
+        divide_by(prod + ParamPoly.monomial(torus_vars(1), (low,), 1),
+                  binom)
 
 
 GAP_CHILD = """
@@ -417,15 +434,15 @@ from fractions import Fraction
 limit = int(sys.argv[1])
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from qkoorn.errors import NotDivisible
-from qkoorn.laurent import canonical_binomial, divide_binomial, torus_vars
+from qkoorn.laurent import canonical_binomial, exact_divide, torus_vars
 from qkoorn.ratfield import ParamPoly
 N = 10 ** 20
-binom = canonical_binomial(torus_vars(1), ((1,), 1), ((0,), -1))[1]
+key, binom = canonical_binomial(torus_vars(1), ((1,), 1), ((0,), -1))[:2]
 p = ParamPoly(torus_vars(1),
               {(N,): 3, (7,): Fraction(-1, 2), (-5,): 2, (-N,): -1})
 try:
-    divide_binomial(p * binom + ParamPoly.monomial(torus_vars(1), (3,), 1),
-                    binom)
+    exact_divide([(p * binom + ParamPoly.monomial(torus_vars(1), (3,), 1),
+                   [])], {key: (binom, 1)})
 except NotDivisible as exc:
     print(exc)
 """
@@ -480,9 +497,9 @@ def test_line_keys_fit_the_packing_width():
                                ((0, 0), QQ(-1)))[1]
     f = ParamPoly(torus_vars(2), {(65, -123): QQ(1), (-62, -119): QQ(-1)})
     with pytest.raises(NotDivisible):
-        exact_divide(f, [(binom, 1)])
+        divide_chain(f, [(binom, 1)])
     with pytest.raises(NotDivisible):
-        exact_divide(ParamPoly(torus_vars(2),
+        divide_chain(ParamPoly(torus_vars(2),
                                {e: P(c) for e, c in f.terms.items()}),
                      [(canonical_binomial(torus_vars(2), ((2, 4), P(1)),
                                           ((0, 0), P(-1)))[1], 1)])
@@ -497,9 +514,9 @@ def test_not_divisible_at_second_binomial_names_exponent_tuple():
             b2 = chain_binomial(rng, n, QQ(-1))
             e = tuple(rng.randint(-40, 40) for _ in range(n))
             prod = ParamPoly.monomial(torus_vars(n), e, QQ(5, 7)) * b1
-            assert divide_binomial(prod, b1).terms == {e: QQ(5, 7)}
+            assert divide_by(prod, b1).terms == {e: QQ(5, 7)}
             with pytest.raises(NotDivisible) as err:
-                exact_divide(prod, [(b1, 1), (b2, 1)])
+                divide_chain(prod, [(b1, 1), (b2, 1)])
             # the lone term left after b1 is its own line through z^e
             assert str(err.value) == "line through z^%s" % (e,)
 
@@ -516,13 +533,13 @@ def test_not_divisible_names_exponents_whatever_the_lattice():
                                 ((0, 0), QQ(-1)),
                                 scale)[1]
         with pytest.raises(NotDivisible) as err:
-            exact_divide(prod, [(b1, 1), (b2, 1)])
+            divide_chain(prod, [(b1, 1), (b2, 1)])
         assert str(err.value) == "line through z^(5/2, -2)"
     # one variable: the text is still a tuple
     b1 = canonical_binomial(torus_vars(1), ((1,), QQ(1)), ((0,), QQ(-1)), 2)[1]
     b2 = canonical_binomial(torus_vars(1), ((1,), QQ(1)), ((0,), QQ(-1)), 3)[1]
     with pytest.raises(NotDivisible, match=r"^line through z\^\(5/2,\)$"):
-        exact_divide(ParamPoly.monomial(torus_vars(1), (5,), QQ(3), 2) * b1,
+        divide_chain(ParamPoly.monomial(torus_vars(1), (5,), QQ(3), 2) * b1,
                      [(b1, 1), (b2, 1)])
 
 
@@ -537,7 +554,7 @@ def test_chain_generic_paths():
         # a non-integer trailing coefficient
         frac = chain + [chain_binomial(rng, n, QQ(-2, 3))]
         prod = p * frac[0] * frac[1] * frac[2]
-        q = exact_divide(prod, [(b, 1) for b in frac])
+        q = divide_chain(prod, [(b, 1) for b in frac])
         assert q == p
         assert all(type(c) in (int, QQ) for c in q.terms.values())
         # ParamPoly coefficients and binomials
@@ -546,16 +563,16 @@ def test_chain_generic_paths():
             b.scale)[1]
             for b in chain]
         pprod = param_lift(p * chain[0] * chain[1])
-        assert exact_divide(pprod, [(b, 1) for b in pchain]) == param_lift(p)
+        assert divide_chain(pprod, [(b, 1) for b in pchain]) == param_lift(p)
         # QuadExt coefficients over rational binomials
         f = ParamPoly(torus_vars(n), {e: QuadExt(c, -c / 3, H)
                             for e, c in p.terms.items()})
         prod = f * chain[0] * chain[1]
-        q = exact_divide(prod, [(b, 1) for b in chain])
+        q = divide_chain(prod, [(b, 1) for b in chain])
         assert {e: (c.x, c.y) for e, c in q.terms.items()} \
             == {e: (c, -c / 3) for e, c in p.terms.items()}
         with pytest.raises(NotDivisible, match=r"line through z\^\(-?\d"):
-            exact_divide(prod + ParamPoly.monomial(
+            divide_chain(prod + ParamPoly.monomial(
                 torus_vars(n), (9,) * n, QuadExt(1, 1, H)),
                 [(b, 1) for b in chain])
 
@@ -617,11 +634,12 @@ def test_cancel_divides_each_factor_that_divides():
     cof = x * x + x * y + y * y
     _, den = split_binomials((x - 1) ** 2 * (x + 1) * cof)
     num = (x - 1) * cof * (y + 2)
-    q, left = cancel_factors(num, den)
+    one = ParamPoly.one(("x", "y"))
+    q, left = cancel_sum([(num, [])], one, den)
     assert q == y + 2
     assert sorted((f.render(), m) for f, m in left.values()) == [
         ("x+1", 1), ("x-1", 1)]
-    assert cancel_factors(ParamPoly.zero(("x", "y")), den)[1] == {}
+    assert cancel_sum([(ParamPoly.zero(("x", "y")), [])], one, den) is None
 
 
 def test_clear_coeffs_clears_over_the_lcm():
@@ -658,9 +676,9 @@ def trials_without_probe(terms, steps, limits):
 
 
 def cancel_without_probe(num, den):
-    """``cancel_factors`` on ``trials_without_probe``."""
+    """``cancel_sum`` of num alone on ``trials_without_probe``."""
     keys = [k for k in den if isinstance(k, tuple)]
-    s, unpack, terms, steps, _ = _packed_chain(num, [den[k][0] for k in keys])
+    s, unpack, terms, steps, _ = pack_for_chain(num, [den[k][0] for k in keys])
     terms, counts = trials_without_probe(terms, steps,
                                          [den[k][1] for k in keys])
     num = ParamPoly(num.vars, {unpack(u): c for u, c in terms.items()}, s)
@@ -719,7 +737,7 @@ def edge_top(vars_, binoms, s, field):
         mid = (lo + hi) // 2
         f = ParamPoly(vars_, {(mid,) + (0,) * (n - 1): 1,
                               (-1,) + (0,) * (n - 1): 1}, s)
-        width = _packed_chain(f, binoms)[3][0][-1]
+        width = pack_for_chain(f, binoms)[3][0][-1]
         lo, hi = (mid, hi) if width <= field else (lo, mid)
     return lo
 
@@ -777,7 +795,7 @@ def probe_cases(draw):
     binoms = [b, other] if draw(st.booleans()) else [other, b]
     # put f at the largest top that packs the chain into fields of the
     # chosen width
-    s = _packed_chain(f, binoms)[0]
+    s = pack_for_chain(f, binoms)[0]
     lo = edge_top(vars_, binoms, s, draw(st.sampled_from([8, 16])))
     # move f along one axis until its largest or least exponent there is
     # +lo or -lo on lattice s
@@ -798,13 +816,13 @@ def probe_cases(draw):
 @given(case=probe_cases())
 def test_line_probe_changes_no_trial(case):
     f, binoms, limits = case
-    s, unpack, terms, steps, top = _packed_chain(f, binoms)
+    s, unpack, terms, steps, top = pack_for_chain(f, binoms)
     width = steps[0][-1]
     # the numerator reaches the largest top its fields allow
     assert max(abs(x) for e in map(unpack, terms) for x in e) == top
     bigger = f + ParamPoly.monomial(f.vars, (top + 1,) + (0,) * (f.n - 1),
                                     1, s)
-    assert _packed_chain(bigger, binoms)[3][0][-1] > width
+    assert pack_for_chain(bigger, binoms)[3][0][-1] > width
     # the probe's answer, and the keys it reads, on every quotient of the
     # chain
     quo = terms
@@ -822,7 +840,7 @@ def test_line_probe_changes_no_trial(case):
     # the quotient and the counts are those of walking every trial
     assert _trial_divide(dict(terms), steps, limits, top) == \
         trials_without_probe(dict(terms), steps, limits)
-    # and so are cancel_factors', here with a cofactor too
+    # and so are cancel_sum's, here with a cofactor too
     den = {}
     for b, m in zip(binoms, limits):
         key = canonical_binomial(f.vars, *b.terms.items(), b.scale)[0]
@@ -831,7 +849,7 @@ def test_line_probe_changes_no_trial(case):
     cof = ParamPoly(f.vars, {(0,) * f.n: 1, (1,) + (0,) * (f.n - 1): 1,
                              (0,) * (f.n - 1) + (2,): 1})
     den[cof] = (cof, 1)
-    got, left = cancel_factors(f * cof, den)
+    got, left = cancel_sum([(f * cof, [])], ParamPoly.one(f.vars), den)
     want, want_left = cancel_without_probe(f * cof, den)
     assert got == want and got.scale == want.scale
     assert list(left.items()) == list(want_left.items())
@@ -849,11 +867,11 @@ def test_line_probe_reads_inside_the_fields_at_their_edge(d, field):
     top = edge_top(vars_, [b], 1, field)
     corner = (-top,) + tuple(top if x > 0 else -top for x in d[1:])
     f = ParamPoly(vars_, {corner: 1, tuple(-x for x in corner): 1})
-    s, unpack, terms, steps, got_top = _packed_chain(f, [b])
+    s, unpack, terms, steps, got_top = pack_for_chain(f, [b])
     assert (s, got_top, steps[0][-1]) == (1, top, field)
     assert unpack(next(iter(terms))) == corner
     assert not probe_checked(terms, steps[0], top, unpack, d)
     # two terms on one line: b itself, moved to the corner
     line = b.mul_monomial(corner)
-    s, unpack, terms, steps, got_top = _packed_chain(line, [b])
+    s, unpack, terms, steps, got_top = pack_for_chain(line, [b])
     assert probe_checked(terms, steps[0], got_top, unpack, d)

@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from qkoorn.errors import NotInvariant
-from qkoorn.laurent import (LaurentRat, _grouped_sum, divide_factors,
+from qkoorn.laurent import (LaurentRat, _grouped_sum, exact_divide,
                             flat_shift, flatten, merge_max, torus_vars)
 from qkoorn.operators import (IDENTITY, OperatorSpec, ParamMap,
                               apply_operator, apply_one_var, apply_to_monomial,
@@ -438,6 +438,11 @@ def test_pointwise_apply_reads_the_parameter_map(mapping):
                 pointwise_apply(spec, m, point[:2], point[2:])
 
 
+def divided(num, den):
+    """``exact_divide`` of num alone by the factored denominator den."""
+    return exact_divide([(num, [])], den)
+
+
 def _staged_cell_branches(eng, J, f_flat):
     """The staged cell with no symmetry used: every one of the 2^r sign
     branches built from its own nucleus sums, and the signs summed out one
@@ -471,7 +476,7 @@ def _staged_cell_branches(eng, J, f_flat):
             (qpairs if _support(k, n)[1] else plain)[k] = bm
         for j, e in zip(J, eps):
             qpairs.update(vb_split(j, e)[2])
-        reduced.append((eps, 1, LaurentRat(divide_factors(num, qpairs),
+        reduced.append((eps, 1, LaurentRat(divided(num, qpairs),
                                            plain)))
     pending_pairs, state = _grouped_sum(reduced)
     cross_den = {}
@@ -494,9 +499,9 @@ def _staged_cell_branches(eng, J, f_flat):
                 (vnum, _, _), crat = branches[e]
                 piece = state[(e,) + rest] * vnum * crat.num
                 total = piece if total is None else total + piece
-            newstate[rest] = divide_factors(total, {**zdiv, **ready})
+            newstate[rest] = divided(total, {**zdiv, **ready})
         state = newstate
-    return divide_factors(state[()], pending_pairs), cross_den
+    return divided(state[()], pending_pairs), cross_den
 
 
 @pytest.mark.parametrize("params", [IDENTITY,
@@ -514,8 +519,7 @@ def test_staged_orbit_matches_every_cell(params):
                 (None, 1, LaurentRat(*_staged_cell_branches(eng, J, flat)))
                 for J in combinations(range(3), r)])
             spec = OperatorSpec("koornwinder", 3, r, params)
-            assert _apply_staged(spec, flat) == divide_factors(total[None],
-                                                               union)
+            assert _apply_staged(spec, flat) == divided(total[None], union)
 
 
 @pytest.mark.parametrize("value", ["0", "0*ga", "ga-ga"])
